@@ -108,6 +108,8 @@ let run_sampled_campaign ?sched ~min_insns ~min_windows () =
           then shortfalls := (bench, tech, res) :: !shortfalls)
         H.Technique.all)
     (H.Runner.bench_names r);
+  Option.iter (Fmt.pr "@.%a@." H.Runner.pp_campaign)
+    (H.Runner.campaign_stats r);
   match List.rev !shortfalls with
   | [] ->
     Fmt.pr "@.sampled campaign: every pair >= %d instructions and %d \
@@ -467,7 +469,7 @@ let run budget only markdown sample min_insns min_windows policy policy_grid
   match H.Runner.campaign_stats r with
   | None -> ()
   | Some c ->
-    Fmt.pr "campaign: %a@." H.Runner.pp_campaign c;
+    Fmt.pr "%a@." H.Runner.pp_campaign c;
     Option.iter
       (fun file ->
         let digest =

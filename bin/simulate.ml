@@ -163,18 +163,13 @@ let window_arg =
   in
   Arg.(value & opt (some int) None & info [ "window" ] ~docv:"N" ~doc)
 
-(* A dedicated traced run: same benchmark preparation as the runner's,
-   with the JSONL trace sink on the bus. *)
+(* A dedicated traced run: the runner's build, with the JSONL trace sink
+   on the bus. *)
 let write_trace bench technique ~sched ~budget file =
-  let prog =
-    Sdiq_harness.Technique.prepare technique bench.Sdiq_workloads.Bench.prog
-  in
-  let policy = Sdiq_harness.Technique.policy technique in
-  let p = Sdiq_cpu.Pipeline.create ~policy ~sched prog in
+  let p = Sdiq_harness.Technique.build ~sched technique bench in
   let oc = open_out file in
   Sdiq_cpu.Pipeline.subscribe ~name:"jsonl-trace" p
     (Sdiq_events.Trace.sink oc);
-  bench.Sdiq_workloads.Bench.init p.Sdiq_cpu.Pipeline.exec;
   let stats = Sdiq_cpu.Pipeline.run ~max_insns:budget p in
   close_out oc;
   Fmt.pr "trace: %s (%d cycles, %d committed)@." file
@@ -183,18 +178,14 @@ let write_trace bench technique ~sched ~budget file =
 (* A dedicated profiled run: the region-attribution profiler and the
    host self-profiler ride the bus of one fresh simulation. *)
 let write_metrics bench technique ~sched ~budget file =
+  let p = Sdiq_harness.Technique.build ~sched technique bench in
   let map =
     Sdiq_obs.Region.build
       (Sdiq_harness.Technique.delivery technique)
       bench.Sdiq_workloads.Bench.prog
   in
-  let policy = Sdiq_harness.Technique.policy technique in
-  let p =
-    Sdiq_cpu.Pipeline.create ~policy ~sched (Sdiq_obs.Region.running_prog map)
-  in
   let prof = Sdiq_obs.Profiler.attach map p in
   let host = Sdiq_obs.Hostprof.attach p in
-  bench.Sdiq_workloads.Bench.init p.Sdiq_cpu.Pipeline.exec;
   let stats = Sdiq_cpu.Pipeline.run ~max_insns:budget p in
   let oc = open_out file in
   if Filename.check_suffix file ".om" || Filename.check_suffix file ".prom"
@@ -222,15 +213,10 @@ let write_metrics bench technique ~sched ~budget file =
 
 (* A dedicated counting run for the verbose event-mix table. *)
 let event_mix bench technique ~sched ~budget =
-  let prog =
-    Sdiq_harness.Technique.prepare technique bench.Sdiq_workloads.Bench.prog
-  in
-  let policy = Sdiq_harness.Technique.policy technique in
-  let p = Sdiq_cpu.Pipeline.create ~policy ~sched prog in
+  let p = Sdiq_harness.Technique.build ~sched technique bench in
   let counts = Sdiq_events.Counts.create () in
   Sdiq_cpu.Pipeline.subscribe ~name:"event-counts" p
     (Sdiq_events.Counts.sink counts);
-  bench.Sdiq_workloads.Bench.init p.Sdiq_cpu.Pipeline.exec;
   let (_ : Sdiq_cpu.Stats.t) = Sdiq_cpu.Pipeline.run ~max_insns:budget p in
   counts
 
@@ -404,7 +390,7 @@ let run bench_name technique budget verbose timeline trace metrics domains
     end;
     if timeline then begin
       let t =
-        Sdiq_harness.Timeline.record ~max_insns:budget bench technique
+        Sdiq_harness.Timeline.record ~sched ~max_insns:budget bench technique
       in
       print_string (Sdiq_harness.Timeline.to_csv t)
     end;

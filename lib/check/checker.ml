@@ -1,7 +1,8 @@
 (* Cycle-level invariant checker.
 
-   Installed on a pipeline via the [?checker] hook, it audits the machine
-   after every cycle against the structural invariants the paper's results
+   Attached to a pipeline as a [Cycle_end] sink ([attach], or [hook c]
+   registered with [Pipeline.on_cycle_end]), it audits the machine after
+   every cycle against the structural invariants the paper's results
    rest on (see DESIGN.md, "Invariants the pipeline maintains"): the
    software dispatch window is honoured, gated banks are genuinely empty,
    the per-cycle power integrals match a recount of the actual state, the
@@ -593,7 +594,8 @@ let attach p =
   Pipeline.subscribe ~name:"invariant-checker" p (sink c p);
   c
 
-(* Factory for Runner/simulate: a fresh checker per run. *)
+(* Factory for [Runner.create ~checker]: a fresh checker per run, which
+   the runner registers with [Pipeline.on_cycle_end]. *)
 let fresh_hook () =
   let c = create () in
   hook c

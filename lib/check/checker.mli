@@ -1,7 +1,8 @@
 (** Cycle-level invariant checker for {!Sdiq_cpu.Pipeline}.
 
-    Installed via the pipeline's [?checker] hook, it audits the machine
-    after every cycle: the software dispatch window ([new_head]..[tail]
+    Attached as a [Cycle_end] sink ({!attach}, or {!hook} registered
+    with {!Sdiq_cpu.Pipeline.on_cycle_end}), it audits the machine after
+    every cycle: the software dispatch window ([new_head]..[tail]
     never exceeds [max_new_range]), gated banks hold no entries, the
     per-cycle power integrals ([iq_banks_on_sum], [rf_banks_on_sum],
     [int_rf_live_sum]) match a recount of the live state, the ROB stays
@@ -34,7 +35,8 @@ type t
 val create : unit -> t
 
 (** The per-cycle audit; raises {!Invariant_violation} on the first
-    broken invariant. Pass [hook c] as the pipeline's [?checker]. *)
+    broken invariant. Register [hook c] with
+    {!Sdiq_cpu.Pipeline.on_cycle_end}, or use {!attach}. *)
 val check : t -> Sdiq_cpu.Pipeline.t -> unit
 
 val hook : t -> Sdiq_cpu.Pipeline.t -> unit
@@ -47,7 +49,8 @@ val sink : t -> Sdiq_cpu.Pipeline.t -> Sdiq_events.Event.t -> unit
 val attach : Sdiq_cpu.Pipeline.t -> t
 
 (** A self-contained hook with its own fresh state — the shape
-    {!Sdiq_harness.Runner.create}'s [?checker] factory expects. *)
+    {!Sdiq_harness.Runner.create}'s [?checker] factory expects; the
+    runner registers it with {!Sdiq_cpu.Pipeline.on_cycle_end}. *)
 val fresh_hook : unit -> Sdiq_cpu.Pipeline.t -> unit
 
 (** Cycles audited so far. *)

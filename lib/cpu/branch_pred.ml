@@ -121,10 +121,6 @@ let btb_lookup_tgt t pc =
   end
   else -1
 
-let btb_lookup t pc =
-  let tgt = btb_lookup_tgt t pc in
-  if tgt < 0 then None else Some tgt
-
 let btb_update t pc ~target =
   let set = pc mod t.btb_sets in
   let base = set * t.btb_ways in
@@ -168,10 +164,6 @@ let ras_pop_addr t =
     t.ras_top <- t.ras_top - 1;
     t.ras.(t.ras_top)
   end
-
-let ras_pop t =
-  let a = ras_pop_addr t in
-  if a < 0 then None else Some a
 
 (* RAS snapshot/restore for the speculative fetch frontend: wrong-path
    calls and returns push and pop the real stack (their predictions must

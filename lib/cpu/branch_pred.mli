@@ -11,10 +11,8 @@ val predict_direction : t -> int -> bool
 (** Train direction tables, selector and global history. *)
 val update_direction : t -> int -> taken:bool -> unit
 
-val btb_lookup : t -> int -> int option
-
-(** [btb_lookup] without the option: the target, or [-1] on a miss
-    (the pipeline's allocation-free fetch path). *)
+(** The predicted target of [pc], or [-1] on a miss (allocation-free:
+    the pipeline's fetch path). *)
 val btb_lookup_tgt : t -> int -> int
 
 val btb_update : t -> int -> target:int -> unit
@@ -22,10 +20,8 @@ val btb_update : t -> int -> target:int -> unit
 (** Push a return address; overflow drops the oldest entry. *)
 val ras_push : t -> int -> unit
 
-val ras_pop : t -> int option
-
-(** [ras_pop] without the option: the return address, or [-1] when the
-    stack is empty (pushed addresses are ≥ 1). *)
+(** Pop the return address, or [-1] when the stack is empty (pushed
+    addresses are ≥ 1). *)
 val ras_pop_addr : t -> int
 
 (** {2 RAS snapshot/restore (speculative fetch)}

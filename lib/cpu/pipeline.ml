@@ -362,8 +362,7 @@ let on_cycle_end ?(name = "cycle-observer") t f =
 let on_commit_sink ?(name = "commit-observer") t f =
   subscribe ~name t (function Ev.Commit { dyn } -> f dyn | _ -> ())
 
-let create ?(config = Config.default) ?(policy = Policy.unlimited) ?sched
-    ?checker ?on_commit prog =
+let create ?(config = Config.default) ?(policy = Policy.unlimited) ?sched prog =
   let sched =
     match sched with Some s -> s | None -> config.Config.sched
   in
@@ -484,12 +483,6 @@ let create ?(config = Config.default) ?(policy = Policy.unlimited) ?sched
     }
   in
   t.iq.Iq.suppress_pred <- t.pred_track;
-  (* Compat shims: the old [?checker]/[?on_commit] hooks are ordinary
-     sinks now. *)
-  (match checker with Some f -> on_cycle_end ~name:"checker" t f | None -> ());
-  (match on_commit with
-  | Some f -> on_commit_sink ~name:"on-commit" t f
-  | None -> ());
   t
 
 (* Physical-register tag space: int regs as-is, fp regs offset. *)
@@ -1841,9 +1834,8 @@ let fast_forward t ~insns =
   !n
 
 (* Convenience: build, initialise memory, run. *)
-let simulate ?config ?policy ?sched ?checker ?on_commit ?init ?max_insns
-    ?max_cycles prog =
-  let t = create ?config ?policy ?sched ?checker ?on_commit prog in
+let simulate ?config ?policy ?sched ?init ?max_insns ?max_cycles prog =
+  let t = create ?config ?policy ?sched prog in
   (match init with Some f -> f t.exec | None -> ());
   run ?max_insns ?max_cycles t
 

@@ -118,15 +118,13 @@ type t = {
 (** Raised by {!run} after [max_cycles] — a deadlock guard. *)
 exception Simulation_limit of string
 
-(** [?checker] and [?on_commit] are compatibility shims: they register
-    the function as an {!on_cycle_end} / {!on_commit_sink} sink.
-    [?sched] overrides [config.sched]. *)
+(** [?sched] overrides [config.sched]. Observers (invariant checker,
+    commit capture, meters) register afterwards as sinks: {!subscribe},
+    {!on_cycle_end}, {!on_commit_sink}. *)
 val create :
   ?config:Config.t ->
   ?policy:Policy.t ->
   ?sched:Sched.t ->
-  ?checker:(t -> unit) ->
-  ?on_commit:(Sdiq_isa.Exec.dyn -> unit) ->
   Sdiq_isa.Prog.t ->
   t
 
@@ -179,8 +177,6 @@ val simulate :
   ?config:Config.t ->
   ?policy:Policy.t ->
   ?sched:Sched.t ->
-  ?checker:(t -> unit) ->
-  ?on_commit:(Sdiq_isa.Exec.dyn -> unit) ->
   ?init:(Sdiq_isa.Exec.state -> unit) ->
   ?max_insns:int ->
   ?max_cycles:int ->

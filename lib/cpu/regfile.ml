@@ -73,38 +73,18 @@ let mark_live t i =
     t.free_head <- !j
   end
 
-(* Allocate the lowest-numbered free register; the value is not ready until
-   [write] marks it so. *)
-let alloc t =
-  if t.free_count = 0 then begin
-    t.alloc_failures <- t.alloc_failures + 1;
-    None
-  end
-  else if t.free_head >= t.size then
-    (* free_count > 0 yet no free slot: the count has drifted from the
-       free array — a conservation bug upstream (double release or a
-       release bypassing this module). *)
-    failwith
-      (Printf.sprintf
-         "Regfile.alloc: free_count=%d but the free list has no free \
-          register (size=%d)"
-         t.free_count t.size)
-  else begin
-    let i = t.free_head in
-    t.ready.(i) <- false;
-    mark_live t i;
-    t.allocs <- t.allocs + 1;
-    Some i
-  end
-
-(* [alloc] without the option wrapper: the slot index, or -1 when no
-   register is free (the pipeline's allocation-free rename path). *)
+(* Allocate the lowest-numbered free register, or -1 when none is free
+   (allocation-free: the pipeline's rename path). The value is not ready
+   until [write] marks it so. *)
 let alloc_idx t =
   if t.free_count = 0 then begin
     t.alloc_failures <- t.alloc_failures + 1;
     -1
   end
   else if t.free_head >= t.size then
+    (* free_count > 0 yet no free slot: the count has drifted from the
+       free array — a conservation bug upstream (double release or a
+       release bypassing this module). *)
     failwith
       (Printf.sprintf
          "Regfile.alloc: free_count=%d but the free list has no free \

@@ -26,12 +26,9 @@ val banks : t -> int
 val free_count : t -> int
 val live_count : t -> int
 
-(** Lowest-numbered free register, marked not-ready; [None] when the
-    file is exhausted. *)
-val alloc : t -> int option
-
-(** [alloc] without the option wrapper: the register, or [-1] when none
-    is free (the pipeline's allocation-free rename path). *)
+(** Lowest-numbered free register, marked not-ready; [-1] (and one more
+    [alloc_failures]) when the file is exhausted. Allocation-free: the
+    pipeline's rename path. *)
 val alloc_idx : t -> int
 
 (** Claim a specific register (initial architectural mapping). *)

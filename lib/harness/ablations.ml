@@ -28,10 +28,9 @@ let run_annotated ?(config = Sdiq_cpu.Config.default) ~opts ~mode ~budget
     ~policy:(Sdiq_cpu.Policy.software ())
     ~init:bench.Bench.init ~max_insns:budget prog
 
-let run_baseline ?(config = Sdiq_cpu.Config.default) ~budget (bench : Bench.t)
-    =
-  Sdiq_cpu.Pipeline.simulate ~config ~init:bench.Bench.init ~max_insns:budget
-    bench.Bench.prog
+let run_baseline ?config ~budget (bench : Bench.t) =
+  Sdiq_cpu.Pipeline.run ~max_insns:budget
+    (Technique.build ?config Technique.Baseline bench)
 
 (* 1. Delivery mechanism: the same analysis values as NOOPs vs as tags —
    the pure stream cost of the special NOOPs (Section 5.3's motivation). *)

@@ -1,16 +1,25 @@
 (* Experiment runner: simulate (benchmark x technique) and cache the
-   statistics so every figure reads from one set of runs, exactly as the
+   results so every figure reads from one set of runs, exactly as the
    paper derives all its figures from one simulation campaign.
 
-   The campaign itself is parallel: [run_all] shards the key set across a
-   work-stealing domain pool ([Sdiq_util.Pool]). Each (benchmark,
-   technique) run is pure given the runner's [Config.t] — the pipeline,
-   caches, predictor and policy are built fresh per run and nothing in
-   [lib/cpu] touches global state — so workers need no locks: they fill
-   disjoint slots of a result buffer, and the memo table is populated
-   single-threadedly after the join barrier, always in key order. A
-   1-domain and an N-domain campaign therefore produce byte-identical
-   tables. *)
+   There are three execution regimes — a detailed run to an instruction
+   budget, a SMARTS-sampled run of the whole program, and a profiled run
+   with the region-attribution profiler on the bus — and one path drives
+   them all: [Technique.build] makes the machine, the runner's checker
+   factory (if any) rides its bus, and the regime's [step] runs it. Each
+   regime has its own memo table: a sampled run is a different
+   execution and must never alias a detailed one, and a profiled pair is
+   a dedicated simulation, so conservation tests compare two independent
+   executions.
+
+   The campaign itself is parallel: [campaign] shards the key set across
+   a work-stealing domain pool ([Sdiq_util.Pool]). Each run is pure given
+   the runner's [Config.t] — the pipeline, caches, predictor and policy
+   are built fresh per run and nothing in [lib/cpu] touches global state
+   — so workers need no locks: they fill disjoint slots of a result
+   buffer, and the memo table is populated single-threadedly after the
+   join barrier, always in key order. A 1-domain and an N-domain campaign
+   therefore produce byte-identical tables. *)
 
 open Sdiq_workloads
 
@@ -27,26 +36,31 @@ type campaign = {
   serial_estimate_s : float;
 }
 
+type 'r regime = {
+  pair_span : string; (* one simulation *)
+  campaign_span : string; (* one campaign over the grid *)
+  memo : (key, 'r) Hashtbl.t;
+  step : Bench.t -> Technique.t -> Sdiq_cpu.Pipeline.t -> 'r;
+      (* runs the built, initialised machine; pure given the runner's
+         config, so safe on any domain *)
+}
+
 type t = {
   config : Sdiq_cpu.Config.t;
   sched : Sdiq_cpu.Sched.t; (* default select/wakeup policy for runs *)
-  budget : int; (* committed instructions per run *)
-  table : (key, Sdiq_cpu.Stats.t) Hashtbl.t;
-  profiles : (key, Sdiq_obs.Profiler.t) Hashtbl.t;
-      (* separate memo: profiled runs are dedicated simulations, so the
-         conservation tests compare two independent executions *)
-  sampled : (key, Sampling.result) Hashtbl.t;
-      (* separate memo again: a sampled run is a different execution
-         regime (fast-forward + windows, whole program) and must never
-         alias a detailed run *)
-  sample_config : Sampling.config;
   benches : Bench.t list;
   pool : Sdiq_util.Pool.t;
   checker : (unit -> Sdiq_cpu.Pipeline.t -> unit) option;
       (* per-run hook factory: called once per simulation so each run
          (possibly on another domain) gets fresh observer state *)
+  detailed : Sdiq_cpu.Stats.t regime;
+  sampled : Sampling.result regime;
+  profiled : Sdiq_obs.Profiler.t regime;
   mutable last_campaign : campaign option;
 }
+
+let regime pair_span campaign_span step =
+  { pair_span; campaign_span; memo = Hashtbl.create 64; step }
 
 let create ?(config = Sdiq_cpu.Config.default) ?sched ?(budget = 100_000)
     ?(benches = Suite.all ()) ?domains ?checker
@@ -57,14 +71,31 @@ let create ?(config = Sdiq_cpu.Config.default) ?sched ?(budget = 100_000)
   {
     config;
     sched;
-    budget;
-    table = Hashtbl.create 64;
-    profiles = Hashtbl.create 64;
-    sampled = Hashtbl.create 64;
-    sample_config;
     benches;
     pool = Sdiq_util.Pool.create ?domains ();
     checker;
+    detailed =
+      regime "sim.pair" "campaign.run_all" (fun _ _ p ->
+          Sdiq_cpu.Pipeline.run ~max_insns:budget p);
+    (* The checker hook fires on every detailed cycle, warmup and
+       measured alike, so a checkered sampled campaign audits every
+       detailed window. *)
+    sampled =
+      regime "sim.sampled_pair" "campaign.run_all_sampled" (fun _ _ p ->
+          Sampling.sample ~config:sample_config p);
+    (* The region map's running binary is structurally equal to
+       [Technique.prepare]'s — both invoke the same deterministic
+       rewriter — so the map attributes the machine [build] made. *)
+    profiled =
+      regime "sim.profile_pair" "campaign.profile_all" (fun bench tech p ->
+          let map =
+            Sdiq_obs.Region.build (Technique.delivery tech) bench.Bench.prog
+          in
+          let prof = Sdiq_obs.Profiler.attach map p in
+          let (_ : Sdiq_cpu.Stats.t) =
+            Sdiq_cpu.Pipeline.run ~max_insns:budget p
+          in
+          prof);
     last_campaign = None;
   }
 
@@ -79,60 +110,54 @@ let find_bench t name =
       (Printf.sprintf "Runner: unknown benchmark %S (known: %s)" name
          (String.concat ", " (bench_names t)))
 
-(* One cold (benchmark, technique) simulation — pure given [t.config],
-   so safe to run on any domain. The checker factory's product is
+(* One cold simulation in regime [rg]. The checker factory's product is
    registered as a per-cycle sink on the run's private event bus. *)
-let simulate_pair t ~sched name technique : Sdiq_cpu.Stats.t =
-  Sdiq_util.Spanlog.with_span "sim.pair"
+let simulate_pair t rg ~sched name technique =
+  Sdiq_util.Spanlog.with_span rg.pair_span
     ~attrs:[ ("bench", name); ("technique", Technique.name technique) ]
   @@ fun () ->
   let bench = find_bench t name in
-  let prog = Technique.prepare technique bench.Bench.prog in
-  let policy = Technique.policy technique in
-  let p = Sdiq_cpu.Pipeline.create ~config:t.config ~policy ~sched prog in
-  (match t.checker with
-  | Some mk -> Sdiq_cpu.Pipeline.on_cycle_end ~name:"campaign-checker" p (mk ())
-  | None -> ());
-  bench.Bench.init p.Sdiq_cpu.Pipeline.exec;
-  Sdiq_cpu.Pipeline.run ~max_insns:t.budget p
+  let p = Technique.build ~config:t.config ~sched technique bench in
+  Option.iter
+    (fun mk ->
+      Sdiq_cpu.Pipeline.on_cycle_end ~name:"campaign-checker" p (mk ()))
+    t.checker;
+  rg.step bench technique p
 
-(* Run one (benchmark, technique) pair, memoised. [?sched] overrides the
-   runner's default policy for this run only; the override is part of
-   the memo key, so grid sweeps over policies share the runner. *)
-let run ?sched t name technique : Sdiq_cpu.Stats.t =
+(* The memo probe, counted on the span log. *)
+let cached rg key =
+  let r = Hashtbl.find_opt rg.memo key in
+  Sdiq_util.Spanlog.count
+    (if Option.is_some r then "memo.hit" else "memo.miss");
+  r
+
+(* One pair, memoised. [?sched] overrides the runner's default policy
+   for this run only; the override is part of the memo key, so grid
+   sweeps over policies share the runner. *)
+let lookup ?sched t rg name technique =
   let sched = match sched with Some s -> s | None -> t.sched in
   let key = (name, technique, Sdiq_cpu.Sched.key sched) in
-  match Hashtbl.find_opt t.table key with
-  | Some stats ->
-    Sdiq_util.Spanlog.count "memo.hit";
-    stats
+  match cached rg key with
+  | Some r -> r
   | None ->
-    Sdiq_util.Spanlog.count "memo.miss";
-    let stats = simulate_pair t ~sched name technique in
-    Hashtbl.replace t.table key stats;
-    stats
+    let r = simulate_pair t rg ~sched name technique in
+    Hashtbl.replace rg.memo key r;
+    r
 
-let run_all t =
-  let pairs_total = List.length t.benches * List.length Technique.all in
+(* The (benchmark x [techniques]) grid under the runner's default
+   policy, simulated in parallel where not already memoised. Returns
+   every pair's result in grid order. *)
+let campaign t rg techniques =
   let skey = Sdiq_cpu.Sched.key t.sched in
-  let todo =
+  let grid =
     List.concat_map
-      (fun name ->
-        List.filter_map
-          (fun tech ->
-            if Hashtbl.mem t.table (name, tech, skey) then begin
-              Sdiq_util.Spanlog.count "memo.hit";
-              None
-            end
-            else begin
-              Sdiq_util.Spanlog.count "memo.miss";
-              Some (name, tech)
-            end)
-          Technique.all)
+      (fun name -> List.map (fun tech -> (name, tech, skey)) techniques)
       (bench_names t)
-    |> Array.of_list
   in
-  Sdiq_util.Spanlog.enter "campaign.run_all"
+  let todo =
+    Array.of_list (List.filter (fun key -> Option.is_none (cached rg key)) grid)
+  in
+  Sdiq_util.Spanlog.enter rg.campaign_span
     ~attrs:
       [
         ("pairs", string_of_int (Array.length todo));
@@ -144,7 +169,7 @@ let run_all t =
      its own slot of [results]. *)
   let results =
     Sdiq_util.Pool.map_array t.pool
-      ~f:(fun (name, tech) -> simulate_pair t ~sched:t.sched name tech)
+      ~f:(fun (name, tech, _) -> simulate_pair t rg ~sched:t.sched name tech)
       todo
   in
   let wall_s = Unix.gettimeofday () -. t0 in
@@ -155,190 +180,39 @@ let run_all t =
   let serial_estimate_s = Sys.time () -. c0 in
   (* Join barrier passed: merge the per-worker buffers into the memo
      table, in key order, on the calling domain only. *)
-  Array.iteri
-    (fun i stats ->
-      let name, tech = todo.(i) in
-      Hashtbl.replace t.table (name, tech, skey) stats)
-    results;
+  Array.iteri (fun i r -> Hashtbl.replace rg.memo todo.(i) r) results;
   t.last_campaign <-
     Some
       {
-        pairs_total;
+        pairs_total = List.length grid;
         pairs_run = Array.length todo;
         domains_used = domains t;
         wall_s;
         serial_estimate_s;
       };
-  Sdiq_util.Spanlog.exit ()
+  Sdiq_util.Spanlog.exit ();
+  List.map
+    (fun ((name, tech, _) as key) -> (name, tech, Hashtbl.find rg.memo key))
+    grid
 
-(* One cold sampled (benchmark, technique) simulation: same build as
-   [simulate_pair] — technique rewrite, policy, checker sink — but the
-   program runs to completion (or [Sampling]'s own limit) under the
-   SMARTS regime instead of a detailed instruction budget. The checker
-   hook fires on every detailed cycle, warmup and measured alike, so a
-   checkered sampled campaign audits every detailed window. Pure given
-   [t.config], so safe on any domain. *)
-let simulate_sampled_pair t ~sched name technique : Sampling.result =
-  Sdiq_util.Spanlog.with_span "sim.sampled_pair"
-    ~attrs:[ ("bench", name); ("technique", Technique.name technique) ]
-  @@ fun () ->
-  let bench = find_bench t name in
-  let prog = Technique.prepare technique bench.Bench.prog in
-  let policy = Technique.policy technique in
-  let p = Sdiq_cpu.Pipeline.create ~config:t.config ~policy ~sched prog in
-  (match t.checker with
-  | Some mk -> Sdiq_cpu.Pipeline.on_cycle_end ~name:"campaign-checker" p (mk ())
-  | None -> ());
-  bench.Bench.init p.Sdiq_cpu.Pipeline.exec;
-  Sampling.sample ~config:t.sample_config p
+let run ?sched t = lookup ?sched t t.detailed
+let run_all t = ignore (campaign t t.detailed Technique.all : _ list)
+let run_sampled ?sched t = lookup ?sched t t.sampled
+let run_all_sampled t = ignore (campaign t t.sampled Technique.all : _ list)
+let profile ?sched t = lookup ?sched t t.profiled
 
-(* Run one sampled pair, memoised. *)
-let run_sampled ?sched t name technique : Sampling.result =
-  let sched = match sched with Some s -> s | None -> t.sched in
-  let key = (name, technique, Sdiq_cpu.Sched.key sched) in
-  match Hashtbl.find_opt t.sampled key with
-  | Some r ->
-    Sdiq_util.Spanlog.count "memo.hit";
-    r
-  | None ->
-    Sdiq_util.Spanlog.count "memo.miss";
-    let r = simulate_sampled_pair t ~sched name technique in
-    Hashtbl.replace t.sampled key r;
-    r
-
-let run_all_sampled t =
-  let skey = Sdiq_cpu.Sched.key t.sched in
-  let todo =
-    List.concat_map
-      (fun name ->
-        List.filter_map
-          (fun tech ->
-            if Hashtbl.mem t.sampled (name, tech, skey) then begin
-              Sdiq_util.Spanlog.count "memo.hit";
-              None
-            end
-            else begin
-              Sdiq_util.Spanlog.count "memo.miss";
-              Some (name, tech)
-            end)
-          Technique.all)
-      (bench_names t)
-    |> Array.of_list
-  in
-  Sdiq_util.Spanlog.enter "campaign.run_all_sampled"
-    ~attrs:
-      [
-        ("pairs", string_of_int (Array.length todo));
-        ("domains", string_of_int (domains t));
-      ];
-  (* Same discipline as [run_all]: workers fill disjoint slots of the
-     result buffer, and the memo table is populated in key order after
-     the join barrier — a 1-domain and an N-domain sampled campaign
-     produce identical tables. *)
-  let results =
-    Sdiq_util.Pool.map_array t.pool
-      ~f:(fun (name, tech) -> simulate_sampled_pair t ~sched:t.sched name tech)
-      todo
-  in
-  Array.iteri
-    (fun i r ->
-      let name, tech = todo.(i) in
-      Hashtbl.replace t.sampled (name, tech, skey) r)
-    results;
-  Sdiq_util.Spanlog.exit ()
-
-(* One cold profiled simulation: build the region map for the
-   technique's delivery, load the map's own running binary (identical
-   to [Technique.prepare]'s — both invoke the same deterministic
-   rewriter) and attribute the full event stream. Pure given
-   [t.config], like [simulate_pair]. *)
-let profile_pair t ~sched name technique : Sdiq_obs.Profiler.t =
-  Sdiq_util.Spanlog.with_span "sim.profile_pair"
-    ~attrs:[ ("bench", name); ("technique", Technique.name technique) ]
-  @@ fun () ->
-  let bench = find_bench t name in
-  let map =
-    Sdiq_obs.Region.build (Technique.delivery technique) bench.Bench.prog
-  in
-  let policy = Technique.policy technique in
-  let p =
-    Sdiq_cpu.Pipeline.create ~config:t.config ~policy ~sched
-      (Sdiq_obs.Region.running_prog map)
-  in
-  let prof = Sdiq_obs.Profiler.attach map p in
-  bench.Bench.init p.Sdiq_cpu.Pipeline.exec;
-  let (_ : Sdiq_cpu.Stats.t) = Sdiq_cpu.Pipeline.run ~max_insns:t.budget p in
-  prof
-
-let profile ?sched t name technique : Sdiq_obs.Profiler.t =
-  let sched = match sched with Some s -> s | None -> t.sched in
-  let key = (name, technique, Sdiq_cpu.Sched.key sched) in
-  match Hashtbl.find_opt t.profiles key with
-  | Some prof ->
-    Sdiq_util.Spanlog.count "memo.hit";
-    prof
-  | None ->
-    Sdiq_util.Spanlog.count "memo.miss";
-    let prof = profile_pair t ~sched name technique in
-    Hashtbl.replace t.profiles key prof;
-    prof
-
+(* The campaign merge walks the grid in its declared order, so the
+   merged metrics are byte-identical whatever the domain count. *)
 let profile_all ?(techniques = Technique.all) t =
-  let skey = Sdiq_cpu.Sched.key t.sched in
-  let grid =
-    List.concat_map
-      (fun name -> List.map (fun tech -> (name, tech)) techniques)
-      (bench_names t)
-  in
-  let todo =
-    Array.of_list
-      (List.filter
-         (fun (name, tech) ->
-           if Hashtbl.mem t.profiles (name, tech, skey) then begin
-             Sdiq_util.Spanlog.count "memo.hit";
-             false
-           end
-           else begin
-             Sdiq_util.Spanlog.count "memo.miss";
-             true
-           end)
-         grid)
-  in
-  Sdiq_util.Spanlog.enter "campaign.profile_all"
-    ~attrs:
-      [
-        ("pairs", string_of_int (Array.length todo));
-        ("domains", string_of_int (domains t));
-      ];
-  (* Same discipline as [run_all]: workers fill disjoint slots, the memo
-     is populated in key order after the join, and the campaign merge
-     walks the grid in its declared order — so the merged metrics are
-     byte-identical whatever the domain count. *)
-  let results =
-    Sdiq_util.Pool.map_array t.pool
-      ~f:(fun (name, tech) -> profile_pair t ~sched:t.sched name tech)
-      todo
-  in
-  Array.iteri
-    (fun i prof ->
-      let name, tech = todo.(i) in
-      Hashtbl.replace t.profiles (name, tech, skey) prof)
-    results;
-  let pairs =
-    List.map
-      (fun (name, tech) ->
-        (name, tech, Hashtbl.find t.profiles (name, tech, skey)))
-      grid
-  in
-  let campaign =
+  let pairs = campaign t t.profiled techniques in
+  let merged =
     List.fold_left
       (fun acc (_, _, prof) ->
         Sdiq_obs.Metrics.merge acc (Sdiq_obs.Profiler.metrics prof))
       (Sdiq_obs.Metrics.create ())
       pairs
   in
-  Sdiq_util.Spanlog.exit ();
-  (pairs, campaign)
+  (pairs, merged)
 
 let campaign_stats t = t.last_campaign
 

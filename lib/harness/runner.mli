@@ -2,14 +2,22 @@
     so every figure reads from one simulation campaign. The campaign runs
     in parallel on a {!Sdiq_util.Pool} of OCaml domains; each pair's
     simulation is pure given the runner's config, so the resulting table
-    is identical whatever the domain count. *)
+    is identical whatever the domain count.
+
+    Three execution regimes share one path: a detailed run to the
+    instruction budget ({!run}), a SMARTS-sampled run of the whole
+    program ({!run_sampled}) and a region-profiled run ({!profile}).
+    Every pair is built by {!Technique.build}, carries the [checker]
+    hook if one was given, and is memoised in its regime's own table. *)
 
 type t
 
-(** Summary of the last {!run_all} campaign. [serial_estimate_s] is the
-    sum of every pair's own wall-clock time — what a 1-domain campaign
-    would have cost — so [speedup] compares against serial execution
-    without running it. *)
+(** Summary of the last campaign ({!run_all}, {!run_all_sampled} or
+    {!profile_all}). [serial_estimate_s] is the process CPU time
+    ([Sys.time], summed over every domain) the campaign consumed —
+    about what a 1-domain campaign of this CPU-bound work would take on
+    the wall — so [speedup] compares against serial execution without
+    running it. *)
 type campaign = {
   pairs_total : int;  (** size of the (benchmark x technique) grid *)
   pairs_run : int;  (** pairs actually simulated (not already memoised) *)
@@ -39,15 +47,15 @@ val create :
     campaign.
 
     [checker] is a per-run observer {e factory}: it is invoked once per
-    simulation (possibly on a worker domain) and the resulting hook is
-    installed as the pipeline's [?checker], so each run gets fresh,
-    domain-local observer state. Pass
+    simulation of every regime (possibly on a worker domain) and the
+    resulting hook is registered with {!Sdiq_cpu.Pipeline.on_cycle_end},
+    so each run gets fresh, domain-local observer state. Pass
     [Sdiq_check.Checker.fresh_hook] to audit every campaign cycle. *)
 
 val bench_names : t -> string list
 
 val domains : t -> int
-(** Domains {!run_all} will use. *)
+(** Domains a campaign will use. *)
 
 (** Raises [Invalid_argument] on an unknown name; the message lists the
     known benchmark names. *)
@@ -76,7 +84,8 @@ val run_all_sampled : t -> unit
 (** Region-attribution profile of one pair, memoised separately from
     {!run}'s table: a profiled pair is a {e dedicated} simulation with
     a ["region-profiler"] sink attached, never a warm cache hit — so
-    conservation tests compare two independent executions. *)
+    conservation tests compare two independent executions. The runner's
+    [checker] hook, if any, audits every cycle. *)
 val profile :
   ?sched:Sdiq_cpu.Sched.t -> t -> string -> Technique.t -> Sdiq_obs.Profiler.t
 
@@ -90,7 +99,9 @@ val profile_all :
   (string * Technique.t * Sdiq_obs.Profiler.t) list * Sdiq_obs.Metrics.t
 
 val campaign_stats : t -> campaign option
-(** Stats of the most recent {!run_all} ([None] before the first). *)
+(** Stats of the most recent campaign of any regime — {!run_all},
+    {!run_all_sampled} or {!profile_all} ([None] before the first).
+    [pairs_total] is the size of that campaign's grid. *)
 
 val speedup : campaign -> float
 (** [serial_estimate_s /. wall_s]. *)

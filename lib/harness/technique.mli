@@ -25,6 +25,19 @@ val prepare : t -> Sdiq_isa.Prog.t -> Sdiq_isa.Prog.t
 (** A fresh policy instance for one run. *)
 val policy : t -> Sdiq_cpu.Policy.t
 
+(** [build tech bench]: {!prepare} the benchmark's binary,
+    [Pipeline.create] it under a fresh {!policy}, and run the benchmark's
+    [init] on the new machine's memory — the one way the harness and the
+    CLIs build a (benchmark, technique) pipeline. [?config] and [?sched]
+    are passed to [Pipeline.create]. Attach sinks to the result, then
+    run it in whatever regime the caller wants. *)
+val build :
+  ?config:Sdiq_cpu.Config.t ->
+  ?sched:Sdiq_cpu.Sched.t ->
+  t ->
+  Sdiq_workloads.Bench.t ->
+  Sdiq_cpu.Pipeline.t
+
 (** The region-map delivery mode whose running binary is exactly what
     {!prepare} builds ([Baseline] and [Abella] map to [Plain]: the
     binary is unmodified but the analysis regions still decompose it

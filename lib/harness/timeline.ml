@@ -31,17 +31,13 @@ let sample_of (p : Sdiq_cpu.Pipeline.t) : sample =
     rf_live = Sdiq_cpu.Regfile.live_count p.Sdiq_cpu.Pipeline.int_rf;
   }
 
-(* Run [bench] under [technique], sampling every [interval] cycles. The
-   sampler is an ordinary per-cycle sink on the pipeline's event bus —
-   it rides alongside any other observer rather than owning the step
-   loop. *)
-let record ?(config = Sdiq_cpu.Config.default) ?(interval = 200)
-    ?(max_insns = 50_000) (bench : Sdiq_workloads.Bench.t)
-    (technique : Technique.t) : t =
-  let prog = Technique.prepare technique bench.Sdiq_workloads.Bench.prog in
-  let policy = Technique.policy technique in
-  let p = Sdiq_cpu.Pipeline.create ~config ~policy prog in
-  bench.Sdiq_workloads.Bench.init p.Sdiq_cpu.Pipeline.exec;
+(* Run [bench] under [technique] (and scheduler [sched]), sampling every
+   [interval] cycles. The sampler is an ordinary per-cycle sink on the
+   pipeline's event bus — it rides alongside any other observer rather
+   than owning the step loop. *)
+let record ?config ?sched ?(interval = 200) ?(max_insns = 50_000)
+    (bench : Sdiq_workloads.Bench.t) (technique : Technique.t) : t =
+  let p = Technique.build ?config ?sched technique bench in
   let samples = ref [] in
   let next = ref 0 in
   Sdiq_cpu.Pipeline.on_cycle_end ~name:"timeline-sampler" p (fun p ->

@@ -18,8 +18,13 @@ type t = {
   stats : Sdiq_cpu.Stats.t;
 }
 
+(** Build the pair with {!Technique.build} ([?config] and [?sched] as
+    there) and run it for [max_insns] committed instructions, sampling
+    every [interval] cycles. [stats] are the run's own statistics —
+    identical to an unsampled run of the same pair. *)
 val record :
   ?config:Sdiq_cpu.Config.t ->
+  ?sched:Sdiq_cpu.Sched.t ->
   ?interval:int ->
   ?max_insns:int ->
   Sdiq_workloads.Bench.t ->

@@ -71,53 +71,53 @@ let test_predictor_learns_alternating_via_gshare () =
 
 let test_btb_roundtrip () =
   let p = Branch_pred.create Config.default in
-  Alcotest.(check bool) "cold miss" true
-    (Branch_pred.btb_lookup p 300 = None);
+  Alcotest.(check int) "cold miss" (-1) (Branch_pred.btb_lookup_tgt p 300);
   Branch_pred.btb_update p 300 ~target:77;
-  Alcotest.(check bool) "hit after update" true
-    (Branch_pred.btb_lookup p 300 = Some 77)
+  Alcotest.(check int) "hit after update" 77 (Branch_pred.btb_lookup_tgt p 300)
 
 let test_ras_lifo () =
   let p = Branch_pred.create Config.default in
   Branch_pred.ras_push p 10;
   Branch_pred.ras_push p 20;
-  Alcotest.(check bool) "pop 20" true (Branch_pred.ras_pop p = Some 20);
-  Alcotest.(check bool) "pop 10" true (Branch_pred.ras_pop p = Some 10);
-  Alcotest.(check bool) "empty" true (Branch_pred.ras_pop p = None)
+  Alcotest.(check int) "pop 20" 20 (Branch_pred.ras_pop_addr p);
+  Alcotest.(check int) "pop 10" 10 (Branch_pred.ras_pop_addr p);
+  Alcotest.(check int) "empty" (-1) (Branch_pred.ras_pop_addr p)
 
 (* --- register file --- *)
 
 let test_regfile_alloc_lowest_first () =
   let rf = Regfile.create ~size:16 ~bank_size:4 in
-  Alcotest.(check bool) "first alloc is reg 0" true (Regfile.alloc rf = Some 0);
-  Alcotest.(check bool) "second alloc is reg 1" true
-    (Regfile.alloc rf = Some 1)
+  Alcotest.(check int) "first alloc is reg 0" 0 (Regfile.alloc_idx rf);
+  Alcotest.(check int) "second alloc is reg 1" 1 (Regfile.alloc_idx rf)
 
 let test_regfile_exhaustion_and_release () =
   let rf = Regfile.create ~size:4 ~bank_size:2 in
   for _ = 1 to 4 do
-    ignore (Regfile.alloc rf)
+    ignore (Regfile.alloc_idx rf : int)
   done;
-  Alcotest.(check bool) "exhausted" true (Regfile.alloc rf = None);
+  Alcotest.(check int) "no failures yet" 0 rf.Regfile.alloc_failures;
+  Alcotest.(check int) "exhausted" (-1) (Regfile.alloc_idx rf);
+  Alcotest.(check int) "failure counted" 1 rf.Regfile.alloc_failures;
   Regfile.release rf 2;
-  Alcotest.(check bool) "released reg reused" true (Regfile.alloc rf = Some 2)
+  Alcotest.(check int) "released reg reused" 2 (Regfile.alloc_idx rf)
 
 let test_regfile_banks_on () =
   let rf = Regfile.create ~size:16 ~bank_size:4 in
+  let alloc () = ignore (Regfile.alloc_idx rf : int) in
   Alcotest.(check int) "all banks off" 0 (Regfile.banks_on rf);
-  ignore (Regfile.alloc rf);
+  alloc ();
   Alcotest.(check int) "one bank on" 1 (Regfile.banks_on rf);
   (* Clustering: next three allocs stay in bank 0. *)
-  ignore (Regfile.alloc rf);
-  ignore (Regfile.alloc rf);
-  ignore (Regfile.alloc rf);
+  alloc ();
+  alloc ();
+  alloc ();
   Alcotest.(check int) "still one bank" 1 (Regfile.banks_on rf);
-  ignore (Regfile.alloc rf);
+  alloc ();
   Alcotest.(check int) "second bank on" 2 (Regfile.banks_on rf)
 
 let test_regfile_double_free_rejected () =
   let rf = Regfile.create ~size:4 ~bank_size:2 in
-  ignore (Regfile.alloc rf);
+  ignore (Regfile.alloc_idx rf : int);
   Regfile.release rf 0;
   Alcotest.check_raises "double free"
     (Invalid_argument "Regfile.release: double free") (fun () ->

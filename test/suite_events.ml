@@ -27,10 +27,8 @@ let kind_index name =
 (* Run [bench] under [tech] with a fresh pipeline; [attach] is given the
    pipeline before the run for sink registration. *)
 let run_with ?(budget = 2_000) ~attach bench tech =
-  let prog = Technique.prepare tech bench.Sdiq_workloads.Bench.prog in
-  let p = Pipeline.create ~policy:(Technique.policy tech) prog in
+  let p = Technique.build tech bench in
   attach p;
-  bench.Sdiq_workloads.Bench.init p.Pipeline.exec;
   Pipeline.run ~max_insns:budget p
 
 let counts_of bench tech =
@@ -277,33 +275,6 @@ let test_trace_structure () =
     (count_lines_with file "\"delivery\":\"noop\"");
   Sys.remove file
 
-(* --- compat shims ------------------------------------------------------- *)
-
-let test_on_commit_shim () =
-  let bench = gzip () in
-  let committed = ref 0 in
-  let prog = Technique.prepare Technique.Baseline bench.Sdiq_workloads.Bench.prog in
-  let p = Pipeline.create ~on_commit:(fun _ -> incr committed) prog in
-  Alcotest.(check bool) "shim registered as a sink" true
-    (List.mem "on-commit" (Bus.names (Pipeline.Debug.bus p)));
-  bench.Sdiq_workloads.Bench.init p.Pipeline.exec;
-  let stats = Pipeline.run ~max_insns:2_000 p in
-  Alcotest.(check int) "one callback per committed instruction"
-    stats.Stats.committed !committed
-
-let test_checker_shim () =
-  let bench = gzip () in
-  let prog = Technique.prepare Technique.Noop bench.Sdiq_workloads.Bench.prog in
-  let p =
-    Pipeline.create
-      ~policy:(Technique.policy Technique.Noop)
-      ~checker:(Sdiq_check.Checker.fresh_hook ()) prog
-  in
-  Alcotest.(check bool) "shim registered as a sink" true
-    (List.mem "checker" (Bus.names (Pipeline.Debug.bus p)));
-  bench.Sdiq_workloads.Bench.init p.Pipeline.exec;
-  ignore (Pipeline.run ~max_insns:2_000 p : Stats.t)
-
 (* --- power meter sink --------------------------------------------------- *)
 
 let test_meter_matches_post_hoc () =
@@ -360,8 +331,6 @@ let suite =
     Alcotest.test_case "no-sink fast path has no bus overhead" `Quick
       test_nosink_overhead;
     Alcotest.test_case "JSONL trace structure" `Quick test_trace_structure;
-    Alcotest.test_case "?on_commit shim" `Quick test_on_commit_shim;
-    Alcotest.test_case "?checker shim" `Quick test_checker_shim;
     Alcotest.test_case "power meter == post-hoc models" `Quick
       test_meter_matches_post_hoc;
     Alcotest.test_case "abella emits resize and gating events" `Quick

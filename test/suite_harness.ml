@@ -48,6 +48,26 @@ let test_runner_memoises () =
   let s2 = H.Runner.run r "gzip" H.Technique.Baseline in
   Alcotest.(check bool) "same stats object" true (s1 == s2)
 
+(* The timeline must plot the run the runner reports: same build, same
+   scheduler. With [~sched] dropped it would run oldest_first instead —
+   the control run below proves the two policies diverge here. *)
+let test_timeline_honours_sched () =
+  let budget = 3_000 in
+  let bench = Sdiq_workloads.W_gzip.build ~outer:budget () in
+  let sched = Sdiq_cpu.Sched.nskip ~n:1 in
+  let r = H.Runner.create ~budget ~benches:[ bench ] ~domains:1 () in
+  let stats = H.Runner.run ~sched r "gzip" H.Technique.Noop in
+  let tl =
+    H.Timeline.record ~sched ~max_insns:budget bench H.Technique.Noop
+  in
+  Alcotest.(check bool) "timeline stats == runner stats under nskip:1" true
+    (Sdiq_cpu.Stats.equal tl.H.Timeline.stats stats);
+  Alcotest.(check bool) "control: nskip:1 differs from oldest_first" false
+    (Sdiq_cpu.Stats.equal stats (H.Runner.run r "gzip" H.Technique.Noop));
+  let last = List.hd (List.rev tl.H.Timeline.samples) in
+  Alcotest.(check bool) "last sample within one interval of the end" true
+    (stats.Sdiq_cpu.Stats.cycles - last.H.Timeline.cycle <= 200)
+
 let test_runner_unknown_bench () =
   let r = small_runner () in
   match H.Runner.run r "nonesuch" H.Technique.Baseline with
@@ -143,6 +163,8 @@ let suite =
       test_prepare_extension_tags;
     Alcotest.test_case "runner memoises" `Quick test_runner_memoises;
     Alcotest.test_case "runner unknown bench" `Quick test_runner_unknown_bench;
+    Alcotest.test_case "timeline honours sched" `Quick
+      test_timeline_honours_sched;
     Alcotest.test_case "find_bench error lists names" `Quick
       test_find_bench_error_lists_names;
     Alcotest.test_case "savings well-formed" `Quick test_savings_well_formed;

@@ -55,6 +55,28 @@ let test_campaign_stats_populated () =
       (let s = H.Runner.speedup c in
        Float.is_finite s && s > 0.)
 
+(* Every regime's campaign records its stats: the sampled and profiled
+   campaigns share [run_all]'s path, so each reports its own grid. *)
+let test_campaign_stats_every_regime () =
+  let check what r ~pairs =
+    match H.Runner.campaign_stats r with
+    | None -> Alcotest.failf "campaign_stats expected after %s" what
+    | Some c ->
+      Alcotest.(check int) (what ^ ": pairs_total") pairs
+        c.H.Runner.pairs_total;
+      Alcotest.(check int) (what ^ ": pairs_run") pairs c.H.Runner.pairs_run
+  in
+  let sampled =
+    H.Runner.create ~benches:[ Sdiq_workloads.W_gzip.build ~outer:2_000 () ]
+      ~domains:2 ()
+  in
+  H.Runner.run_all_sampled sampled;
+  check "run_all_sampled" sampled ~pairs:(List.length H.Technique.all);
+  let profiled = runner ~domains:2 in
+  let techniques = [ H.Technique.Noop; H.Technique.Abella ] in
+  ignore (H.Runner.profile_all ~techniques profiled);
+  check "profile_all" profiled ~pairs:(3 * List.length techniques)
+
 let test_run_all_idempotent () =
   let r = runner ~domains:2 in
   H.Runner.run_all r;
@@ -97,6 +119,8 @@ let suite =
       test_determinism_across_domains;
     Alcotest.test_case "campaign stats populated" `Quick
       test_campaign_stats_populated;
+    Alcotest.test_case "campaign stats for every regime" `Quick
+      test_campaign_stats_every_regime;
     Alcotest.test_case "run_all idempotent, memo preserved" `Quick
       test_run_all_idempotent;
     Alcotest.test_case "fig6 identical serial vs parallel" `Quick

@@ -15,15 +15,9 @@ module Stats = Sdiq_cpu.Stats
 module Pipeline = Sdiq_cpu.Pipeline
 module Technique = Sdiq_harness.Technique
 
-let build_pipeline (bench : Sdiq_workloads.Bench.t) tech =
-  let prog = Technique.prepare tech bench.Sdiq_workloads.Bench.prog in
-  let p = Pipeline.create ~policy:(Technique.policy tech) prog in
-  bench.Sdiq_workloads.Bench.init p.Pipeline.exec;
-  p
-
 (* Full-detail ground truth for the three estimated quantities. *)
 let ground_truth bench tech =
-  let p = build_pipeline bench tech in
+  let p = Technique.build tech bench in
   let stats = Pipeline.run p in
   let c = float_of_int stats.Stats.committed in
   let e =
@@ -67,7 +61,7 @@ let test_ci_contains_full_run () =
       List.iter
         (fun tech ->
           let ipc, wpi, epi = ground_truth bench tech in
-          let r = Sampling.sample (build_pipeline bench tech) in
+          let r = Sampling.sample (Technique.build tech bench) in
           let name what =
             Fmt.str "%s/%s: CI contains full-run %s"
               bench.Sdiq_workloads.Bench.name (Technique.name tech) what
@@ -113,7 +107,7 @@ let prop_ci_contains_full_run =
     ~name:"sampled CI contains full-run value under random geometry"
     arbitrary_geometry
     (fun config ->
-      let r = Sampling.sample ~config (build_pipeline bench Technique.Noop) in
+      let r = Sampling.sample ~config (Technique.build Technique.Noop bench) in
       Sampling.contains r.Sampling.ipc ipc
       && Sampling.contains r.Sampling.wakeups_per_insn wpi
       && Sampling.contains r.Sampling.energy_per_insn epi)
@@ -124,8 +118,8 @@ let prop_ci_contains_full_run =
    summed window statistics, and every estimate. *)
 let test_sampled_run_deterministic () =
   let bench = Sdiq_workloads.W_gzip.build ~outer:25_000 () in
-  let r1 = Sampling.sample (build_pipeline bench Technique.Noop) in
-  let r2 = Sampling.sample (build_pipeline bench Technique.Noop) in
+  let r1 = Sampling.sample (Technique.build Technique.Noop bench) in
+  let r2 = Sampling.sample (Technique.build Technique.Noop bench) in
   Alcotest.(check int) "insns" r1.Sampling.total_insns r2.Sampling.total_insns;
   Alcotest.(check int) "windows" r1.Sampling.windows r2.Sampling.windows;
   Alcotest.(check bool) "window stats" true
@@ -196,7 +190,7 @@ let test_zero_ff_matches_detailed_ratios () =
   let r =
     Sampling.sample
       ~config:{ Sampling.ff_len = 0; warmup_len = 1_000; window_len = 4_000 }
-      (build_pipeline bench Technique.Baseline)
+      (Technique.build Technique.Baseline bench)
   in
   Alcotest.(check bool) "ipc within CI" true (Sampling.contains r.Sampling.ipc ipc);
   Alcotest.(check bool) "wakeups within CI" true
@@ -217,12 +211,12 @@ let test_zero_ff_single_window_equals_detailed () =
   let bench = Sdiq_workloads.W_gzip.build ~outer:8_000 () in
   List.iter
     (fun tech ->
-      let full = Pipeline.run (build_pipeline bench tech) in
+      let full = Pipeline.run (Technique.build tech bench) in
       let r =
         Sampling.sample
           ~config:
             { Sampling.ff_len = 0; warmup_len = 0; window_len = max_int / 2 }
-          (build_pipeline bench tech)
+          (Technique.build tech bench)
       in
       let name what =
         Fmt.str "%s: %s" (Technique.name tech) what
@@ -247,7 +241,7 @@ let test_budget_crossed_mid_ff_still_measures () =
     Sampling.sample
       ~config:{ Sampling.ff_len = 5_000; warmup_len = 500; window_len = 500 }
       ~max_insns:3_000
-      (build_pipeline bench Technique.Baseline)
+      (Technique.build Technique.Baseline bench)
   in
   Alcotest.(check int) "the started period is measured" 1 r.Sampling.windows;
   Alcotest.(check bool) "window committed instructions" true
