@@ -146,8 +146,11 @@ let str_field line key =
 (* Audit [path] against the binary prepared exactly as the simulator
    harness prepares it for [mode]. Returns the number of errors. *)
 let audit_trace ~(bench : Sdiq_workloads.Bench.t) ~(mode : Driver.mode) path =
+  let prog = bench.Sdiq_workloads.Bench.prog in
   let prepared, _anns =
-    Driver.apply_mode mode bench.Sdiq_workloads.Bench.prog
+    Driver.apply_mode
+      ~tripcounts:(Sdiq_analysis.Tripcount.of_program prog)
+      mode prog
   in
   let errors = ref 0 in
   let error fmt =

@@ -26,15 +26,16 @@ let () =
   List.iter
     (fun (bench : Sdiq_workloads.Bench.t) ->
       let prog = bench.Sdiq_workloads.Bench.prog in
-      let annotated, anns = Driver.apply_mode mode prog in
+      let tripcounts = Sdiq_analysis.Tripcount.of_program prog in
+      let annotated, anns = Driver.apply_mode ~tripcounts mode prog in
       let findings =
-        Driver.audit_annotations mode prog anns
+        Driver.audit_annotations ~tripcounts mode prog anns
         @ Sdiq_analysis.Lint.delivery ~mode:mode.Driver.delivery
             ~original:prog ~annotated anns
         @ Sdiq_analysis.Speclint.check annotated
       in
       let cert = Certificate.build config annotated in
-      let anchors, narrowed, reduction = Tighten.narrowing prog in
+      let anchors, narrowed, reduction = Tighten.narrowing ~tripcounts prog in
       total_errors := !total_errors + Finding.errors findings;
       if not quiet then begin
         Fmt.pr "== %s: %d anchors, %d narrowed vs improved (-%d entries), \

@@ -48,3 +48,17 @@ type 'fact solution = {
 (** Solve to a fixpoint. [max_steps] defaults to [256 * (blocks + 1)] —
     far above what any finite-height monotone analysis needs. *)
 val run : ?max_steps:int -> Sdiq_cfg.Cfg.t -> 'fact spec -> 'fact solution
+
+(** The schedule {!run} follows, for analyses that keep their own
+    (mutable) per-block facts: pop blocks from a queue seeded in
+    direction order, call [visit b], and when it returns [true] (the
+    block's output changed) queue every sink of [b] not already queued.
+    Returns the number of visits; raises {!Diverged} (tagged [name])
+    past the same [max_steps] budget as {!run}. *)
+val worklist :
+  ?max_steps:int ->
+  name:string ->
+  Sdiq_cfg.Cfg.t ->
+  direction ->
+  (int -> bool) ->
+  int

@@ -43,12 +43,14 @@ let modes =
 
 let mode_named name = List.find_opt (fun m -> m.name = name) modes
 
-let apply_mode mode prog =
-  if mode.tightened then Tighten.apply ~opts:mode.opts mode.delivery prog
+let apply_mode ~tripcounts mode prog =
+  if mode.tightened then
+    Tighten.apply ~opts:mode.opts ~tripcounts mode.delivery prog
   else Annotate.apply ~opts:mode.opts mode.delivery prog
 
-let audit_annotations mode prog annotations =
-  if mode.tightened then Tighten.audit ~opts:mode.opts prog annotations
+let audit_annotations ~tripcounts mode prog annotations =
+  if mode.tightened then
+    Tighten.audit ~opts:mode.opts ~tripcounts prog annotations
   else Soundness.audit ~opts:mode.opts prog annotations
 
 let tag_pass mode fs =
@@ -56,10 +58,13 @@ let tag_pass mode fs =
     (fun (f : Finding.t) -> { f with Finding.pass = mode.name ^ "/" ^ f.Finding.pass })
     fs
 
+(* One trip-count table per audit: the tightener and its audit read the
+   same one (it is lazy, so the other modes never build it). *)
 let audit_mode mode (prog : Sdiq_isa.Prog.t) : Finding.t list =
-  let annotated, annotations = apply_mode mode prog in
+  let tripcounts = Tripcount.of_program prog in
+  let annotated, annotations = apply_mode ~tripcounts mode prog in
   tag_pass mode
-    (audit_annotations mode prog annotations
+    (audit_annotations ~tripcounts mode prog annotations
     @ Lint.delivery ~mode:mode.delivery ~original:prog ~annotated annotations
     @ Speclint.check annotated)
 

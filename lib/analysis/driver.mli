@@ -18,8 +18,12 @@ val modes : mode list
 val mode_named : string -> mode option
 
 (** Analyse and deliver exactly as the simulator harness would for this
-    mode. *)
+    mode. [tripcounts] (read by the tightened mode only; the table is
+    lazy, so other modes never build it) is the {!Tripcount.of_program}
+    table to read; give {!audit_annotations} the same one and the
+    interval analysis runs once for both. *)
 val apply_mode :
+  tripcounts:(Sdiq_isa.Prog.proc -> (int, int) Hashtbl.t) ->
   mode ->
   Sdiq_isa.Prog.t ->
   Sdiq_isa.Prog.t * Sdiq_core.Procedure.annotation list
@@ -27,6 +31,7 @@ val apply_mode :
 (** The annotation-list audit matching the mode: {!Soundness.audit}, or
     {!Tighten.audit} (trip-count refined) for the tightened mode. *)
 val audit_annotations :
+  tripcounts:(Sdiq_isa.Prog.proc -> (int, int) Hashtbl.t) ->
   mode ->
   Sdiq_isa.Prog.t ->
   Sdiq_core.Procedure.annotation list ->
@@ -34,7 +39,8 @@ val audit_annotations :
 
 (** Soundness audit plus delivery-integrity and wrong-path lints for
     one mode: the program is analysed and annotated exactly as the
-    simulator harness would, then both artefacts are audited. *)
+    simulator harness would, then both artefacts are audited, against
+    one shared trip-count table. *)
 val audit_mode : mode -> Sdiq_isa.Prog.t -> Finding.t list
 
 (** Mode-independent program lints and the register-pressure pass. *)

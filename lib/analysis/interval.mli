@@ -4,17 +4,22 @@
     The lattice element is a closed integer interval [[lo, hi]] with
     [min_int]/[max_int] standing for the infinities, plus an explicit
     bottom. Plain interval join has unbounded ascending chains (a
-    counting loop grows its bound forever), so {!join} widens to a
+    counting loop grows its bound forever), so the join ({!widen}) widens to a
     finite threshold set whenever a genuine merge occurs: endpoints that
     leave the threshold set jump to the nearest enclosing threshold.
     With thresholds drawn from the procedure's own immediates the
     lattice height is finite and the engine's step budget is never at
     risk — the qcheck property pins [Diverged]-freedom on random CFGs.
 
-    {!analyze} runs the per-procedure fixpoint; {!summaries} runs the
+    {!analyze} runs the per-procedure fixpoint; {!solve} runs the
     interprocedural round-robin fixpoint (mirroring {!Summary}) so call
     sites transfer the callee's may-defined registers to the callee's
-    exit intervals instead of havocking everything. *)
+    exit intervals instead of havocking everything.
+
+    Both are allocation-light: environments are flat int arrays updated
+    in place, one per block for the visit history and one for the
+    block's output, allocated once per procedure analysis. The visit
+    order is {!Dataflow.worklist}'s, the one {!Dataflow.run} uses. *)
 
 type t =
   | Bot  (** unreachable / no value *)
@@ -43,35 +48,16 @@ val hull : t -> t -> t
     sorted ascending. *)
 val widen : thresholds:int array -> t -> t -> t
 
-(** Saturating interval arithmetic (sound for any operand ranges). *)
-val add : t -> t -> t
-
-val sub : t -> t -> t
-val neg : t -> t
-val mul : t -> t -> t
-
 (** The threshold set of a procedure: its immediates, [{-1; 0; 1}] and
     the infinities, sorted and deduplicated. *)
 val thresholds_of_proc : Sdiq_isa.Prog.t -> Sdiq_isa.Prog.proc -> int array
 
-(** Register environment, indexed by {!Sdiq_isa.Reg.dense}. *)
-type env = t array
+(** Register environment: every register's interval, flat (one int
+    array, no per-register boxes), as the fixpoint stores it. *)
+type env
 
-val env_top : unit -> env
-val env_bot : unit -> env
-val env_equal : env -> env -> bool
-val env_join : thresholds:int array -> env -> env -> env
-
-(** Value of one register ([Bot] for the hardwired zero's writes is
-    never stored: reads of [r0] evaluate to [const 0]). *)
+(** Value of one register (reads of [r0] evaluate to [const 0]). *)
 val lookup : env -> Sdiq_isa.Reg.t -> t
-
-(** Abstract evaluation of one instruction (no control effect). [call]
-    supplies the environment transformer for [Call] instructions —
-    {!summaries} plugs the interprocedural transfer in; the default
-    havocks every register. *)
-val eval :
-  ?call:(target:int -> env -> env) -> env -> Sdiq_isa.Instr.t -> env
 
 (** Per-procedure interval summary: [may_defs] over-approximates the
     registers the procedure (or any transitive callee) can write;
@@ -82,18 +68,31 @@ type proc_summary = {
   ret_env : env;
 }
 
-(** Interprocedural round-robin fixpoint over the call graph, keyed by
-    entry address, mirroring {!Summary.of_program}. [may_defs] only
-    grows and [ret_env] only widens, so it terminates. Library and
-    empty procedures are opaque (everything may-defined, top exit). *)
-val summaries : Sdiq_isa.Prog.t -> (int, proc_summary) Hashtbl.t
-
 type solution = {
   entry : env array;  (** environment at each block's entry *)
   exit : env array;
 }
 
-(** The per-procedure fixpoint through {!Dataflow.run}, with the
+(** A whole program's interval facts. *)
+type program = {
+  summaries : (int, proc_summary) Hashtbl.t;
+      (** by entry address. Library and empty procedures are opaque
+          (everything may-defined, top exit). *)
+  solutions : (int, Sdiq_cfg.Cfg.t * solution) Hashtbl.t;
+      (** by entry address: [analyze ~summaries] of each non-library,
+          non-empty procedure. The round-robin's last round already ran
+          these fixpoints under the final summaries, so they come at no
+          extra cost. *)
+}
+
+(** Interprocedural round-robin fixpoint over the call graph, mirroring
+    {!Summary.of_program}: [may_defs] only grows and [ret_env] only
+    widens, so it terminates. A procedure none of whose callees'
+    summaries changed since its last solve is not re-solved: it would
+    reproduce the summary it already merged. *)
+val solve : Sdiq_isa.Prog.t -> program
+
+(** The per-procedure fixpoint on {!Dataflow.worklist}, with the
     interprocedural call transfer when [summaries] is given. *)
 val analyze :
   ?summaries:(int, proc_summary) Hashtbl.t ->

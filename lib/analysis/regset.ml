@@ -29,6 +29,11 @@ let mem r t =
   | Reg.Int i -> t.ints land (1 lsl i) <> 0
   | Reg.Fp i -> t.fps land (1 lsl i) <> 0
 
+(* Membership by {!Reg.dense} index, without building the register. *)
+let mem_dense i t =
+  if i < Reg.num_int then t.ints land (1 lsl i) <> 0
+  else t.fps land (1 lsl (i - Reg.num_int)) <> 0
+
 let union a b = { ints = a.ints lor b.ints; fps = a.fps lor b.fps }
 let inter a b = { ints = a.ints land b.ints; fps = a.fps land b.fps }
 

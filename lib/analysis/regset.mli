@@ -15,6 +15,9 @@ val full : t
 val add : Sdiq_isa.Reg.t -> t -> t
 val remove : Sdiq_isa.Reg.t -> t -> t
 val mem : Sdiq_isa.Reg.t -> t -> bool
+
+(** [mem_dense i t] is [mem (Reg.of_dense i) t], allocation-free. *)
+val mem_dense : int -> t -> bool
 val union : t -> t -> t
 val inter : t -> t -> t
 val diff : t -> t -> t

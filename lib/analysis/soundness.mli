@@ -37,7 +37,7 @@ type bound = {
 (** All obligations of one procedure, in anchor order.
 
     [tripcounts] (loop header block id → max header executions, as
-    produced by {!Tripcount.of_proc}) refines loop obligations to
+    produced by {!Tripcount.of_program}) refines loop obligations to
     [min need (trips * max_path_len)]: a loop bounded to [t] trips
     dispatches at most [t * max_path_len] of its own instructions per
     entry, so a window admitting them all simultaneously cannot delay

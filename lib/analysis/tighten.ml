@@ -17,22 +17,6 @@ module Options = Sdiq_core.Options
 module Procedure = Sdiq_core.Procedure
 module Annotate = Sdiq_core.Annotate
 
-(* One interval-summary fixpoint per program, one trip-count table per
-   procedure; both audit and tightener go through here so they cannot
-   disagree on the refinement. *)
-let tripcounts_of (prog : Prog.t) =
-  let summaries = lazy (Interval.summaries prog) in
-  let cache = Hashtbl.create 16 in
-  fun (proc : Prog.proc) ->
-    match Hashtbl.find_opt cache proc.Prog.entry with
-    | Some tbl -> tbl
-    | None ->
-      let tbl =
-        Tripcount.of_proc ~summaries:(Lazy.force summaries) prog proc
-      in
-      Hashtbl.add cache proc.Prog.entry tbl;
-      tbl
-
 (* Loop spans, keyed by the header's first address, so back edges keep
    bypassing an inserted NOOP exactly as [Annotate.redirect_of]
    expects. *)
@@ -52,9 +36,10 @@ let spans_of cfg =
     (Loops.find cfg);
   spans
 
-let annotations ?(opts = Options.default) (prog : Prog.t) :
+(* Both audit and tightener read trip counts from the [Tripcount] table
+   they are handed, so they cannot disagree on the refinement. *)
+let annotations ?(opts = Options.default) ~tripcounts (prog : Prog.t) :
     Procedure.annotation list =
-  let tripcounts = tripcounts_of prog in
   List.concat_map
     (fun (p : Prog.proc) ->
       if p.Prog.is_library || p.Prog.len = 0 then []
@@ -71,9 +56,9 @@ let annotations ?(opts = Options.default) (prog : Prog.t) :
     prog.Prog.procs
   |> List.sort (fun (a : Procedure.annotation) b -> compare a.addr b.addr)
 
-let apply ?(opts = Options.default) mode (prog : Prog.t) :
+let apply ?(opts = Options.default) ~tripcounts mode (prog : Prog.t) :
     Prog.t * Procedure.annotation list =
-  let anns = annotations ~opts prog in
+  let anns = annotations ~opts ~tripcounts prog in
   let map = Annotate.annotation_map anns in
   let annotated =
     match mode with
@@ -83,11 +68,11 @@ let apply ?(opts = Options.default) mode (prog : Prog.t) :
   in
   (annotated, anns)
 
-let audit ?opts (prog : Prog.t) anns : Finding.t list =
-  Soundness.audit ?opts ~tripcounts_of:(tripcounts_of prog) prog anns
+let audit ?opts ~tripcounts (prog : Prog.t) anns : Finding.t list =
+  Soundness.audit ?opts ~tripcounts_of:tripcounts prog anns
 
-let narrowing (prog : Prog.t) : int * int * int =
-  let tight = annotations prog in
+let narrowing ~tripcounts (prog : Prog.t) : int * int * int =
+  let tight = annotations ~tripcounts prog in
   let improved =
     Annotate.annotation_map
       (Procedure.analyze_program ~opts:Options.improved prog)

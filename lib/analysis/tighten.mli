@@ -14,16 +14,17 @@
     stream is unchanged, so committed traces are byte-identical to the
     baseline binary's. *)
 
-(** The per-procedure trip-count tables for a program, computed once
-    (interval summaries shared) and memoised per procedure. *)
-val tripcounts_of :
-  Sdiq_isa.Prog.t -> Sdiq_isa.Prog.proc -> (int, int) Hashtbl.t
+(** Every entry point reads trip counts from the {!Tripcount.of_program}
+    table given as [~tripcounts]. Pass the same table to the tightener
+    and the audit of one program and the interval analysis runs once
+    for both. *)
 
 (** The tightened annotation list: one annotation per {!Soundness}
     obligation, at its clamped refined bound, loop spans preserved for
     back-edge bypass. *)
 val annotations :
   ?opts:Sdiq_core.Options.t ->
+  tripcounts:(Sdiq_isa.Prog.proc -> (int, int) Hashtbl.t) ->
   Sdiq_isa.Prog.t ->
   Sdiq_core.Procedure.annotation list
 
@@ -31,6 +32,7 @@ val annotations :
     {!Sdiq_core.Annotate.apply}. *)
 val apply :
   ?opts:Sdiq_core.Options.t ->
+  tripcounts:(Sdiq_isa.Prog.proc -> (int, int) Hashtbl.t) ->
   Sdiq_core.Annotate.mode ->
   Sdiq_isa.Prog.t ->
   Sdiq_isa.Prog.t * Sdiq_core.Procedure.annotation list
@@ -39,6 +41,7 @@ val apply :
     clean (and slack-free) on this pass's own output. *)
 val audit :
   ?opts:Sdiq_core.Options.t ->
+  tripcounts:(Sdiq_isa.Prog.proc -> (int, int) Hashtbl.t) ->
   Sdiq_isa.Prog.t ->
   Sdiq_core.Procedure.annotation list ->
   Finding.t list
@@ -46,4 +49,7 @@ val audit :
 (** [(anchors, narrowed, reduction)]: total anchors emitted, how many
     are strictly narrower than the "Improved" analysis would grant,
     and the summed window shrink — the static size of the win. *)
-val narrowing : Sdiq_isa.Prog.t -> int * int * int
+val narrowing :
+  tripcounts:(Sdiq_isa.Prog.proc -> (int, int) Hashtbl.t) ->
+  Sdiq_isa.Prog.t ->
+  int * int * int

@@ -29,14 +29,13 @@ let ceil_div a b = if a <= 0 then 0 else ((a - 1) / b) + 1
    (opaque without one). *)
 let may_define summaries (i : Instr.t) r =
   if i.Instr.op = Opcode.Call then
-    match summaries with
+    match Hashtbl.find_opt summaries i.Instr.target with
+    | Some (s : Interval.proc_summary) -> Regset.mem r s.Interval.may_defs
     | None -> true
-    | Some tbl -> (
-      match Hashtbl.find_opt tbl i.Instr.target with
-      | Some (s : Interval.proc_summary) ->
-        Regset.mem r s.Interval.may_defs
-      | None -> true)
   else match Instr.dest i with Some d -> Reg.equal d r | None -> false
+
+(* A path enumeration this long is treated as truncated. *)
+let max_paths = 64
 
 let finite_lo = function
   | Interval.Bot -> None
@@ -46,9 +45,8 @@ let finite_hi = function
   | Interval.Bot -> None
   | Interval.Iv { hi; _ } -> if hi = max_int then None else Some hi
 
-let bound_of_loop ?summaries ?(max_paths = 64) (prog : Prog.t)
-    (cfg : Cfg.t) (intervals : Interval.solution) (loop : Loops.t) :
-    int option =
+let bound_of_loop ~summaries (prog : Prog.t) (cfg : Cfg.t)
+    (intervals : Interval.solution) (loop : Loops.t) : int option =
   let header = cfg.Cfg.blocks.(loop.Loops.header) in
   let body_instrs =
     Loops.Iset.fold
@@ -204,18 +202,29 @@ let bound_of_loop ?summaries ?(max_paths = 64) (prog : Prog.t)
           | _ -> None)
         (Some 1) back_srcs
 
-let of_proc ?summaries ?max_paths (prog : Prog.t) (proc : Prog.proc) :
-    (int, int) Hashtbl.t =
+let of_solution ~summaries (prog : Prog.t) (cfg : Cfg.t)
+    (intervals : Interval.solution) : (int, int) Hashtbl.t =
   let tbl = Hashtbl.create 8 in
-  if proc.Prog.is_library || proc.Prog.len = 0 then tbl
-  else begin
-    let cfg = Cfg.build prog proc in
-    let intervals = Interval.analyze ?summaries prog proc cfg in
-    List.iter
-      (fun loop ->
-        match bound_of_loop ?summaries ?max_paths prog cfg intervals loop with
-        | Some t -> Hashtbl.replace tbl loop.Loops.header t
-        | None -> ())
-      (Loops.find cfg);
-    tbl
-  end
+  List.iter
+    (fun loop ->
+      match bound_of_loop ~summaries prog cfg intervals loop with
+      | Some t -> Hashtbl.replace tbl loop.Loops.header t
+      | None -> ())
+    (Loops.find cfg);
+  tbl
+
+let of_program (prog : Prog.t) =
+  let solved = lazy (Interval.solve prog) in
+  let cache = Hashtbl.create 16 in
+  fun (proc : Prog.proc) ->
+    match Hashtbl.find_opt cache proc.Prog.entry with
+    | Some tbl -> tbl
+    | None ->
+      let { Interval.summaries; solutions } = Lazy.force solved in
+      let tbl =
+        match Hashtbl.find_opt solutions proc.Prog.entry with
+        | Some (cfg, intervals) -> of_solution ~summaries prog cfg intervals
+        | None -> Hashtbl.create 1 (* library or empty: no loops *)
+      in
+      Hashtbl.add cache proc.Prog.entry tbl;
+      tbl

@@ -8,8 +8,8 @@
     latch branches that test the counter against zero or against a
     loop-invariant register whose range the {!Interval} analysis
     bounds. Initial counter ranges come from the interval environment
-    at the loop preheader, interprocedurally refined when [summaries]
-    is supplied.
+    at the loop preheader; calls in the loop body are read through the
+    callee summaries of the same {!Interval.solve}.
 
     Bounds are deliberately conservative (ceilings plus a margin
     iteration): they are consumed as [min need (trips * path_len)]
@@ -18,13 +18,14 @@
     unsound. A loop with no provable bound is simply absent from the
     table. *)
 
-(** Trip bounds of one procedure: loop header {e block id} to the
-    maximum header executions per loop entry. Truncated path
-    enumerations ([max_paths] reached) yield no bound — an incomplete
-    path universe cannot prove the counter steps every iteration. *)
-val of_proc :
-  ?summaries:(int, Interval.proc_summary) Hashtbl.t ->
-  ?max_paths:int ->
-  Sdiq_isa.Prog.t ->
-  Sdiq_isa.Prog.proc ->
-  (int, int) Hashtbl.t
+(** A program's trip-count table: for each procedure, loop header
+    {e block id} to the maximum header executions per loop entry,
+    computed on first request from the procedure's fixpoint in one
+    {!Interval.solve} of the program (itself run on the first request)
+    and memoised. Truncated path enumerations (64 paths) yield no
+    bound — an incomplete path universe cannot prove the counter steps
+    every iteration. Library and empty procedures get an empty table.
+    Build one per program and share it: every consumer of the same
+    table derives identical bounds, and the interval work is done
+    once. *)
+val of_program : Sdiq_isa.Prog.t -> Sdiq_isa.Prog.proc -> (int, int) Hashtbl.t

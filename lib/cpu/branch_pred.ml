@@ -5,10 +5,15 @@
    Two-bit saturating counters throughout; the selector counter moves
    toward the component that was correct when they disagree. *)
 
+(* Two-bit counters are bytes, so the three direction tables together
+   are 640 words rather than 5k, and the BTB is one [Chunked] row per
+   set (the ways' pc tags, -1 = invalid, then their targets, then their
+   LRU stamps), allocated as fetch first touches it: building a
+   predictor costs next to nothing (see [Chunked]). *)
 type t = {
-  bimodal : int array;
-  gshare : int array;
-  selector : int array;
+  bimodal : Bytes.t;
+  gshare : Bytes.t;
+  selector : Bytes.t;
   gshare_hist_bits : int;
   mutable history : int;
   (* index masks: [size - 1] when the table size is a power of two (the
@@ -16,12 +21,9 @@ type t = {
   bimodal_mask : int;
   gshare_mask : int;
   selector_mask : int;
-  (* BTB: sets x ways of (pc tag, target, lru) *)
   btb_sets : int;
   btb_ways : int;
-  btb_tag : int array;
-  btb_target : int array;
-  btb_lru : int array;
+  btb : Chunked.t;
   mutable btb_clock : int;
   ras : int array;
   ras_size : int;
@@ -34,21 +36,26 @@ type t = {
 
 let pow2_mask n = if n > 0 && n land (n - 1) = 0 then n - 1 else -1
 
+let counter tbl i = Char.code (Bytes.get tbl i)
+let set_counter tbl i c = Bytes.set tbl i (Char.unsafe_chr c)
+
 let create (cfg : Config.t) =
+  let ways = cfg.Config.btb_ways in
+  let weakly_not_taken n = Bytes.make n '\001' in
   {
-    bimodal = Array.make cfg.Config.bimodal_size 1; (* weakly not-taken *)
-    gshare = Array.make cfg.Config.gshare_size 1;
-    selector = Array.make cfg.Config.selector_size 1;
+    bimodal = weakly_not_taken cfg.Config.bimodal_size;
+    gshare = weakly_not_taken cfg.Config.gshare_size;
+    selector = weakly_not_taken cfg.Config.selector_size;
     gshare_hist_bits = cfg.Config.gshare_hist;
     history = 0;
     bimodal_mask = pow2_mask cfg.Config.bimodal_size;
     gshare_mask = pow2_mask cfg.Config.gshare_size;
     selector_mask = pow2_mask cfg.Config.selector_size;
     btb_sets = cfg.Config.btb_sets;
-    btb_ways = cfg.Config.btb_ways;
-    btb_tag = Array.make (cfg.Config.btb_sets * cfg.Config.btb_ways) (-1);
-    btb_target = Array.make (cfg.Config.btb_sets * cfg.Config.btb_ways) (-1);
-    btb_lru = Array.make (cfg.Config.btb_sets * cfg.Config.btb_ways) 0;
+    btb_ways = ways;
+    btb =
+      Chunked.create ~rows:cfg.Config.btb_sets
+        ~template:(Array.init (3 * ways) (fun k -> if k < 2 * ways then -1 else 0));
     btb_clock = 0;
     ras = Array.make cfg.Config.ras_size 0;
     ras_size = cfg.Config.ras_size;
@@ -62,38 +69,40 @@ let create (cfg : Config.t) =
    power-of-two tables. *)
 let bimodal_idx t pc =
   if t.bimodal_mask >= 0 then pc land t.bimodal_mask
-  else pc mod Array.length t.bimodal
+  else pc mod Bytes.length t.bimodal
 
 let gshare_idx t pc =
   let h = pc lxor (t.history land ((1 lsl t.gshare_hist_bits) - 1)) in
   if t.gshare_mask >= 0 then h land t.gshare_mask
-  else h mod Array.length t.gshare
+  else h mod Bytes.length t.gshare
 
 let selector_idx t pc =
   if t.selector_mask >= 0 then pc land t.selector_mask
-  else pc mod Array.length t.selector
+  else pc mod Bytes.length t.selector
 
 let counter_taken c = c >= 2
 
 (* Predict the direction of the conditional branch at [pc]. *)
 let predict_direction t pc =
   t.lookups <- t.lookups + 1;
-  let b = counter_taken t.bimodal.(bimodal_idx t pc) in
-  let g = counter_taken t.gshare.(gshare_idx t pc) in
-  if counter_taken t.selector.(selector_idx t pc) then g else b
+  let b = counter_taken (counter t.bimodal (bimodal_idx t pc)) in
+  let g = counter_taken (counter t.gshare (gshare_idx t pc)) in
+  if counter_taken (counter t.selector (selector_idx t pc)) then g else b
 
-let bump arr i taken =
-  let c = arr.(i) in
-  if taken then (if c < 3 then arr.(i) <- c + 1)
-  else if c > 0 then arr.(i) <- c - 1
+let bump tbl i taken =
+  let c = counter tbl i in
+  if taken then (if c < 3 then set_counter tbl i (c + 1))
+  else if c > 0 then set_counter tbl i (c - 1)
 
 (* Update direction predictors and global history with the outcome. *)
 let update_direction t pc ~taken =
   let bi = bimodal_idx t pc and gi = gshare_idx t pc in
-  let b_ok = counter_taken t.bimodal.(bi) = taken in
-  let g_ok = counter_taken t.gshare.(gi) = taken in
+  let b_ok = counter_taken (counter t.bimodal bi) = taken in
+  let g_ok = counter_taken (counter t.gshare gi) = taken in
   let si = selector_idx t pc in
-  let was_correct = if counter_taken t.selector.(si) then g_ok else b_ok in
+  let was_correct =
+    if counter_taken (counter t.selector si) then g_ok else b_ok
+  in
   if was_correct then t.dir_correct <- t.dir_correct + 1
   else t.dir_wrong <- t.dir_wrong + 1;
   (* Selector trains toward the correct component when they disagree. *)
@@ -108,25 +117,26 @@ let update_direction t pc ~taken =
    Allocation-free — the pipeline's fetch loop calls this per control
    instruction. *)
 let btb_lookup_tgt t pc =
-  let set = pc mod t.btb_sets in
-  let base = set * t.btb_ways in
+  let set = pc mod t.btb_sets and ways = t.btb_ways in
+  let row = Chunked.chunk t.btb set and base = Chunked.base t.btb set in
   let w = ref 0 in
-  while !w < t.btb_ways && t.btb_tag.(base + !w) <> pc do
+  while !w < ways && row.(base + !w) <> pc do
     incr w
   done;
-  if !w < t.btb_ways then begin
+  if !w < ways then begin
     t.btb_clock <- t.btb_clock + 1;
-    t.btb_lru.(base + !w) <- t.btb_clock;
-    t.btb_target.(base + !w)
+    row.(base + (2 * ways) + !w) <- t.btb_clock;
+    row.(base + ways + !w)
   end
   else -1
 
 let btb_update t pc ~target =
-  let set = pc mod t.btb_sets in
-  let base = set * t.btb_ways in
+  let set = pc mod t.btb_sets and ways = t.btb_ways in
+  let row = Chunked.chunk t.btb set and base = Chunked.base t.btb set in
+  let stamps = base + (2 * ways) in
   t.btb_clock <- t.btb_clock + 1;
-  let rec find w = if w >= t.btb_ways then None
-    else if t.btb_tag.(base + w) = pc then Some w
+  let rec find w = if w >= ways then None
+    else if row.(base + w) = pc then Some w
     else find (w + 1)
   in
   let w =
@@ -134,14 +144,14 @@ let btb_update t pc ~target =
     | Some w -> w
     | None ->
       let victim = ref 0 in
-      for w = 1 to t.btb_ways - 1 do
-        if t.btb_lru.(base + w) < t.btb_lru.(base + !victim) then victim := w
+      for w = 1 to ways - 1 do
+        if row.(stamps + w) < row.(stamps + !victim) then victim := w
       done;
       !victim
   in
-  t.btb_tag.(base + w) <- pc;
-  t.btb_target.(base + w) <- target;
-  t.btb_lru.(base + w) <- t.btb_clock
+  row.(base + w) <- pc;
+  row.(base + ways + w) <- target;
+  row.(stamps + w) <- t.btb_clock
 
 (* Return-address stack. Overflow wraps (oldest entries are lost), as in
    real hardware. *)

@@ -6,13 +6,14 @@
    which is the usual academic-simulator treatment and is identical across
    the techniques being compared. *)
 
+(* One [Chunked] row per set, so a short run allocates only the sets it
+   touches: the ways' tags (-1 = invalid), then their LRU stamps, then
+   the cycle at which each line's data arrives. *)
 type t = {
   sets : int;
   ways : int;
   line : int;       (* bytes *)
-  tags : int array;      (* sets * ways, -1 = invalid *)
-  last_use : int array;  (* LRU stamps *)
-  fill_time : int array; (* cycle at which the line's data arrives *)
+  lines : Chunked.t;
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
@@ -25,13 +26,14 @@ type outcome =
 
 let create ~sets ~ways ~line =
   if sets <= 0 || ways <= 0 || line <= 0 then invalid_arg "Cache.create";
+  let template =
+    Array.init (3 * ways) (fun k -> if k < ways then -1 else 0)
+  in
   {
     sets;
     ways;
     line;
-    tags = Array.make (sets * ways) (-1);
-    last_use = Array.make (sets * ways) 0;
-    fill_time = Array.make (sets * ways) 0;
+    lines = Chunked.create ~rows:sets ~template;
     clock = 0;
     hits = 0;
     misses = 0;
@@ -56,19 +58,21 @@ let probe t ~now addr =
   in
   let tag = line_addr in
   t.clock <- t.clock + 1;
-  let base = set * t.ways in
+  let ways = t.ways in
+  let row = Chunked.chunk t.lines set and base = Chunked.base t.lines set in
+  let stamps = base + ways and fills = base + (2 * ways) in
   (* Closure-free tag match: this runs for every fetch cycle, load issue
      and store commit. *)
   let w = ref 0 in
-  while !w < t.ways && t.tags.(base + !w) <> tag do
+  while !w < ways && row.(base + !w) <> tag do
     incr w
   done;
-  if !w < t.ways then begin
-    let slot = base + !w in
-    t.last_use.(slot) <- t.clock;
-    if t.fill_time.(slot) > now then begin
+  if !w < ways then begin
+    let w = !w in
+    row.(stamps + w) <- t.clock;
+    if row.(fills + w) > now then begin
       t.misses <- t.misses + 1;
-      Inflight (t.fill_time.(slot) - now)
+      Inflight (row.(fills + w) - now)
     end
     else begin
       t.hits <- t.hits + 1;
@@ -79,12 +83,12 @@ let probe t ~now addr =
     t.misses <- t.misses + 1;
     (* Evict LRU. *)
     let victim = ref 0 in
-    for w = 1 to t.ways - 1 do
-      if t.last_use.(base + w) < t.last_use.(base + !victim) then victim := w
+    for w = 1 to ways - 1 do
+      if row.(stamps + w) < row.(stamps + !victim) then victim := w
     done;
-    t.tags.(base + !victim) <- tag;
-    t.last_use.(base + !victim) <- t.clock;
-    t.fill_time.(base + !victim) <- now;
+    row.(base + !victim) <- tag;
+    row.(stamps + !victim) <- t.clock;
+    row.(fills + !victim) <- now;
     Miss
   end
 
@@ -92,9 +96,9 @@ let probe t ~now addr =
 let set_fill t addr time =
   let line_addr = line_key t addr in
   let set = ((line_addr mod t.sets) + t.sets) mod t.sets in
-  let base = set * t.ways in
+  let row = Chunked.chunk t.lines set and base = Chunked.base t.lines set in
   for w = 0 to t.ways - 1 do
-    if t.tags.(base + w) = line_addr then t.fill_time.(base + w) <- time
+    if row.(base + w) = line_addr then row.(base + (2 * t.ways) + w) <- time
   done
 
 (* Untimed access: true on (settled) hit; misses install instantly. Used

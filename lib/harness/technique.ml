@@ -39,7 +39,11 @@ let prepare t (prog : Prog.t) : Prog.t =
   | Noop -> fst (Sdiq_core.Annotate.noop prog)
   | Extension -> fst (Sdiq_core.Annotate.extension prog)
   | Improved -> fst (Sdiq_core.Annotate.improved prog)
-  | Tightened -> fst (Sdiq_analysis.Tighten.apply Sdiq_core.Annotate.Tagged prog)
+  | Tightened ->
+    fst
+      (Sdiq_analysis.Tighten.apply
+         ~tripcounts:(Sdiq_analysis.Tripcount.of_program prog)
+         Sdiq_core.Annotate.Tagged prog)
 
 (* A fresh policy instance for one run. *)
 let policy t : Sdiq_cpu.Policy.t =

@@ -37,13 +37,15 @@ type state = {
   mutable d_addr : int;
 }
 
+(* Memory tables start small and double as stores fill them: every
+   pipeline builds a state, and most runs touch little memory. *)
 let create prog =
   {
     prog;
     iregs = Array.make Reg.num_int 0;
     fregs = Array.make Reg.num_fp 0.;
-    imem = Intmap.create 4096;
-    fmem = Hashtbl.create 256;
+    imem = Intmap.create 64;
+    fmem = Hashtbl.create 16;
     stack = [];
     pc = prog.Prog.entry;
     steps = 0;

@@ -70,7 +70,9 @@ let build delivery (original : Prog.t) : t =
       (running, anns, fun (a : Procedure.annotation) -> a.Procedure.addr)
     | Tightened ->
       let running, anns =
-        Sdiq_analysis.Tighten.apply Annotate.Tagged original
+        Sdiq_analysis.Tighten.apply
+          ~tripcounts:(Sdiq_analysis.Tripcount.of_program original)
+          Annotate.Tagged original
       in
       (running, anns, fun (a : Procedure.annotation) -> a.Procedure.addr)
     | Noop -> (

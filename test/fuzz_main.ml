@@ -241,10 +241,13 @@ let () =
         "replay: FUZZ_SEED=%d FUZZ_N=1 dune exec test/fuzz_main.exe\n" seed;
       Fmt.pr fmt
     in
-    match Sdiq_analysis.Tighten.apply Sdiq_core.Annotate.Tagged prog with
+    let tripcounts = Sdiq_analysis.Tripcount.of_program prog in
+    match
+      Sdiq_analysis.Tighten.apply ~tripcounts Sdiq_core.Annotate.Tagged prog
+    with
     | exception e -> fail "tightening raised: %s@." (Printexc.to_string e)
     | _tightened, anns -> (
-      let findings = Sdiq_analysis.Tighten.audit prog anns in
+      let findings = Sdiq_analysis.Tighten.audit ~tripcounts prog anns in
       let errors = Sdiq_analysis.Finding.errors findings in
       if errors > 0 then begin
         fail "tightened annotations audit with %d error(s)@." errors;

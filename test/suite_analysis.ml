@@ -402,6 +402,120 @@ let test_pressure_tiny_rf_fails () =
   Alcotest.(check bool) "2 physical registers must deadlock" true
     (Finding.errors fs > 0)
 
+(* --- the interval fixpoint: reuse, cost, shared trip counts -------------- *)
+
+module Interval = Sdiq_analysis.Interval
+module Tighten = Sdiq_analysis.Tighten
+module Tripcount = Sdiq_analysis.Tripcount
+
+let analysable (prog : Prog.t) =
+  List.filter
+    (fun (p : Prog.proc) -> (not p.Prog.is_library) && p.Prog.len > 0)
+    prog.Prog.procs
+
+(* The suite plus a handful of generated programs, for whole-program
+   checks that should hold everywhere. *)
+let corpus () =
+  List.map (fun (b : Sdiq_workloads.Bench.t) -> b.Sdiq_workloads.Bench.prog)
+    (Sdiq_workloads.Suite.all ())
+  @ List.init 40 (fun seed -> Gen.random_program (Rng.create seed))
+
+let same_env name (a : Interval.env) (b : Interval.env) =
+  for d = 0 to Reg.count - 1 do
+    let r = Reg.of_dense d in
+    if not (Interval.equal (Interval.lookup a r) (Interval.lookup b r)) then
+      Alcotest.failf "%s: %s is %a, fresh analysis says %a" name
+        (Reg.to_string r) Interval.pp (Interval.lookup a r) Interval.pp
+        (Interval.lookup b r)
+  done
+
+(* [solve] hands back the round-robin's last fixpoints instead of
+   re-running them; they must be exactly what a fresh analysis under
+   the final summaries computes. *)
+let test_solve_reuses_final_fixpoints () =
+  List.iter
+    (fun prog ->
+      let solved = Interval.solve prog in
+      List.iter
+        (fun (p : Prog.proc) ->
+          let _, sol = Hashtbl.find solved.Interval.solutions p.Prog.entry in
+          let fresh =
+            Interval.analyze ~summaries:solved.Interval.summaries prog p
+              (Cfg.build prog p)
+          in
+          Array.iteri
+            (fun b e ->
+              same_env (Fmt.str "%s B%d entry" p.Prog.name b) e
+                fresh.Interval.entry.(b);
+              same_env (Fmt.str "%s B%d exit" p.Prog.name b)
+                sol.Interval.exit.(b) fresh.Interval.exit.(b))
+            sol.Interval.entry)
+        (analysable prog))
+    (corpus ())
+
+(* Allocation-light: environments are allocated per block, once per
+   analysis, never per visit or per instruction. The bound covers two
+   environments per block plus the per-procedure setup (block code
+   arrays, thresholds, visit order); a transfer that copies the
+   environment per instruction exceeds it on every procedure with a
+   loop. *)
+let test_interval_fixpoint_allocation_light () =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  List.iter
+    (fun prog ->
+      List.iter
+        (fun (p : Prog.proc) ->
+          let cfg = Cfg.build prog p in
+          let nb = Cfg.num_blocks cfg in
+          (* An empty minor heap keeps a collection out of the window:
+             the counters jump by a whole minor heap across one. *)
+          Gc.minor ();
+          let w0 = words () in
+          let sol = Interval.analyze prog p cfg in
+          let used = words () -. w0 in
+          ignore (Sys.opaque_identity sol : Interval.solution);
+          let env_words = (2 * Reg.count) + 1 in
+          let bound =
+            (((2 * nb) + 4) * env_words) + (32 * p.Prog.len) + (64 * nb)
+          in
+          if used > float_of_int bound then
+            Alcotest.failf
+              "%s: %d blocks, %d instructions allocated %.0f words (> %d)"
+              p.Prog.name nb p.Prog.len used bound)
+        (analysable prog))
+    (corpus ())
+
+(* The tightener and its audit read the table they are handed, so one
+   table per audit means one interval analysis per program. *)
+let test_tighten_shares_one_table () =
+  List.iter
+    (fun prog ->
+      let table = Tripcount.of_program prog in
+      let asked = ref 0 in
+      let tripcounts proc =
+        incr asked;
+        table proc
+      in
+      let _, anns = Tighten.apply ~tripcounts Annotate.Tagged prog in
+      let findings = Tighten.audit ~tripcounts prog anns in
+      if !asked = 0 then Alcotest.fail "the shared table was never read";
+      let fresh = Tripcount.of_program prog in
+      let _, own = Tighten.apply ~tripcounts:fresh Annotate.Tagged prog in
+      Alcotest.(check bool) "same annotations as a fresh table" true
+        (anns = own);
+      Alcotest.(check int) "same audit as a fresh table"
+        (List.length (Tighten.audit ~tripcounts:fresh prog own))
+        (List.length findings);
+      List.iter
+        (fun (p : Prog.proc) ->
+          Alcotest.(check bool) "memoised per procedure" true
+            (table p == table p))
+        prog.Prog.procs)
+    (corpus ())
+
 (* --- the property: generated programs always audit clean ----------------- *)
 
 let qcheck_generated_programs_audit_clean =
@@ -452,5 +566,11 @@ let suite =
       test_pressure_audit_proves_margin;
     Alcotest.test_case "pressure: tiny rf fails" `Quick
       test_pressure_tiny_rf_fails;
+    Alcotest.test_case "interval: solve reuses final fixpoints" `Quick
+      test_solve_reuses_final_fixpoints;
+    Alcotest.test_case "interval: fixpoint allocation-light" `Quick
+      test_interval_fixpoint_allocation_light;
+    Alcotest.test_case "tighten: apply and audit share one table" `Quick
+      test_tighten_shares_one_table;
     QCheck_alcotest.to_alcotest qcheck_generated_programs_audit_clean;
   ]

@@ -44,6 +44,57 @@ let test_cache_capacity () =
   Alcotest.(check int) "4 misses" 4 (Cache.misses c);
   Alcotest.(check int) "4 hits" 4 (Cache.hits c)
 
+(* --- lazily materialised tables --- *)
+
+module Chunked = Sdiq_cpu.Chunked
+
+let row t r =
+  let c = Chunked.chunk t r and b = Chunked.base t r in
+  Array.to_list (Array.sub c b 3)
+
+let test_chunked_untouched_rows_read_template () =
+  let t = Chunked.create ~rows:50 ~template:[| -1; 0; 7 |] in
+  for r = 49 downto 0 do
+    Alcotest.(check (list int)) (Printf.sprintf "row %d" r) [ -1; 0; 7 ] (row t r)
+  done
+
+let test_chunked_rows_independent () =
+  let rows = 100 in
+  let t = Chunked.create ~rows ~template:[| 0; 0; 0 |] in
+  for r = 0 to rows - 1 do
+    let c = Chunked.chunk t r and b = Chunked.base t r in
+    c.(b) <- r;
+    c.(b + 2) <- -r
+  done;
+  for r = 0 to rows - 1 do
+    Alcotest.(check (list int)) (Printf.sprintf "row %d" r) [ r; 0; -r ] (row t r)
+  done;
+  Alcotest.check_raises "negative row" (Invalid_argument "index out of bounds")
+    (fun () -> ignore (Chunked.chunk t (-1) : int array))
+
+(* A Table 1 machine's caches, BTB, predictor tables and oracle memory
+   come to ~57k words. Construction must not put them on the major
+   heap, or every short run pays the collector for them: they fill in
+   as a run touches them. *)
+let test_pipeline_create_is_cheap () =
+  let prog =
+    let b = Asm.create () in
+    Asm.halt (Asm.proc b "main");
+    Asm.assemble b ~entry:"main"
+  in
+  let major_words () =
+    let _, _, w = Gc.counters () in
+    w
+  in
+  (* Empty the minor heap so nothing is promoted during [create]. *)
+  Gc.minor ();
+  let w0 = major_words () in
+  let t = Pipeline.create prog in
+  let w = major_words () -. w0 in
+  ignore (Sys.opaque_identity t : Pipeline.t);
+  if w > 4096. then
+    Alcotest.failf "Pipeline.create allocated %.0f major-heap words (> 4096)" w
+
 (* --- branch predictor --- *)
 
 let test_bimodal_learns_taken () =
@@ -563,6 +614,12 @@ let suite =
     Alcotest.test_case "cache hit after miss" `Quick test_cache_hit_after_miss;
     Alcotest.test_case "cache lru eviction" `Quick test_cache_lru_eviction;
     Alcotest.test_case "cache capacity" `Quick test_cache_capacity;
+    Alcotest.test_case "chunked rows read the template" `Quick
+      test_chunked_untouched_rows_read_template;
+    Alcotest.test_case "chunked rows are independent" `Quick
+      test_chunked_rows_independent;
+    Alcotest.test_case "pipeline create is cheap" `Quick
+      test_pipeline_create_is_cheap;
     Alcotest.test_case "bimodal learns" `Quick test_bimodal_learns_taken;
     Alcotest.test_case "gshare catches alternation" `Quick
       test_predictor_learns_alternating_via_gshare;

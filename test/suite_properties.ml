@@ -507,14 +507,14 @@ let prop_interval_analysis_converges =
     arbitrary_prog (fun desc ->
       let prog = build_program desc in
       match
-        let summaries = Interval.summaries prog in
+        let summaries = (Interval.solve prog).Interval.summaries in
         List.iter
           (fun (p : Prog.proc) ->
             if (not p.Prog.is_library) && p.Prog.len > 0 then begin
               let cfg = Sdiq_cfg.Cfg.build prog p in
               ignore (Interval.analyze ~summaries prog p cfg
                       : Interval.solution);
-              ignore (Sdiq_analysis.Tighten.tripcounts_of prog p
+              ignore (Sdiq_analysis.Tripcount.of_program prog p
                       : (int, int) Hashtbl.t)
             end)
           prog.Prog.procs
@@ -522,6 +522,41 @@ let prop_interval_analysis_converges =
       | () -> true
       | exception Sdiq_analysis.Dataflow.Diverged (name, steps) ->
         QCheck.Test.fail_reportf "Diverged(%s, %d)" name steps)
+
+(* Soundness of the fixpoint the trip counts read: every block's entry
+   fact contains each predecessor's exit fact, and the entry block's
+   contains top (every register unknown on entry). *)
+let prop_interval_entry_covers_preds =
+  QCheck.Test.make ~count:30
+    ~name:"interval entry facts cover every predecessor's exit"
+    arbitrary_prog (fun desc ->
+      let prog = build_program desc in
+      let solved = Interval.solve prog in
+      Hashtbl.iter
+        (fun _ ((cfg : Sdiq_cfg.Cfg.t), (sol : Interval.solution)) ->
+          let covers name a b =
+            for d = 0 to Reg.count - 1 do
+              let r = Reg.of_dense d in
+              if not (Interval.leq (a r) (Interval.lookup b r)) then
+                QCheck.Test.fail_reportf "%s: %s not covered" name
+                  (Reg.to_string r)
+            done
+          in
+          covers "entry block"
+            (fun r -> if Reg.is_zero r then Interval.const 0 else Interval.top)
+            sol.Interval.entry.(0);
+          Array.iteri
+            (fun b entry ->
+              List.iter
+                (fun p ->
+                  covers
+                    (Printf.sprintf "edge B%d->B%d" p b)
+                    (Interval.lookup sol.Interval.exit.(p))
+                    entry)
+                (Sdiq_cfg.Cfg.preds cfg b))
+            sol.Interval.entry)
+        solved.Interval.solutions;
+      true)
 
 let prop_runner_memo_stable_across_parallel =
   (* For random small budgets, memoisation must return physically-equal
@@ -553,6 +588,7 @@ let suite =
       prop_interval_hull_monotone;
       prop_interval_widen_chain_stabilizes;
       prop_interval_analysis_converges;
+      prop_interval_entry_covers_preds;
       prop_stats_add_conservation;
       prop_regfile_freelist_under_resize_squash;
       prop_annotation_preserves_semantics;

@@ -29,8 +29,11 @@ let test_narrows_somewhere () =
   let narrowed, reduction =
     List.fold_left
       (fun (n, r) (bench : Sdiq_workloads.Bench.t) ->
+        let prog = bench.Sdiq_workloads.Bench.prog in
         let _, nb, rb =
-          Sdiq_analysis.Tighten.narrowing bench.Sdiq_workloads.Bench.prog
+          Sdiq_analysis.Tighten.narrowing
+            ~tripcounts:(Sdiq_analysis.Tripcount.of_program prog)
+            prog
         in
         (n + nb, r + rb))
       (0, 0) (Sdiq_workloads.Suite.all ())
