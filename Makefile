@@ -131,14 +131,20 @@ fuzz:
 	FUZZ_N=$(FUZZ_N) FUZZ_SEED=$(or $(FUZZ_SEED),1) \
 	  dune exec test/fuzz_main.exe
 
-# The full (benchmark x technique) campaign with the cycle-level
-# invariant checker auditing every run on every domain.
+# The full (benchmark x technique) campaign under every scheduler
+# policy, with the cycle-level invariant checker auditing every run on
+# every domain: oldest_first, the bounded select scan of nskip:4 and the
+# suppressed wakeups of load_delay. A violation exits 2 and fails the
+# target.
 check-campaign:
 	dune build bin/simulate.exe
-	@for b in gzip vpr mcf; do \
-	  for t in baseline noop extension improved abella; do \
-	    dune exec bin/simulate.exe -- --bench $$b --technique $$t \
-	      --budget 20000 --check | head -1; \
+	@set -e; for p in oldest_first nskip:4 load_delay; do \
+	  for b in gzip vpr mcf; do \
+	    for t in baseline noop extension improved abella; do \
+	      ./_build/default/bin/simulate.exe --bench $$b --technique $$t \
+	        --policy $$p --budget 20000 --check > _build/check-campaign.out; \
+	      head -2 _build/check-campaign.out | paste -sd' '; \
+	    done; \
 	  done; \
 	done
-	@echo "check-campaign: all pairs audited cycle-by-cycle"
+	@echo "check-campaign: all pairs audited cycle-by-cycle under every policy"

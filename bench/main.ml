@@ -127,7 +127,7 @@ let micro_tests () =
   let open Sdiq_isa in
   let r = Reg.int in
   (* substrate primitives *)
-  let iq = Sdiq_cpu.Iq.create ~size:80 ~bank_size:8 in
+  let iq = Sdiq_cpu.Iq.create ~size:80 ~bank_size:8 ~tags:224 in
   for i = 0 to 39 do
     ignore
       (Sdiq_cpu.Iq.dispatch iq ~rob_idx:i ~ops:[ (i, false); (i + 100, true) ])

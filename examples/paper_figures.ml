@@ -18,7 +18,7 @@ let r = Reg.int
 let figure1 () =
   Fmt.pr "=== Figure 1: issue queue power savings ===@.";
   (* a,b independent; c<-a, d<-b; e<-c,d; f<-b,d — as in the paper. *)
-  let q = Sdiq_cpu.Iq.create ~size:80 ~bank_size:8 in
+  let q = Sdiq_cpu.Iq.create ~size:80 ~bank_size:8 ~tags:224 in
   (* Baseline: all six dispatched at once. Tags 10..13 are the results of
      a,b,c,d; f's r2 operand comes from b. *)
   let _a = Sdiq_cpu.Iq.dispatch q ~rob_idx:0 ~ops:[ (1, true) ] in
@@ -36,7 +36,7 @@ let figure1 () =
   Fmt.pr "baseline queue: %d wakeups (paper: 18)@." q.Sdiq_cpu.Iq.wakeups_gated;
   (* Limited to 2 entries: c,d dispatch only after a,b issue; e,f after
      c,d. f's b-operand is ready by the time f dispatches. *)
-  let q = Sdiq_cpu.Iq.create ~size:80 ~bank_size:8 in
+  let q = Sdiq_cpu.Iq.create ~size:80 ~bank_size:8 ~tags:224 in
   let sa = Sdiq_cpu.Iq.dispatch q ~rob_idx:0 ~ops:[ (1, true) ] in
   let sb = Sdiq_cpu.Iq.dispatch q ~rob_idx:1 ~ops:[ (2, true) ] in
   Sdiq_cpu.Iq.issue q sa;
@@ -109,7 +109,7 @@ let figure4 () =
 
 let figure2 () =
   Fmt.pr "=== Figure 2: new_head pointer and max_new_range ===@.";
-  let q = Sdiq_cpu.Iq.create ~size:16 ~bank_size:4 in
+  let q = Sdiq_cpu.Iq.create ~size:16 ~bank_size:4 ~tags:224 in
   Sdiq_cpu.Iq.start_new_region q;
   let sa = Sdiq_cpu.Iq.dispatch q ~rob_idx:0 ~ops:[] in
   let sb = Sdiq_cpu.Iq.dispatch q ~rob_idx:1 ~ops:[] in

@@ -9,8 +9,10 @@
    ROB drains in program order, the physical register files conserve
    registers across rename, commit and squash, wrong-path work stays
    confined to an open mispredict episode with live IQ/ROB/LSQ linkage
-   (DESIGN.md §14), and the wakeup counters fed to [Sdiq_power] equal
-   the comparisons the queue really performed.
+   (DESIGN.md §14), the queue's event-driven wakeup state (operand
+   counts, ready set, waiter lists) agrees with its slots, and the
+   wakeup counters fed to [Sdiq_power] equal the comparisons the queue
+   really performed.
 
    The wakeup check exploits the pipeline's phase order (commit →
    writeback → issue → dispatch): the issue queue is untouched between the
@@ -142,6 +144,94 @@ let check_iq c p =
     fail p ~invariant:"iq-span"
       "new_span=%d disagrees with new_head=%d tail=%d (active=%d)" span
       iq.Iq.new_head iq.Iq.tail active;
+  c.checks_run <- c.checks_run + 5
+
+(* --- event-driven wakeup state ------------------------------------------ *)
+
+(* The queue prices broadcasts from incremental operand counts, wakes
+   operands through per-tag waiter lists and selects from a ready set
+   (DESIGN.md §13.1). Recount all of it from the raw slot bytes: the
+   present / waiting / predicted-waiting counts, each valid slot's
+   waiting count, the ready set (exactly the slots [Iq.slot_ready]
+   accepts, each once at the position [ready_pos] records), and the
+   waiter lists (every entry a waiting operand carrying the list's tag,
+   and as many entries in all as there are waiting operands). *)
+let check_wakeup_state c p =
+  let iq = Pipeline.Debug.iq p in
+  let present = ref 0 and waiting = ref 0 and pred_waiting = ref 0 in
+  let nready = ref 0 in
+  for s = 0 to iq.Iq.size - 1 do
+    if Iq.slot_valid iq s then begin
+      let w = ref 0 in
+      for j = 0 to 1 do
+        if Iq.op_present iq s j then begin
+          incr present;
+          if not (Iq.op_ready iq s j) then begin
+            incr w;
+            if Iq.op_pred iq s j then incr pred_waiting
+          end
+        end
+      done;
+      waiting := !waiting + !w;
+      let recorded = Char.code (Bytes.get iq.Iq.slot_waiting s) in
+      if recorded <> !w then
+        fail p ~invariant:"iq-wakeup-state"
+          "slot %d records %d waiting operands, recount finds %d" s recorded
+          !w
+    end;
+    let pos = iq.Iq.ready_pos.(s) in
+    if Iq.slot_ready iq s then begin
+      incr nready;
+      if pos < 0 || pos >= iq.Iq.nready || iq.Iq.ready.(pos) <> s then
+        fail p ~invariant:"iq-wakeup-state"
+          "slot %d is ready but missing from the ready set (position %d)" s
+          pos
+    end
+    else if pos >= 0 then
+      fail p ~invariant:"iq-wakeup-state"
+        "slot %d is in the ready set (position %d) but not ready" s pos
+  done;
+  if !nready <> iq.Iq.nready then
+    fail p ~invariant:"iq-wakeup-state"
+      "ready set holds %d slots, %d slots are ready" iq.Iq.nready !nready;
+  if
+    !present <> iq.Iq.present_ops
+    || !waiting <> iq.Iq.waiting_ops
+    || !pred_waiting <> iq.Iq.pred_waiting_ops
+  then
+    fail p ~invariant:"iq-wakeup-state"
+      "operand counts say present=%d waiting=%d predicted-waiting=%d, \
+       recount finds %d/%d/%d"
+      iq.Iq.present_ops iq.Iq.waiting_ops iq.Iq.pred_waiting_ops !present
+      !waiting !pred_waiting;
+  let listed = ref 0 in
+  let limit = 2 * iq.Iq.size in
+  for g = 0 to Iq.tags iq - 1 do
+    let o = ref iq.Iq.wait_head.(g) in
+    while !o >= 0 do
+      let s = !o / 2 and j = !o mod 2 in
+      if
+        !o >= limit
+        || (not (Iq.slot_valid iq s))
+        || (not (Iq.op_present iq s j))
+        || Iq.op_ready iq s j
+        || Iq.op_tag iq s j <> g
+      then
+        fail p ~invariant:"iq-wakeup-state"
+          "tag %d's waiter list holds operand %d of slot %d, which is not \
+           waiting on it"
+          g j s;
+      incr listed;
+      if !listed > limit then
+        fail p ~invariant:"iq-wakeup-state"
+          "waiter lists hold more than %d entries (a cycle)" limit;
+      o := iq.Iq.wait_next.(!o)
+    done
+  done;
+  if !listed <> !waiting then
+    fail p ~invariant:"iq-wakeup-state"
+      "waiter lists hold %d operands, %d operands are waiting" !listed
+      !waiting;
   c.checks_run <- c.checks_run + 5
 
 (* --- the paper's dispatch limit ---------------------------------------- *)
@@ -569,6 +659,7 @@ let check c p =
      before IQ structure makes the diagnosis name the root cause. *)
   check_iq_rob_linkage c p;
   check_iq c p;
+  check_wakeup_state c p;
   check_dispatch_window c p;
   check_power_integrals c p;
   check_rob c p;

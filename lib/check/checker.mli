@@ -11,9 +11,12 @@
     open mispredict episode and are marked exactly (["wp-confined"] /
     ["wp-marking"]), every live IQ and LSQ entry links to an in-flight
     ROB entry and back (["iq-rob-linkage"], ["lsq-rob-linkage"] — the
-    squash-leak detectors), the LSQ stays age-ordered, and the wakeup
-    counters equal the comparisons the queue actually performed
-    (replayed exactly from the previous cycle's operand exposure).
+    squash-leak detectors), the LSQ stays age-ordered, the queue's
+    event-driven wakeup state (operand counts, per-slot waiting counts,
+    ready set, per-tag waiter lists) matches a recount of its slots
+    (["iq-wakeup-state"]), and the wakeup counters equal the comparisons
+    the queue actually performed (replayed exactly from the previous
+    cycle's operand exposure).
 
     DESIGN.md §"Invariants the pipeline maintains" lists each invariant
     with the paper section it derives from. *)

@@ -16,7 +16,13 @@
     Slot state is stored flat (DESIGN.md §13): [valid]/operand flags as
     bytes, tags and ROB indices as unboxed int arrays, operand [j] of
     slot [s] at index [2*s + j]. Read per-slot state through the
-    [slot_*]/[op_*] accessors. *)
+    [slot_*]/[op_*] accessors.
+
+    The queue is event-driven: waiting operands sit on per-tag waiter
+    lists, operand counts are kept incrementally (so the Figure 8
+    charges of a broadcast are products, not a sweep), and the slots
+    with no waiting operand form a ready set that {!select_into} orders
+    by age. *)
 
 type t = {
   size : int;
@@ -33,6 +39,21 @@ type t = {
           load-delay scheduler suppresses this operand's CAM comparison
           (energy only — it still wakes on a tag match) *)
   op_tag : int array;
+  wait_head : int array;
+      (** per physical tag: first operand on its waiter list, -1 if none *)
+  wait_next : int array;  (** per operand: next waiter on the same tag *)
+  wait_prev : int array;  (** per operand: previous waiter, -1 at the head *)
+  slot_waiting : Bytes.t;  (** waiting operands per slot (0..2) *)
+  mutable present_ops : int;  (** present operands of valid entries *)
+  mutable waiting_ops : int;  (** ... of those, not yet ready *)
+  mutable pred_waiting_ops : int;  (** ... of those, predicted-ready *)
+  ready : int array;
+      (** ready set: the valid slots with no waiting operand, unordered,
+          in [ready.(0 .. nready-1)] *)
+  ready_pos : int array;  (** slot → position in [ready], -1 if absent *)
+  mutable nready : int;
+  mutable scanned : int;
+      (** slots the last {!select_into} examined (its [Select_scan]) *)
   bank_live : int array;
       (** valid entries per bank, maintained incrementally so the
           powered-bank mask is O(banks) per cycle *)
@@ -57,8 +78,13 @@ type t = {
   mutable broadcasts : int;
 }
 
-val create : size:int -> bank_size:int -> t
+(** [tags] is the number of physical tags results broadcast on (the
+    pipeline passes both register files, [2 * rf_size]); a waiting
+    operand's tag must lie in [0, tags). *)
+val create : size:int -> bank_size:int -> tags:int -> t
+
 val size : t -> int
+val tags : t -> int
 val occupancy : t -> int
 val is_empty : t -> bool
 
@@ -72,7 +98,8 @@ val new_region_span : t -> int
 val start_new_region : t -> unit
 
 (** Insert at the tail; [ops] are (physical tag, ready) pairs. Returns
-    the slot index. Raises [Invalid_argument] when full. *)
+    the slot index. Raises [Invalid_argument] when full or when a waiting
+    operand's tag is out of range. *)
 val dispatch : t -> rob_idx:int -> ops:(int * bool) list -> int
 
 (** Zero-allocation dispatch with the (at most two) renamed sources
@@ -100,7 +127,9 @@ val issue : t -> int -> unit
 val squash_slot : t -> int -> unit
 
 (** Broadcast all result tags completing this cycle against one snapshot
-    (as parallel CAM ports do); returns how many operands woke. *)
+    (as parallel CAM ports do); returns how many operands woke. Costs
+    the operands woken: each tag's waiter list is walked and emptied.
+    Tags must lie in [0, tags). *)
 val broadcast_many : t -> int list -> int
 
 (** Scratch-array broadcast core: the first [ntags] elements are the
@@ -109,6 +138,14 @@ val broadcast_many : t -> int list -> int
 val broadcast_into : t -> int array -> int -> int
 
 val broadcast : t -> int -> int
+
+(** Select candidates: writes to [cands] (length at least [size]) the
+    ready slots whose ring distance from [head] is below [bound]
+    (clamped to the active ring), oldest first, and returns their
+    number. Sets [scanned] to [min bound (d + 1)], where [d] is the
+    distance of the youngest valid entry (0 when empty) — the slots an
+    oldest-first select walk examines. *)
+val select_into : t -> bound:int -> int array -> int
 
 (** Fold over valid entries oldest-first (select order); the callback
     receives the slot index. *)
@@ -150,12 +187,13 @@ val resize : t -> int -> bool
 
 val active_size : t -> int
 
-(** Test-only tampering: raw slot mutation with no bookkeeping, for
-    exercising the invariant checker. *)
+(** Test-only tampering, for exercising the invariant checker. *)
 module Raw : sig
+  (** Raw valid-byte mutation with no bookkeeping. *)
   val set_valid : t -> int -> bool -> unit
 
-  (** Flip operand [j] of slot [s]'s predicted-ready bit — sabotage for
-      the checker's ready-suppression invariant. *)
+  (** Set operand [j] of slot [s]'s predicted-ready bit — sabotage for
+      the checker's ready-suppression invariant. The predicted-waiting
+      count follows the mark, so only the mark's soundness breaks. *)
   val set_pred : t -> int -> int -> bool -> unit
 end

@@ -97,7 +97,6 @@ type t = {
   avail : int array; (* issue slots left per FU class *)
   wb_tags : int array; (* result tags broadcast this cycle *)
   cand_slot : int array; (* ready IQ slots, oldest first *)
-  cand_rob : int array;
   mutable cycle : int;
   mutable halted : bool;
   mutable fetch_hold : bool;
@@ -436,7 +435,8 @@ let create ?(config = Config.default) ?(policy = Policy.unlimited) ?sched prog =
       fp_map;
       rob = Rob.create ~size:config.Config.rob_size;
       iq = Iq.create ~size:config.Config.iq_size
-          ~bank_size:config.Config.iq_bank_size;
+          ~bank_size:config.Config.iq_bank_size
+          ~tags:(2 * config.Config.rf_size);
       lsq = Lsq.create ~size:config.Config.lsq_size;
       fq_dyns = Array.make config.Config.fetch_queue_size Rob.dummy_dyn;
       fq_ready = Array.make config.Config.fetch_queue_size 0;
@@ -453,7 +453,6 @@ let create ?(config = Config.default) ?(policy = Policy.unlimited) ?sched prog =
       avail = Array.make Fu.count_classes 0;
       wb_tags = Array.make config.Config.rob_size 0;
       cand_slot = Array.make config.Config.iq_size 0;
-      cand_rob = Array.make config.Config.iq_size 0;
       cycle = 0;
       halted = false;
       fetch_hold = false;
@@ -572,7 +571,11 @@ let undo_rename t idx =
      wrong-path;
    - ROB: tail pops youngest-first until the branch is youngest again,
      undoing each rename ([undo_rename]) and reclaiming the entry's IQ
-     slot and speculative LSQ tail entry as it goes;
+     slot and speculative LSQ tail entry as it goes. [Iq.squash_slot]
+     unlinks the entry's waiting operands from their tags' waiter
+     lists, so an older producer that survives never wakes a squashed
+     (or reused) slot, and a tag freed here has an empty list already:
+     its waiters are younger, hence popped first;
    - timing wheel: pending completions of squashed entries are filtered
      out (an issued wrong-path op must not complete into a reused slot);
    - IQ pointers: the squashed slots form the ring suffix dispatched
@@ -854,54 +857,26 @@ let issue_stage t =
       done;
       t.avail.(k) <- max 0 (t.fu_counts.(k) - !busy)
     done;
-  (* Collect ready entries oldest-first into scratch, then try each: an
-     inline ring walk over the valid entries (direct flat-field reads,
-     no closure — the [Iq.slot_ready] sweep is the hottest loop in the
-     machine). *)
+  (* Collect the ready entries oldest-first into scratch, then try each.
+     The scheduler policy bounds the select scan: oldest_first and
+     load_delay examine the whole active ring, nskip:N only the N slots
+     from [head] (holes included). [Iq.select_into] reads the ready set
+     and reports in [scanned] how many slots an oldest-first walk
+     examines — the [Select_scan] integrand.
+     [t.scan_limit] is [Sched.scan_bound] pre-resolved at creation. *)
   let iq = t.iq in
-  let ncand = ref 0 in
-  let pos = ref iq.Iq.head in
-  let remaining = ref iq.Iq.count in
-  let steps = ref 0 in
-  let active = iq.Iq.active_size in
-  (* The scheduler policy bounds the sweep: oldest_first and load_delay
-     examine the whole active ring; nskip:N stops after N slots from
-     [head] (holes included). The count-bounded walk still ends as soon
-     as every valid entry has been seen, so [steps] at loop exit is the
-     number of slots the select logic actually examined — the
-     [Select_scan] integrand. [t.scan_limit] is [Sched.scan_bound]
-     pre-resolved at creation (this loop is the machine's hottest). *)
-  let bound = if t.scan_limit < active then t.scan_limit else active in
-  while !remaining > 0 && !steps < bound do
-    let s = !pos in
-    if Bytes.unsafe_get iq.Iq.valid s <> '\000' then begin
-      decr remaining;
-      let o = 2 * s in
-      if
-        (Bytes.unsafe_get iq.Iq.op_present o = '\000'
-        || Bytes.unsafe_get iq.Iq.op_ready o <> '\000')
-        && (Bytes.unsafe_get iq.Iq.op_present (o + 1) = '\000'
-           || Bytes.unsafe_get iq.Iq.op_ready (o + 1) <> '\000')
-      then begin
-        t.cand_slot.(!ncand) <- s;
-        t.cand_rob.(!ncand) <- Array.unsafe_get iq.Iq.rob_idx s;
-        incr ncand
-      end
-    end;
-    incr steps;
-    pos := (if s + 1 = active then 0 else s + 1)
-  done;
-  (if !steps > 0 then
-     if t.bus_on then emit_select_scan t ~entries:!steps
+  let ncand = Iq.select_into iq ~bound:t.scan_limit t.cand_slot in
+  let steps = iq.Iq.scanned in
+  (if steps > 0 then
+     if t.bus_on then emit_select_scan t ~entries:steps
      else
        t.stats.Stats.iq_scan_entries <-
-         t.stats.Stats.iq_scan_entries + !steps);
-  let ncand = !ncand in
+         t.stats.Stats.iq_scan_entries + steps);
   let width = ref t.cfg.Config.issue_width in
   for c = 0 to ncand - 1 do
     if !width > 0 then begin
       let slot = t.cand_slot.(c) in
-      let rob_idx = t.cand_rob.(c) in
+      let rob_idx = Iq.slot_rob_idx iq slot in
       let dyn = Rob.dyn t.rob rob_idx in
       let i = dyn.Exec.instr in
       let cls = Instr.fu_class i in
@@ -1658,7 +1633,7 @@ let cycle_end_stage t ~throttled =
      pressure and resizes here). A resize only drops/adds empty banks,
      so the masks captured above are unaffected. *)
   let size_before = Iq.active_size t.iq in
-  Policy.end_cycle t.policy t.iq ~resize_ok:(not t.wp_mode) ~throttled ();
+  Policy.end_cycle t.policy t.iq ~resize_ok:(not t.wp_mode) ~throttled;
   t.cycle <- t.cycle + 1;
   if t.bus_on then begin
     emit_bank_transitions t ~unit_:Ev.Iq_bank ~prev:t.prev_iq_bank_mask

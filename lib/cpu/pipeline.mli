@@ -74,7 +74,6 @@ type t = {
   avail : int array;
   wb_tags : int array;
   cand_slot : int array;
-  cand_rob : int array;
   mutable cycle : int;
   mutable halted : bool;
   mutable fetch_hold : bool;

@@ -105,7 +105,7 @@ let on_annotation t (iq : Iq.t) ~pc ~value =
    meaningful under the modulus they were recorded with, so the physical
    resize is deferred (one more increment of the scheme's inherent
    adjustment lag); sensing continues regardless. *)
-let end_cycle t (iq : Iq.t) ?(resize_ok = true) ~throttled () =
+let end_cycle t (iq : Iq.t) ~resize_ok ~throttled =
   match t with
   | Unlimited | Software _ -> ()
   | Abella a ->

@@ -60,6 +60,6 @@ val on_annotation : t -> Iq.t -> pc:int -> value:int -> unit
     defers the resize while keeping the sensing — the pipeline passes it
     during a wrong-path episode, whose squash rewinds IQ pointers
     recorded under the current modulus. *)
-val end_cycle : t -> Iq.t -> ?resize_ok:bool -> throttled:bool -> unit -> unit
+val end_cycle : t -> Iq.t -> resize_ok:bool -> throttled:bool -> unit
 
 val current_limit : t -> Iq.t -> int

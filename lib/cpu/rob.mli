@@ -18,10 +18,9 @@ type dest =
   | Int_dest of int
   | Fp_dest of int
 
-(** Destinations packed into one int (0 none, [2p+1] int reg [p],
-    [2p+2] fp reg [p]) for the allocation-free hot path. *)
-val encode_dest : dest -> int
-
+(** Decode a destination packed into one int (0 none, [2p+1] int reg
+    [p], [2p+2] fp reg [p]) — the allocation-free form the hot path
+    stores. *)
 val decode_dest : int -> dest
 
 (** Placeholder dynamic instruction held by free slots. *)
@@ -56,16 +55,8 @@ val set_blocked_fetch : t -> int -> bool -> unit
 (** Was this entry fetched down the wrong path? *)
 val is_wp : t -> int -> bool
 
-(** Allocate the tail entry; returns its index. Raises when full. *)
-val push :
-  t ->
-  dyn:Sdiq_isa.Exec.dyn ->
-  dest:dest ->
-  old_phys:dest ->
-  iq_slot:int ->
-  int
-
-(** [push] with pre-encoded destination codes (allocation-free). *)
+(** Allocate the tail entry with pre-encoded destination codes (see
+    {!decode_dest}); returns its index. Raises when full. *)
 val push_codes :
   t ->
   dyn:Sdiq_isa.Exec.dyn ->
@@ -82,10 +73,6 @@ val head_is_completed : t -> bool
 val head_index : t -> int
 val pop_head : t -> unit
 
-(** Pop the head if completed, passing its index to [f] (the entry is
-    intact during the call); true on commit. *)
-val try_commit : t -> (int -> unit) -> bool
-
 (** Squash primitives: index of the youngest in-flight entry, and its
     removal. Both assume a non-empty buffer. *)
 val tail_index : t -> int
@@ -94,10 +81,3 @@ val pop_tail : t -> unit
 
 (** Oldest to youngest, by entry index. *)
 val iter_in_flight : t -> (int -> unit) -> unit
-
-(** Program-order comparison of two in-flight indices. *)
-val older : t -> int -> int -> bool
-
-(** [youngest_older_store t idx addr]: index of the youngest in-flight
-    store to [addr] older than entry [idx], or [-1]. *)
-val youngest_older_store : t -> int -> int -> int

@@ -157,6 +157,30 @@ let test_checker_catches_tampered_iq () =
       (String.length v.Checker.invariant >= 3
       && String.sub v.Checker.invariant 0 3 = "iq-")
 
+(* Desynchronised wakeup bookkeeping: bump the queue's waiting-operand
+   count without touching any slot. Broadcasts would then price one
+   phantom comparison per tag; the wakeup-state recount must name the
+   drift at the end of the very next cycle, before any charge is
+   audited. *)
+let test_checker_catches_desynced_wakeup_count () =
+  let prog = Technique.prepare Technique.Baseline (sample_prog ()) in
+  let p = Pipeline.create prog in
+  ignore (Checker.attach p);
+  let warm = ref 0 in
+  while
+    !warm < 1_000 && Sdiq_cpu.Iq.occupancy (Pipeline.Debug.iq p) = 0
+  do
+    incr warm;
+    Pipeline.step_cycle p
+  done;
+  let iq = Pipeline.Debug.iq p in
+  iq.Sdiq_cpu.Iq.waiting_ops <- iq.Sdiq_cpu.Iq.waiting_ops + 1;
+  match Pipeline.step_cycle p with
+  | () -> Alcotest.fail "checker missed the desynchronised waiting count"
+  | exception Checker.Invariant_violation v ->
+    Alcotest.(check string) "the wakeup-state invariant names the drift"
+      "iq-wakeup-state" v.Checker.invariant
+
 (* Sabotaged squash: the recovery path "forgets" to free the episode's
    first wrong-path IQ entry (ROB and rename are still rolled back
    correctly — exactly the partial-recovery bug a hand-written squash
@@ -282,4 +306,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_differential;
     Alcotest.test_case "runner threads the checker factory" `Quick
       test_runner_checker_factory;
+    Alcotest.test_case "checker catches desynced wakeup counts" `Quick
+      test_checker_catches_desynced_wakeup_count;
   ]

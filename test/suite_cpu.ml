@@ -176,7 +176,7 @@ let test_regfile_double_free_rejected () =
 
 (* --- issue queue --- *)
 
-let mk_iq () = Iq.create ~size:8 ~bank_size:2
+let mk_iq () = Iq.create ~size:8 ~bank_size:2 ~tags:224
 
 let test_iq_dispatch_issue_basic () =
   let q = mk_iq () in
@@ -250,7 +250,7 @@ let test_iq_start_new_region_resets_span () =
    total 18. Limited to 2 entries: a,b with c,d present -> 2 each; c,d
    with e,f present -> 3 each; total 10. *)
 let test_iq_fig1_baseline_wakeups () =
-  let q = Iq.create ~size:80 ~bank_size:8 in
+  let q = Iq.create ~size:80 ~bank_size:8 ~tags:224 in
   (* Tags: results of a,b,c,d are 10,11,12,13. r2 (live from b) feeds f. *)
   let _a = Iq.dispatch q ~rob_idx:0 ~ops:[ (1, true) ] in
   let _b = Iq.dispatch q ~rob_idx:1 ~ops:[ (2, true) ] in
@@ -271,7 +271,7 @@ let test_iq_fig1_baseline_wakeups () =
     q.Iq.wakeups_gated
 
 let test_iq_fig1_limited_wakeups () =
-  let q = Iq.create ~size:80 ~bank_size:8 in
+  let q = Iq.create ~size:80 ~bank_size:8 ~tags:224 in
   (* Only a,b in the queue; they issue; c,d dispatch; a,b broadcast. *)
   let sa = Iq.dispatch q ~rob_idx:0 ~ops:[ (1, true) ] in
   let sb = Iq.dispatch q ~rob_idx:1 ~ops:[ (2, true) ] in
@@ -291,7 +291,7 @@ let test_iq_fig1_limited_wakeups () =
     q.Iq.wakeups_gated
 
 let test_iq_banks_on () =
-  let q = Iq.create ~size:16 ~bank_size:4 in
+  let q = Iq.create ~size:16 ~bank_size:4 ~tags:224 in
   Alcotest.(check int) "all off" 0 (Iq.banks_on q);
   ignore (Iq.dispatch q ~rob_idx:0 ~ops:[]);
   Alcotest.(check int) "one on" 1 (Iq.banks_on q);
@@ -306,7 +306,7 @@ let test_iq_banks_on () =
   Alcotest.(check int) "one on after drain" 1 (Iq.banks_on q)
 
 let test_iq_naive_vs_gated () =
-  let q = Iq.create ~size:80 ~bank_size:8 in
+  let q = Iq.create ~size:80 ~bank_size:8 ~tags:224 in
   ignore (Iq.dispatch q ~rob_idx:0 ~ops:[ (5, false) ]);
   let _ = Iq.broadcast_many q [ 5 ] in
   Alcotest.(check int) "gated touches 1" 1 q.Iq.wakeups_gated;
@@ -335,24 +335,24 @@ let test_policy_unlimited_only_blocks_when_full () =
   Alcotest.(check bool) "blocks when full" false (Policy.allows p q)
 
 let test_policy_abella_shrinks_when_idle () =
-  let q = Iq.create ~size:80 ~bank_size:8 in
+  let q = Iq.create ~size:80 ~bank_size:8 ~tags:224 in
   let p = Policy.abella ~window:10 () in
   (* Empty queue for many windows: the limit should shrink to its floor. *)
   for _ = 1 to 200 do
-    Policy.end_cycle p q ~throttled:false ()
+    Policy.end_cycle p q ~resize_ok:true ~throttled:false
   done;
   Alcotest.(check int) "shrunk to min" 8 (Policy.current_limit p q);
   Alcotest.(check int) "ring physically shrunk" 8 (Iq.active_size q)
 
 let test_policy_abella_grows_under_pressure () =
-  let q = Iq.create ~size:80 ~bank_size:8 in
+  let q = Iq.create ~size:80 ~bank_size:8 ~tags:224 in
   let p = Policy.abella ~window:10 () in
   for _ = 1 to 200 do
-    Policy.end_cycle p q ~throttled:false ()
+    Policy.end_cycle p q ~resize_ok:true ~throttled:false
   done;
   (* Now sustained throttling: it should grow back. *)
   for _ = 1 to 50 do
-    Policy.end_cycle p q ~throttled:true ()
+    Policy.end_cycle p q ~resize_ok:true ~throttled:true
   done;
   Alcotest.(check bool) "grew" true (Policy.current_limit p q > 16)
 
@@ -609,6 +609,224 @@ let test_pipeline_fp_program () =
   Alcotest.(check bool) "fp rf writes happened" true
     (stats.Stats.fp_rf_writes > 100)
 
+(* --- event-driven IQ vs the ring-sweep reference --- *)
+
+(* The queue once priced every broadcast and collected every cycle's
+   select candidates by sweeping the ring. These are copies of those two
+   loops, kept as the reference the event-driven queue must reproduce
+   integer for integer. Both read the queue's raw slot arrays and
+   mutate nothing: [ref_broadcast] returns the operands the sweep would
+   wake (sorted) and its nonEmpty, gated and suppressed charges;
+   [ref_select] the candidate slots oldest first and the slots the sweep
+   examined. *)
+let ref_broadcast (t : Iq.t) tags =
+  let ntags = Array.length tags in
+  let woken = ref [] in
+  let nonempty = ref 0 and gated = ref 0 and suppressed = ref 0 in
+  let pos = ref t.Iq.head in
+  let remaining = ref t.Iq.count in
+  let steps = ref 0 in
+  let sup = t.Iq.suppress_pred in
+  while !remaining > 0 && !steps < t.Iq.active_size do
+    let s = !pos in
+    if Bytes.get t.Iq.valid s <> '\000' then begin
+      decr remaining;
+      for o = 2 * s to (2 * s) + 1 do
+        if Bytes.get t.Iq.op_present o <> '\000' then begin
+          incr nonempty;
+          if Bytes.get t.Iq.op_ready o = '\000' then begin
+            if sup && Bytes.get t.Iq.op_pred o <> '\000' then incr suppressed
+            else incr gated;
+            let tag = t.Iq.op_tag.(o) in
+            let hit = ref false in
+            let k = ref 0 in
+            while (not !hit) && !k < ntags do
+              if tags.(!k) = tag then hit := true;
+              incr k
+            done;
+            if !hit then woken := o :: !woken
+          end
+        end
+      done
+    end;
+    incr steps;
+    pos := (if s + 1 = t.Iq.active_size then 0 else s + 1)
+  done;
+  ( List.sort compare !woken,
+    !nonempty * ntags,
+    !gated * ntags,
+    !suppressed * ntags )
+
+let ref_select (iq : Iq.t) ~scan_limit =
+  let cands = ref [] in
+  let pos = ref iq.Iq.head in
+  let remaining = ref iq.Iq.count in
+  let steps = ref 0 in
+  let active = iq.Iq.active_size in
+  let bound = if scan_limit < active then scan_limit else active in
+  while !remaining > 0 && !steps < bound do
+    let s = !pos in
+    if Bytes.get iq.Iq.valid s <> '\000' then begin
+      decr remaining;
+      let o = 2 * s in
+      if
+        (Bytes.get iq.Iq.op_present o = '\000'
+        || Bytes.get iq.Iq.op_ready o <> '\000')
+        && (Bytes.get iq.Iq.op_present (o + 1) = '\000'
+           || Bytes.get iq.Iq.op_ready (o + 1) <> '\000')
+      then cands := s :: !cands
+    end;
+    incr steps;
+    pos := (if s + 1 = active then 0 else s + 1)
+  done;
+  (List.rev !cands, !steps)
+
+type iq_op =
+  | Op_dispatch of int * (int * bool * bool) * (int * bool * bool)
+      (* source count, then (tag, ready, predicted-ready) per operand *)
+  | Op_broadcast of int list
+  | Op_issue of int (* the k-th valid entry, oldest first, ready or not *)
+  | Op_squash of int (* the k youngest dispatches, as a wrong-path squash *)
+  | Op_resize of int
+
+let iq_prop_tags = 8
+
+let pp_iq_op ppf = function
+  | Op_dispatch (n, (t0, r0, p0), (t1, r1, p1)) ->
+    Fmt.pf ppf "dispatch %d (%d,%b,%b) (%d,%b,%b)" n t0 r0 p0 t1 r1 p1
+  | Op_broadcast tags -> Fmt.pf ppf "broadcast %a" Fmt.(Dump.list int) tags
+  | Op_issue k -> Fmt.pf ppf "issue #%d" k
+  | Op_squash k -> Fmt.pf ppf "squash %d" k
+  | Op_resize n -> Fmt.pf ppf "resize %d" n
+
+let gen_iq_op =
+  let open QCheck.Gen in
+  let tag = int_bound (iq_prop_tags - 1) in
+  let operand =
+    triple tag (frequency [ (1, return true); (2, return false) ]) bool
+  in
+  frequency
+    [
+      ( 6,
+        map3 (fun n a b -> Op_dispatch (n, a, b)) (int_bound 2) operand operand
+      );
+      (3, map (fun l -> Op_broadcast l) (list_size (int_range 1 3) tag));
+      (3, map (fun k -> Op_issue k) (int_bound 15));
+      (1, map (fun k -> Op_squash k) (int_range 1 6));
+      (1, map (fun n -> Op_resize n) (int_range 1 16));
+    ]
+
+(* Squash the [k] youngest dispatches the way [Pipeline] squashes a
+   wrong-path suffix: free the still-valid slots youngest first, rewind
+   [tail] to the first squashed slot and repair [head]/[new_head]. *)
+let squash_youngest (q : Iq.t) k =
+  let active = q.Iq.active_size in
+  let s0 = (q.Iq.tail - k + active) mod active in
+  let new_head_in =
+    q.Iq.new_span > 0 && (q.Iq.new_head - s0 + active) mod active < k
+  in
+  for i = 1 to k do
+    let s = (q.Iq.tail - i + active) mod active in
+    if Iq.slot_valid q s then Iq.squash_slot q s
+  done;
+  q.Iq.tail <- s0;
+  if q.Iq.count = 0 then begin
+    q.Iq.head <- s0;
+    q.Iq.new_head <- s0;
+    q.Iq.new_span <- 0
+  end
+  else if q.Iq.new_span = 0 then q.Iq.new_head <- s0
+  else if new_head_in then begin
+    q.Iq.new_head <- s0;
+    q.Iq.new_span <- 0
+  end
+  else q.Iq.new_span <- (s0 - q.Iq.new_head + active) mod active
+
+let qcheck_iq_matches_sweep =
+  QCheck.Test.make ~count:300
+    ~name:"event-driven IQ matches the ring-sweep reference"
+    QCheck.(
+      pair bool
+        (make
+           ~print:(Fmt.str "%a" Fmt.(Dump.list pp_iq_op))
+           QCheck.Gen.(list_size (int_range 1 80) gen_iq_op)))
+    (fun (suppress, ops) ->
+      let q = Iq.create ~size:16 ~bank_size:4 ~tags:iq_prop_tags in
+      q.Iq.suppress_pred <- suppress;
+      let cands = Array.make 16 0 in
+      (* dispatches since the ring last changed shape: the youngest
+         [since] ones occupy the slots just below [tail] *)
+      let since = ref 0 in
+      let check_select step =
+        List.iter
+          (fun scan_limit ->
+            let want, want_steps = ref_select q ~scan_limit in
+            let n = Iq.select_into q ~bound:scan_limit cands in
+            let got = Array.to_list (Array.sub cands 0 n) in
+            if got <> want || q.Iq.scanned <> want_steps then
+              QCheck.Test.fail_reportf
+                "step %d, bound %d: select %a scanning %d, reference %a \
+                 scanning %d"
+                step scan_limit
+                Fmt.(Dump.list int) got q.Iq.scanned
+                Fmt.(Dump.list int) want want_steps)
+          [ 1; 4; max_int ]
+      in
+      List.iteri
+        (fun step op ->
+          (match op with
+          | Op_dispatch (nsrc, (tag0, ready0, pred0), (tag1, ready1, pred1)) ->
+            if not (Iq.is_full q) then begin
+              ignore
+                (Iq.dispatch_flat q ~rob_idx:step ~nsrc ~tag0 ~ready0 ~pred0
+                   ~tag1 ~ready1 ~pred1);
+              incr since
+            end
+          | Op_broadcast tags ->
+            let tags = Array.of_list tags in
+            let woken_ref, nonempty, gated, suppressed = ref_broadcast q tags in
+            let before = Bytes.copy q.Iq.op_ready in
+            let n0 = q.Iq.wakeups_naive and e0 = q.Iq.wakeups_nonempty in
+            let g0 = q.Iq.wakeups_gated and s0 = q.Iq.wakeups_suppressed in
+            let woken = Iq.broadcast_into q tags (Array.length tags) in
+            let flipped = ref [] in
+            Bytes.iteri
+              (fun o c ->
+                if c <> '\000' && Bytes.get before o = '\000' then
+                  flipped := o :: !flipped)
+              q.Iq.op_ready;
+            if
+              woken <> List.length woken_ref
+              || List.sort compare !flipped <> woken_ref
+              || q.Iq.wakeups_naive - n0 <> 2 * 16 * Array.length tags
+              || q.Iq.wakeups_nonempty - e0 <> nonempty
+              || q.Iq.wakeups_gated - g0 <> gated
+              || q.Iq.wakeups_suppressed - s0 <> suppressed
+            then
+              QCheck.Test.fail_reportf
+                "step %d: woke %d (nonempty %d gated %d suppressed %d), \
+                 reference %d (%d %d %d)"
+                step woken (q.Iq.wakeups_nonempty - e0)
+                (q.Iq.wakeups_gated - g0)
+                (q.Iq.wakeups_suppressed - s0)
+                (List.length woken_ref) nonempty gated suppressed
+          | Op_issue k ->
+            if Iq.occupancy q > 0 then begin
+              let k = k mod Iq.occupancy q in
+              let slots = Iq.fold_oldest_first q (fun acc s -> s :: acc) [] in
+              Iq.issue q (List.nth (List.rev slots) k)
+            end
+          | Op_squash k ->
+            let k = min k (min !since q.Iq.active_size) in
+            if k > 0 then begin
+              squash_youngest q k;
+              since := !since - k
+            end
+          | Op_resize n -> if Iq.resize q n then since := 0);
+          check_select step)
+        ops;
+      true)
+
 let suite =
   [
     Alcotest.test_case "cache hit after miss" `Quick test_cache_hit_after_miss;
@@ -645,6 +863,7 @@ let suite =
       test_iq_fig1_limited_wakeups;
     Alcotest.test_case "iq banks on" `Quick test_iq_banks_on;
     Alcotest.test_case "iq naive vs gated" `Quick test_iq_naive_vs_gated;
+    QCheck_alcotest.to_alcotest qcheck_iq_matches_sweep;
     Alcotest.test_case "software policy limits" `Quick
       test_policy_software_limits;
     Alcotest.test_case "unlimited blocks only when full" `Quick

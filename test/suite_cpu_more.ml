@@ -16,26 +16,26 @@ let r = Reg.int
 (* --- ring resizing --- *)
 
 let test_resize_empty_queue_immediate () =
-  let q = Iq.create ~size:80 ~bank_size:8 in
+  let q = Iq.create ~size:80 ~bank_size:8 ~tags:224 in
   Alcotest.(check bool) "shrink applies" true (Iq.resize q 16);
   Alcotest.(check int) "active" 16 (Iq.active_size q);
   Alcotest.(check bool) "grow applies" true (Iq.resize q 80);
   Alcotest.(check int) "active" 80 (Iq.active_size q)
 
 let test_resize_rounds_to_banks () =
-  let q = Iq.create ~size:80 ~bank_size:8 in
+  let q = Iq.create ~size:80 ~bank_size:8 ~tags:224 in
   ignore (Iq.resize q 20);
   Alcotest.(check int) "rounded down to bank multiple" 16 (Iq.active_size q)
 
 let test_resize_clamps () =
-  let q = Iq.create ~size:80 ~bank_size:8 in
+  let q = Iq.create ~size:80 ~bank_size:8 ~tags:224 in
   ignore (Iq.resize q 0);
   Alcotest.(check int) "at least one bank" 8 (Iq.active_size q);
   ignore (Iq.resize q 1000);
   Alcotest.(check int) "at most full size" 80 (Iq.active_size q)
 
 let test_resize_shrink_deferred_when_occupied () =
-  let q = Iq.create ~size:16 ~bank_size:4 in
+  let q = Iq.create ~size:16 ~bank_size:4 ~tags:224 in
   for i = 0 to 9 do
     ignore (Iq.dispatch q ~rob_idx:i ~ops:[])
   done;
@@ -48,7 +48,7 @@ let test_resize_shrink_deferred_when_occupied () =
   Alcotest.(check bool) "shrink applies once drained" true (Iq.resize q 8)
 
 let test_resized_ring_wraps_within_active () =
-  let q = Iq.create ~size:80 ~bank_size:8 in
+  let q = Iq.create ~size:80 ~bank_size:8 ~tags:224 in
   ignore (Iq.resize q 8);
   for i = 0 to 7 do
     ignore (Iq.dispatch q ~rob_idx:i ~ops:[])
@@ -59,7 +59,7 @@ let test_resized_ring_wraps_within_active () =
   Alcotest.(check int) "wrapped inside the small ring" 0 s
 
 let test_grow_preserves_wrapped_order () =
-  let q = Iq.create ~size:80 ~bank_size:8 in
+  let q = Iq.create ~size:80 ~bank_size:8 ~tags:224 in
   ignore (Iq.resize q 8);
   for i = 0 to 7 do
     ignore (Iq.dispatch q ~rob_idx:i ~ops:[])
@@ -243,12 +243,12 @@ let test_policy_stall_attribution () =
 (* --- iq corner cases --- *)
 
 let test_iq_issue_empty_slot_rejected () =
-  let q = Iq.create ~size:8 ~bank_size:2 in
+  let q = Iq.create ~size:8 ~bank_size:2 ~tags:224 in
   Alcotest.check_raises "issue on empty slot"
     (Invalid_argument "Iq.issue: empty slot") (fun () -> Iq.issue q 3)
 
 let test_iq_dispatch_full_rejected () =
-  let q = Iq.create ~size:4 ~bank_size:2 in
+  let q = Iq.create ~size:4 ~bank_size:2 ~tags:224 in
   for i = 0 to 3 do
     ignore (Iq.dispatch q ~rob_idx:i ~ops:[])
   done;
@@ -259,20 +259,20 @@ let test_iq_dispatch_full_rejected () =
 let test_iq_three_source_ops_truncated () =
   (* The ISA has at most two register sources; the queue must also cope
      with an over-long ops list by keeping the first two. *)
-  let q = Iq.create ~size:8 ~bank_size:2 in
+  let q = Iq.create ~size:8 ~bank_size:2 ~tags:224 in
   let s = Iq.dispatch q ~rob_idx:0 ~ops:[ (1, false); (2, false); (3, false) ] in
   Alcotest.(check int) "two CAM writes" 2 q.Iq.dispatch_cam_writes;
   Alcotest.(check bool) "third operand dropped" true
     (Iq.op_tag q s 0 <> 3 && Iq.op_tag q s 1 <> 3)
 
 let test_iq_broadcast_empty_tag_list () =
-  let q = Iq.create ~size:8 ~bank_size:2 in
+  let q = Iq.create ~size:8 ~bank_size:2 ~tags:224 in
   ignore (Iq.dispatch q ~rob_idx:0 ~ops:[ (5, false) ]);
   Alcotest.(check int) "no-op broadcast" 0 (Iq.broadcast_many q []);
   Alcotest.(check int) "no comparisons" 0 q.Iq.wakeups_gated
 
 let test_software_policy_region_pc_dedup () =
-  let q = Iq.create ~size:16 ~bank_size:4 in
+  let q = Iq.create ~size:16 ~bank_size:4 ~tags:224 in
   let p = Policy.software () in
   Policy.on_annotation p q ~pc:100 ~value:4;
   ignore (Iq.dispatch q ~rob_idx:0 ~ops:[]);
