@@ -13,24 +13,6 @@ let print_table1 () =
   Fmt.pr "== table1: processor configuration ==@.%a@.@." Sdiq_cpu.Config.pp
     Sdiq_cpu.Config.default
 
-(* Total IQ energy per technique across the suite — what the run ledger
-   tracks for exact-drift gating (see lib/obs/ledger.mli). *)
-let energy_totals r =
-  let params = Sdiq_power.Params.default in
-  List.map
-    (fun tech ->
-      let total =
-        List.fold_left
-          (fun acc bench ->
-            let s = H.Runner.run r bench tech in
-            let e = Sdiq_power.Iq_power.technique params s in
-            acc +. e.Sdiq_power.Iq_power.dynamic
-            +. e.Sdiq_power.Iq_power.static_)
-          0. (H.Runner.bench_names r)
-      in
-      (H.Technique.name tech, total))
-    H.Technique.all
-
 let run_experiments ?domains ?ledger ~budget () =
   let r = H.Runner.create ?domains ~budget () in
   Fmt.pr
@@ -53,7 +35,7 @@ let run_experiments ?domains ?ledger ~budget () =
         let record =
           Sdiq_obs.Ledger.make ~kind:"campaign" ~digest
             ~domains:c.H.Runner.domains_used ~pairs:c.H.Runner.pairs_total
-            ~wall_s:c.H.Runner.wall_s ~energy:(energy_totals r) ()
+            ~wall_s:c.H.Runner.wall_s ~energy:(H.Runner.energy_totals r) ()
         in
         Sdiq_obs.Ledger.append ~file record;
         Fmt.pr "ledger: appended campaign record to %s@.@." file)
@@ -97,7 +79,7 @@ let tiny_runner () =
    speedup is (per-run time ratio) x (instruction-coverage ratio). *)
 let bench_simulation ?sched ~variant () =
   let bench = Sdiq_workloads.W_gzip.build ~outer:2_000 () in
-  let p = Sdiq_cpu.Pipeline.create ?sched bench.Sdiq_workloads.Bench.prog in
+  let p = H.Technique.build ?sched H.Technique.Baseline bench in
   (match variant with
   | `Nosink -> ()
   | `Sinks ->
@@ -109,13 +91,13 @@ let bench_simulation ?sched ~variant () =
     in
     ignore (Sdiq_obs.Profiler.attach map p : Sdiq_obs.Profiler.t)
   | `Checked -> ignore (Sdiq_check.Checker.attach p : Sdiq_check.Checker.t));
-  bench.Sdiq_workloads.Bench.init p.Sdiq_cpu.Pipeline.exec;
   Sdiq_cpu.Pipeline.run ~max_insns:2_000 p
 
 let bench_simulation_fast () =
-  let bench = Sdiq_workloads.W_gzip.build ~outer:2_000 () in
-  let p = Sdiq_cpu.Pipeline.create bench.Sdiq_workloads.Bench.prog in
-  bench.Sdiq_workloads.Bench.init p.Sdiq_cpu.Pipeline.exec;
+  let p =
+    H.Technique.build H.Technique.Baseline
+      (Sdiq_workloads.W_gzip.build ~outer:2_000 ())
+  in
   H.Sampling.sample
     ~config:{ H.Sampling.ff_len = 2_000; warmup_len = 300; window_len = 300 }
     p
@@ -230,10 +212,8 @@ let run_ablations ~budget () =
 let write_mips_json ?ledger file =
   let outer = 120_000 in
   let mk () =
-    let bench = Sdiq_workloads.W_gzip.build ~outer () in
-    let p = Sdiq_cpu.Pipeline.create bench.Sdiq_workloads.Bench.prog in
-    bench.Sdiq_workloads.Bench.init p.Sdiq_cpu.Pipeline.exec;
-    p
+    H.Technique.build H.Technique.Baseline
+      (Sdiq_workloads.W_gzip.build ~outer ())
   in
   let time f =
     let t0 = Unix.gettimeofday () in

@@ -377,26 +377,6 @@ let pp_table2_markdown ppf rows =
     rows;
   Fmt.pf ppf "@."
 
-(* Total IQ energy per technique over the whole suite — the numbers the
-   ledger tracks across commits (any drift under an unchanged digest
-   means the simulator changed). Reads memoised pairs, costs nothing
-   after [run_all]. *)
-let energy_totals r =
-  let params = Sdiq_power.Params.default in
-  List.map
-    (fun tech ->
-      let total =
-        List.fold_left
-          (fun acc bench ->
-            let s = H.Runner.run r bench tech in
-            let e = Sdiq_power.Iq_power.technique params s in
-            acc +. e.Sdiq_power.Iq_power.dynamic
-            +. e.Sdiq_power.Iq_power.static_)
-          0. (H.Runner.bench_names r)
-      in
-      (H.Technique.name tech, total))
-    H.Technique.all
-
 let run budget only markdown sample min_insns min_windows policy policy_grid
     ledger trace_spans =
   let sched =
@@ -481,7 +461,7 @@ let run budget only markdown sample min_insns min_windows policy policy_grid
         let record =
           Sdiq_obs.Ledger.make ~kind:"report" ~digest
             ~domains:c.H.Runner.domains_used ~pairs:c.H.Runner.pairs_total
-            ~wall_s:c.H.Runner.wall_s ~energy:(energy_totals r) ()
+            ~wall_s:c.H.Runner.wall_s ~energy:(H.Runner.energy_totals r) ()
         in
         Sdiq_obs.Ledger.append ~file record;
         Fmt.pr "ledger: appended %s record to %s@."

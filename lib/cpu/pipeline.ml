@@ -29,9 +29,10 @@
    invariant checkers, commit capture, power meters, timelines, JSONL
    traces — subscribe to the same bus. With no sink registered the hot
    loop does not even construct the events: each emission site goes
-   through a per-kind emitter that applies the matching [Stats.absorb]
-   clause inline (DESIGN.md §13), so a bare simulation allocates nothing
-   on the event path. [Cycle_end] is always the last event of its cycle,
+   through a per-kind emitter that calls the matching [Stats] updater —
+   the same one [Stats.absorb] dispatches onto — on the unboxed payload
+   (DESIGN.md §13), so a bare simulation allocates nothing on the event
+   path. [Cycle_end] is always the last event of its cycle,
    emitted after the policy's end-of-cycle action, so a sink observing it
    sees exactly the machine state a per-cycle checker needs (DESIGN.md
    §11 specifies the ordering contract).
@@ -153,26 +154,18 @@ let emit t ev =
 
 (* --- per-kind emitters -------------------------------------------------- *)
 
-(* With no sink subscribed, each emitter applies the matching
-   [Stats.absorb] clause directly and never constructs the event, so the
+(* With no sink subscribed, each emitter calls the matching [Stats]
+   updater on the unboxed payload and never constructs the event, so the
    no-sink path is allocation-free; with sinks it builds the event once
-   and takes the generic [emit] path. The inline updates must mirror
-   [Stats.absorb] clause for clause — the no-sink/sink stats-equality
-   test in the exactness battery pins this. *)
+   and takes the generic [emit] path, where [Stats.absorb] dispatches
+   onto the same updater. *)
 
 let emit_commit t dyn =
-  if t.bus_on then emit t (Ev.Commit { dyn })
-  else t.stats.Stats.committed <- t.stats.Stats.committed + 1
+  if t.bus_on then emit t (Ev.Commit { dyn }) else Stats.commit t.stats
 
 let emit_cache_miss t level addr =
   if t.bus_on then emit t (Ev.Cache_miss { level; addr })
-  else begin
-    let st = t.stats in
-    match level with
-    | Ev.Il1 -> st.Stats.il1_misses <- st.Stats.il1_misses + 1
-    | Ev.Dl1 -> st.Stats.dl1_misses <- st.Stats.dl1_misses + 1
-    | Ev.L2 -> st.Stats.l2_misses <- st.Stats.l2_misses + 1
-  end
+  else Stats.cache_miss t.stats level
 
 (* [Writeback] absorbs to nothing; it exists only for sinks. *)
 let emit_writeback t idx =
@@ -181,124 +174,62 @@ let emit_writeback t idx =
 
 let emit_rf_write t file phys =
   if t.bus_on then emit t (Ev.Rf_write { file; phys })
-  else begin
-    let st = t.stats in
-    match file with
-    | Ev.Int_rf -> st.Stats.int_rf_writes <- st.Stats.int_rf_writes + 1
-    | Ev.Fp_rf -> st.Stats.fp_rf_writes <- st.Stats.fp_rf_writes + 1
-  end
+  else Stats.rf_write t.stats file
 
 let emit_wakeup t ~tags ~woken ~naive ~nonempty ~gated ~suppressed =
   if t.bus_on then
     emit t (Ev.Wakeup { tags; woken; naive; nonempty; gated; suppressed })
-  else begin
-    let st = t.stats in
-    st.Stats.iq_broadcasts <- st.Stats.iq_broadcasts + tags;
-    st.Stats.iq_wakeups_naive <- st.Stats.iq_wakeups_naive + naive;
-    st.Stats.iq_wakeups_nonempty <- st.Stats.iq_wakeups_nonempty + nonempty;
-    st.Stats.iq_wakeups_gated <- st.Stats.iq_wakeups_gated + gated;
-    st.Stats.iq_wakeups_suppressed <-
-      st.Stats.iq_wakeups_suppressed + suppressed
-  end
+  else Stats.wakeup t.stats ~tags ~naive ~nonempty ~gated ~suppressed
 
 let emit_select t ~rob_idx ~iq_slot =
   if t.bus_on then emit t (Ev.Select { rob_idx; iq_slot })
-  else t.stats.Stats.iq_selects <- t.stats.Stats.iq_selects + 1
+  else Stats.select t.stats
 
 let emit_select_scan t ~entries =
   if t.bus_on then emit t (Ev.Select_scan { entries })
-  else t.stats.Stats.iq_scan_entries <- t.stats.Stats.iq_scan_entries + entries
+  else Stats.select_scan t.stats ~entries
 
 let emit_issue t dyn ~latency ~store_forward ~wp =
   if t.bus_on then emit t (Ev.Issue { dyn; latency; store_forward; wp })
-  else begin
-    let st = t.stats in
-    st.Stats.iq_issue_reads <- st.Stats.iq_issue_reads + 1;
-    if store_forward then
-      st.Stats.store_forwards <- st.Stats.store_forwards + 1;
-    if wp then st.Stats.wp_issued <- st.Stats.wp_issued + 1
-  end
+  else Stats.issue t.stats ~store_forward ~wp
 
 let emit_rf_read t ~ints ~fps =
   if t.bus_on then emit t (Ev.Rf_read { ints; fps })
-  else begin
-    let st = t.stats in
-    st.Stats.int_rf_reads <- st.Stats.int_rf_reads + ints;
-    st.Stats.fp_rf_reads <- st.Stats.fp_rf_reads + fps
-  end
+  else Stats.rf_read t.stats ~ints ~fps
 
 let emit_dispatch t dyn ~kind ~iq_slot ~rob_idx ~cam_writes ~wp =
   if t.bus_on then
     emit t (Ev.Dispatch { dyn; kind; iq_slot; rob_idx; cam_writes; wp })
-  else begin
-    let st = t.stats in
-    st.Stats.dispatched <- st.Stats.dispatched + 1;
-    st.Stats.iq_dispatch_ram_writes <- st.Stats.iq_dispatch_ram_writes + 1;
-    st.Stats.iq_dispatch_cam_writes <-
-      st.Stats.iq_dispatch_cam_writes + cam_writes;
-    if wp then st.Stats.wp_dispatched <- st.Stats.wp_dispatched + 1;
-    match kind with
-    | Ev.Plain -> ()
-    | Ev.Load -> st.Stats.loads <- st.Stats.loads + 1
-    | Ev.Store -> st.Stats.stores <- st.Stats.stores + 1
-  end
+  else Stats.dispatch t.stats ~kind ~cam_writes ~wp
 
 let emit_dispatch_stall t reason =
   if t.bus_on then emit t (Ev.Dispatch_stall reason)
-  else begin
-    let st = t.stats in
-    match reason with
-    | Ev.Policy_limit ->
-      st.Stats.dispatch_stall_policy <- st.Stats.dispatch_stall_policy + 1
-    | Ev.Iq_full ->
-      st.Stats.dispatch_stall_iq_full <- st.Stats.dispatch_stall_iq_full + 1
-    | Ev.Rob_full ->
-      st.Stats.dispatch_stall_rob_full <- st.Stats.dispatch_stall_rob_full + 1
-    | Ev.No_reg ->
-      st.Stats.dispatch_stall_no_reg <- st.Stats.dispatch_stall_no_reg + 1
-    | Ev.Lsq_full ->
-      st.Stats.dispatch_stall_lsq_full <- st.Stats.dispatch_stall_lsq_full + 1
-  end
+  else Stats.dispatch_stall t.stats reason
 
 let emit_squash t dyn ~squashed =
   if t.bus_on then emit t (Ev.Squash { dyn; squashed })
-  else begin
-    let st = t.stats in
-    st.Stats.squashes <- st.Stats.squashes + 1;
-    st.Stats.squashed <- st.Stats.squashed + squashed
-  end
+  else Stats.squash t.stats ~squashed
 
 let emit_tlb_miss t tlb addr =
   if t.bus_on then emit t (Ev.Tlb_miss { tlb; addr })
-  else begin
-    let st = t.stats in
-    match tlb with
-    | Ev.Itlb -> st.Stats.itlb_misses <- st.Stats.itlb_misses + 1
-    | Ev.Dtlb -> st.Stats.dtlb_misses <- st.Stats.dtlb_misses + 1
-  end
+  else Stats.tlb_miss t.stats tlb
 
 let emit_annotation_noop t ~pc ~value =
   if t.bus_on then
     emit t (Ev.Annotation { pc; value; delivery = Ev.Noop_slot })
-  else
-    t.stats.Stats.iqset_dispatch_slots <-
-      t.stats.Stats.iqset_dispatch_slots + 1
+  else Stats.annotation_noop t.stats
 
 let emit_fetch_seq t dyn =
   if t.bus_on then
     emit t (Ev.Fetch { dyn; outcome = Ev.Sequential; wp = false })
-  else t.stats.Stats.fetched <- t.stats.Stats.fetched + 1
+  else Stats.fetch_seq t.stats
 
 (* A wrong-path fetch counts as fetch activity but never as a branch,
    mispredict or BTB bubble — the predictor is consulted, not trained,
    off the correct path, so those rates stay correct-path-only. *)
 let emit_fetch_wp t dyn ~outcome =
   if t.bus_on then emit t (Ev.Fetch { dyn; outcome; wp = true })
-  else begin
-    let st = t.stats in
-    st.Stats.fetched <- st.Stats.fetched + 1;
-    st.Stats.wp_fetched <- st.Stats.wp_fetched + 1
-  end
+  else Stats.fetch_wp t.stats
 
 let emit_fetch_cond t dyn ~taken ~mispredicted ~btb_bubble =
   if t.bus_on then
@@ -309,42 +240,23 @@ let emit_fetch_cond t dyn ~taken ~mispredicted ~btb_bubble =
            outcome = Ev.Cond_branch { taken; mispredicted; btb_bubble };
            wp = false;
          })
-  else begin
-    let st = t.stats in
-    st.Stats.fetched <- st.Stats.fetched + 1;
-    st.Stats.branches <- st.Stats.branches + 1;
-    if mispredicted then st.Stats.mispredicts <- st.Stats.mispredicts + 1;
-    if btb_bubble then st.Stats.btb_bubbles <- st.Stats.btb_bubbles + 1
-  end
+  else Stats.fetch_branch t.stats ~mispredicted ~btb_bubble
 
 let emit_fetch_jump t dyn ~btb_bubble =
   if t.bus_on then
     emit t (Ev.Fetch { dyn; outcome = Ev.Jump { btb_bubble }; wp = false })
-  else begin
-    let st = t.stats in
-    st.Stats.fetched <- st.Stats.fetched + 1;
-    if btb_bubble then st.Stats.btb_bubbles <- st.Stats.btb_bubbles + 1
-  end
+  else Stats.fetch_jump t.stats ~btb_bubble
 
 let emit_fetch_call t dyn ~btb_bubble =
   if t.bus_on then
     emit t (Ev.Fetch { dyn; outcome = Ev.Call { btb_bubble }; wp = false })
-  else begin
-    let st = t.stats in
-    st.Stats.fetched <- st.Stats.fetched + 1;
-    if btb_bubble then st.Stats.btb_bubbles <- st.Stats.btb_bubbles + 1
-  end
+  else Stats.fetch_jump t.stats ~btb_bubble
 
 let emit_fetch_ret t dyn ~mispredicted =
   if t.bus_on then
     emit t
       (Ev.Fetch { dyn; outcome = Ev.Return { mispredicted }; wp = false })
-  else begin
-    let st = t.stats in
-    st.Stats.fetched <- st.Stats.fetched + 1;
-    st.Stats.branches <- st.Stats.branches + 1;
-    if mispredicted then st.Stats.mispredicts <- st.Stats.mispredicts + 1
-  end
+  else Stats.fetch_branch t.stats ~mispredicted ~btb_bubble:false
 
 (* --- sink registration --------------------------------------------------- *)
 
@@ -867,11 +779,7 @@ let issue_stage t =
   let iq = t.iq in
   let ncand = Iq.select_into iq ~bound:t.scan_limit t.cand_slot in
   let steps = iq.Iq.scanned in
-  (if steps > 0 then
-     if t.bus_on then emit_select_scan t ~entries:steps
-     else
-       t.stats.Stats.iq_scan_entries <-
-         t.stats.Stats.iq_scan_entries + steps);
+  if steps > 0 then emit_select_scan t ~entries:steps;
   let width = ref t.cfg.Config.issue_width in
   for c = 0 to ncand - 1 do
     if !width > 0 then begin
@@ -1618,17 +1526,10 @@ let cycle_end_stage t ~throttled =
   let int_rf_banks_on = Regfile.banks_on t.int_rf in
   let int_rf_live = Regfile.live_count t.int_rf in
   let fp_rf_banks_on = Regfile.banks_on t.fp_rf in
-  (* Fold the integrand into the pipeline's own stats first (the inline
-     mirror of [Stats.absorb]'s [Cycle_end] clause): a [Cycle_end] sink
-     must read fully-updated per-cycle sums. *)
-  let st = t.stats in
-  st.Stats.cycles <- t.cycle + 1;
-  st.Stats.iq_occupancy_sum <- st.Stats.iq_occupancy_sum + iq_occupancy;
-  st.Stats.iq_banks_on_sum <- st.Stats.iq_banks_on_sum + iq_banks_on;
-  st.Stats.int_rf_banks_on_sum <-
-    st.Stats.int_rf_banks_on_sum + int_rf_banks_on;
-  st.Stats.int_rf_live_sum <- st.Stats.int_rf_live_sum + int_rf_live;
-  st.Stats.fp_rf_banks_on_sum <- st.Stats.fp_rf_banks_on_sum + fp_rf_banks_on;
+  (* Fold the integrand into the pipeline's own stats first: a
+     [Cycle_end] sink must read fully-updated per-cycle sums. *)
+  Stats.cycle_end t.stats ~cycle:t.cycle ~iq_occupancy ~iq_banks_on
+    ~int_rf_banks_on ~int_rf_live ~fp_rf_banks_on;
   (* The policy's end-of-cycle action (the adaptive scheme senses
      pressure and resizes here). A resize only drops/adds empty banks,
      so the masks captured above are unaffected. *)
@@ -1647,8 +1548,9 @@ let cycle_end_stage t ~throttled =
       Bus.emit t.bus (Ev.Resize { before = size_before; after = size_after });
     (* Last event of the cycle, always: per-cycle observers (the
        invariant checker) run here with the post-increment cycle count
-       and every counter for the cycle already folded in. The stats were
-       updated inline above, so the event bypasses [Stats.absorb]. *)
+       and every counter for the cycle already folded in. The stats
+       took the integrand through [Stats.cycle_end] above, so the event
+       goes straight to the bus. *)
     Bus.emit t.bus
       (Ev.Cycle_end
          {

@@ -105,87 +105,140 @@ let create () =
     dispatch_stall_lsq_full = 0;
   }
 
-(* The fold: how one pipeline event updates the counters. This is the
-   *only* place stats are accumulated — the pipeline emits events and
-   absorbs them here (and so can any external sink, e.g. the power
-   meter, to reconstruct identical statistics from the stream alone).
+(* --- per-kind updaters ----------------------------------------------------
+
+   How one counter-bearing event updates the counters, one function per
+   event kind, each taking the event's payload unboxed. These are the
+   *only* code that accumulates statistics: [absorb] dispatches onto
+   them, and the pipeline's no-sink emitters call them directly instead
+   of building the event, so both paths share every clause.
 
    Counter-bearing events carry deltas, so absorbing a stream prefix
-   yields correct partial sums; [Cycle_end] carries the per-cycle
+   yields correct partial sums; [cycle_end] takes the per-cycle
    integrand snapshot, making the `*_sum` fields true per-cycle
-   integrals. Events with no counter meaning (writeback, resize, bank
-   transitions) absorb to nothing. *)
-let absorb t (ev : Sdiq_events.Event.t) =
-  let open Sdiq_events.Event in
+   integrals. *)
+
+module Ev = Sdiq_events.Event
+
+let commit t = t.committed <- t.committed + 1
+
+let cache_miss t (level : Ev.cache_level) =
+  match level with
+  | Il1 -> t.il1_misses <- t.il1_misses + 1
+  | Dl1 -> t.dl1_misses <- t.dl1_misses + 1
+  | L2 -> t.l2_misses <- t.l2_misses + 1
+
+let rf_write t (file : Ev.rf_file) =
+  match file with
+  | Int_rf -> t.int_rf_writes <- t.int_rf_writes + 1
+  | Fp_rf -> t.fp_rf_writes <- t.fp_rf_writes + 1
+
+let wakeup t ~tags ~naive ~nonempty ~gated ~suppressed =
+  t.iq_broadcasts <- t.iq_broadcasts + tags;
+  t.iq_wakeups_naive <- t.iq_wakeups_naive + naive;
+  t.iq_wakeups_nonempty <- t.iq_wakeups_nonempty + nonempty;
+  t.iq_wakeups_gated <- t.iq_wakeups_gated + gated;
+  t.iq_wakeups_suppressed <- t.iq_wakeups_suppressed + suppressed
+
+let select t = t.iq_selects <- t.iq_selects + 1
+let select_scan t ~entries = t.iq_scan_entries <- t.iq_scan_entries + entries
+
+let issue t ~store_forward ~wp =
+  t.iq_issue_reads <- t.iq_issue_reads + 1;
+  if store_forward then t.store_forwards <- t.store_forwards + 1;
+  if wp then t.wp_issued <- t.wp_issued + 1
+
+let rf_read t ~ints ~fps =
+  t.int_rf_reads <- t.int_rf_reads + ints;
+  t.fp_rf_reads <- t.fp_rf_reads + fps
+
+let dispatch t ~(kind : Ev.dispatch_kind) ~cam_writes ~wp =
+  t.dispatched <- t.dispatched + 1;
+  t.iq_dispatch_ram_writes <- t.iq_dispatch_ram_writes + 1;
+  t.iq_dispatch_cam_writes <- t.iq_dispatch_cam_writes + cam_writes;
+  if wp then t.wp_dispatched <- t.wp_dispatched + 1;
+  match kind with
+  | Plain -> ()
+  | Load -> t.loads <- t.loads + 1
+  | Store -> t.stores <- t.stores + 1
+
+let dispatch_stall t (reason : Ev.stall_reason) =
+  match reason with
+  | Policy_limit -> t.dispatch_stall_policy <- t.dispatch_stall_policy + 1
+  | Iq_full -> t.dispatch_stall_iq_full <- t.dispatch_stall_iq_full + 1
+  | Rob_full -> t.dispatch_stall_rob_full <- t.dispatch_stall_rob_full + 1
+  | No_reg -> t.dispatch_stall_no_reg <- t.dispatch_stall_no_reg + 1
+  | Lsq_full -> t.dispatch_stall_lsq_full <- t.dispatch_stall_lsq_full + 1
+
+let squash t ~squashed =
+  t.squashes <- t.squashes + 1;
+  t.squashed <- t.squashed + squashed
+
+let tlb_miss t (tlb : Ev.tlb_unit) =
+  match tlb with
+  | Itlb -> t.itlb_misses <- t.itlb_misses + 1
+  | Dtlb -> t.dtlb_misses <- t.dtlb_misses + 1
+
+let annotation_noop t = t.iqset_dispatch_slots <- t.iqset_dispatch_slots + 1
+let fetch_seq t = t.fetched <- t.fetched + 1
+
+(* Wrong-path fetches count as frontend activity but never as
+   branch-prediction outcomes: the predictor is neither consulted for
+   correctness nor trained down the wrong path. *)
+let fetch_wp t =
+  t.fetched <- t.fetched + 1;
+  t.wp_fetched <- t.wp_fetched + 1
+
+(* A correct-path conditional branch or return. *)
+let fetch_branch t ~mispredicted ~btb_bubble =
+  t.fetched <- t.fetched + 1;
+  t.branches <- t.branches + 1;
+  if mispredicted then t.mispredicts <- t.mispredicts + 1;
+  if btb_bubble then t.btb_bubbles <- t.btb_bubbles + 1
+
+(* A correct-path jump or call. *)
+let fetch_jump t ~btb_bubble =
+  t.fetched <- t.fetched + 1;
+  if btb_bubble then t.btb_bubbles <- t.btb_bubbles + 1
+
+(* [cycles] becomes [cycle + 1]: the pipeline passes the 0-based index
+   of the cycle just completed, a per-region bucket its own count. *)
+let cycle_end t ~cycle ~iq_occupancy ~iq_banks_on ~int_rf_banks_on
+    ~int_rf_live ~fp_rf_banks_on =
+  t.cycles <- cycle + 1;
+  t.iq_occupancy_sum <- t.iq_occupancy_sum + iq_occupancy;
+  t.iq_banks_on_sum <- t.iq_banks_on_sum + iq_banks_on;
+  t.int_rf_banks_on_sum <- t.int_rf_banks_on_sum + int_rf_banks_on;
+  t.int_rf_live_sum <- t.int_rf_live_sum + int_rf_live;
+  t.fp_rf_banks_on_sum <- t.fp_rf_banks_on_sum + fp_rf_banks_on
+
+(* The fold: one event onto its updater. Events with no counter meaning
+   (writeback, tag annotations, resize, bank transitions) absorb to
+   nothing. *)
+let absorb t (ev : Ev.t) =
   match ev with
-  | Fetch { outcome; wp; _ } -> (
-    t.fetched <- t.fetched + 1;
-    (* Wrong-path fetches count as frontend activity but never as
-       branch-prediction outcomes: the predictor is neither consulted
-       for correctness nor trained down the wrong path. *)
-    if wp then t.wp_fetched <- t.wp_fetched + 1
-    else
-      match outcome with
-      | Sequential -> ()
-      | Cond_branch { mispredicted; btb_bubble; _ } ->
-        t.branches <- t.branches + 1;
-        if mispredicted then t.mispredicts <- t.mispredicts + 1;
-        if btb_bubble then t.btb_bubbles <- t.btb_bubbles + 1
-      | Jump { btb_bubble } | Call { btb_bubble } ->
-        if btb_bubble then t.btb_bubbles <- t.btb_bubbles + 1
-      | Return { mispredicted } ->
-        t.branches <- t.branches + 1;
-        if mispredicted then t.mispredicts <- t.mispredicts + 1)
-  | Annotation { delivery = Noop_slot; _ } ->
-    t.iqset_dispatch_slots <- t.iqset_dispatch_slots + 1
-  | Annotation { delivery = Tag; _ } -> ()
-  | Dispatch { kind; cam_writes; wp; _ } ->
-    t.dispatched <- t.dispatched + 1;
-    t.iq_dispatch_ram_writes <- t.iq_dispatch_ram_writes + 1;
-    t.iq_dispatch_cam_writes <- t.iq_dispatch_cam_writes + cam_writes;
-    if wp then t.wp_dispatched <- t.wp_dispatched + 1;
-    (match kind with
-    | Plain -> ()
-    | Load -> t.loads <- t.loads + 1
-    | Store -> t.stores <- t.stores + 1)
-  | Dispatch_stall Policy_limit ->
-    t.dispatch_stall_policy <- t.dispatch_stall_policy + 1
-  | Dispatch_stall Iq_full ->
-    t.dispatch_stall_iq_full <- t.dispatch_stall_iq_full + 1
-  | Dispatch_stall Rob_full ->
-    t.dispatch_stall_rob_full <- t.dispatch_stall_rob_full + 1
-  | Dispatch_stall No_reg ->
-    t.dispatch_stall_no_reg <- t.dispatch_stall_no_reg + 1
-  | Dispatch_stall Lsq_full ->
-    t.dispatch_stall_lsq_full <- t.dispatch_stall_lsq_full + 1
+  | Fetch { wp = true; _ } -> fetch_wp t
+  | Fetch { outcome = Sequential; _ } -> fetch_seq t
+  | Fetch { outcome = Cond_branch { mispredicted; btb_bubble; _ }; _ } ->
+    fetch_branch t ~mispredicted ~btb_bubble
+  | Fetch { outcome = Return { mispredicted }; _ } ->
+    fetch_branch t ~mispredicted ~btb_bubble:false
+  | Fetch { outcome = Jump { btb_bubble } | Call { btb_bubble }; _ } ->
+    fetch_jump t ~btb_bubble
+  | Annotation { delivery = Noop_slot; _ } -> annotation_noop t
+  | Dispatch { kind; cam_writes; wp; _ } -> dispatch t ~kind ~cam_writes ~wp
+  | Dispatch_stall reason -> dispatch_stall t reason
   | Wakeup { tags; naive; nonempty; gated; suppressed; woken = _ } ->
-    t.iq_broadcasts <- t.iq_broadcasts + tags;
-    t.iq_wakeups_naive <- t.iq_wakeups_naive + naive;
-    t.iq_wakeups_nonempty <- t.iq_wakeups_nonempty + nonempty;
-    t.iq_wakeups_gated <- t.iq_wakeups_gated + gated;
-    t.iq_wakeups_suppressed <- t.iq_wakeups_suppressed + suppressed
-  | Select _ -> t.iq_selects <- t.iq_selects + 1
-  | Select_scan { entries } -> t.iq_scan_entries <- t.iq_scan_entries + entries
-  | Issue { store_forward; wp; _ } ->
-    t.iq_issue_reads <- t.iq_issue_reads + 1;
-    if store_forward then t.store_forwards <- t.store_forwards + 1;
-    if wp then t.wp_issued <- t.wp_issued + 1
-  | Writeback _ -> ()
-  | Rf_read { ints; fps } ->
-    t.int_rf_reads <- t.int_rf_reads + ints;
-    t.fp_rf_reads <- t.fp_rf_reads + fps
-  | Rf_write { file = Int_rf; _ } -> t.int_rf_writes <- t.int_rf_writes + 1
-  | Rf_write { file = Fp_rf; _ } -> t.fp_rf_writes <- t.fp_rf_writes + 1
-  | Commit _ -> t.committed <- t.committed + 1
-  | Squash { squashed; _ } ->
-    t.squashes <- t.squashes + 1;
-    t.squashed <- t.squashed + squashed
-  | Cache_miss { level = Il1; _ } -> t.il1_misses <- t.il1_misses + 1
-  | Cache_miss { level = Dl1; _ } -> t.dl1_misses <- t.dl1_misses + 1
-  | Cache_miss { level = L2; _ } -> t.l2_misses <- t.l2_misses + 1
-  | Tlb_miss { tlb = Itlb; _ } -> t.itlb_misses <- t.itlb_misses + 1
-  | Tlb_miss { tlb = Dtlb; _ } -> t.dtlb_misses <- t.dtlb_misses + 1
-  | Resize _ | Bank_gated _ | Bank_ungated _ -> ()
+    wakeup t ~tags ~naive ~nonempty ~gated ~suppressed
+  | Select _ -> select t
+  | Select_scan { entries } -> select_scan t ~entries
+  | Issue { store_forward; wp; _ } -> issue t ~store_forward ~wp
+  | Rf_read { ints; fps } -> rf_read t ~ints ~fps
+  | Rf_write { file; _ } -> rf_write t file
+  | Commit _ -> commit t
+  | Squash { squashed; _ } -> squash t ~squashed
+  | Cache_miss { level; _ } -> cache_miss t level
+  | Tlb_miss { tlb; _ } -> tlb_miss t tlb
   | Cycle_end
       {
         cycle;
@@ -196,223 +249,109 @@ let absorb t (ev : Sdiq_events.Event.t) =
         int_rf_live;
         fp_rf_banks_on;
       } ->
-    t.cycles <- cycle + 1;
-    t.iq_occupancy_sum <- t.iq_occupancy_sum + iq_occupancy;
-    t.iq_banks_on_sum <- t.iq_banks_on_sum + iq_banks_on;
-    t.int_rf_banks_on_sum <- t.int_rf_banks_on_sum + int_rf_banks_on;
-    t.int_rf_live_sum <- t.int_rf_live_sum + int_rf_live;
-    t.fp_rf_banks_on_sum <- t.fp_rf_banks_on_sum + fp_rf_banks_on
+    cycle_end t ~cycle ~iq_occupancy ~iq_banks_on ~int_rf_banks_on
+      ~int_rf_live ~fp_rf_banks_on
+  | Annotation { delivery = Tag; _ }
+  | Writeback _ | Resize _ | Bank_gated _ | Bank_ungated _ ->
+    ()
+
+(* --- the field table -----------------------------------------------------
+
+   Every field with its name, getter and setter, in declaration order:
+   the one list [add], [diff] and [to_fields] walk. A field missing here
+   would vanish from all three at once; the test suite pins its length
+   against the record's size. *)
+let fields : (string * (t -> int) * (t -> int -> unit)) list =
+  [
+    ("cycles", (fun t -> t.cycles), fun t v -> t.cycles <- v);
+    ("committed", (fun t -> t.committed), fun t v -> t.committed <- v);
+    ("dispatched", (fun t -> t.dispatched), fun t v -> t.dispatched <- v);
+    ("iqset_dispatch_slots", (fun t -> t.iqset_dispatch_slots),
+     fun t v -> t.iqset_dispatch_slots <- v);
+    ("iq_occupancy_sum", (fun t -> t.iq_occupancy_sum),
+     fun t v -> t.iq_occupancy_sum <- v);
+    ("iq_banks_on_sum", (fun t -> t.iq_banks_on_sum),
+     fun t v -> t.iq_banks_on_sum <- v);
+    ("iq_wakeups_gated", (fun t -> t.iq_wakeups_gated),
+     fun t v -> t.iq_wakeups_gated <- v);
+    ("iq_wakeups_nonempty", (fun t -> t.iq_wakeups_nonempty),
+     fun t v -> t.iq_wakeups_nonempty <- v);
+    ("iq_wakeups_naive", (fun t -> t.iq_wakeups_naive),
+     fun t v -> t.iq_wakeups_naive <- v);
+    ("iq_dispatch_ram_writes", (fun t -> t.iq_dispatch_ram_writes),
+     fun t v -> t.iq_dispatch_ram_writes <- v);
+    ("iq_dispatch_cam_writes", (fun t -> t.iq_dispatch_cam_writes),
+     fun t v -> t.iq_dispatch_cam_writes <- v);
+    ("iq_issue_reads", (fun t -> t.iq_issue_reads),
+     fun t v -> t.iq_issue_reads <- v);
+    ("iq_broadcasts", (fun t -> t.iq_broadcasts),
+     fun t v -> t.iq_broadcasts <- v);
+    ("iq_selects", (fun t -> t.iq_selects), fun t v -> t.iq_selects <- v);
+    ("iq_scan_entries", (fun t -> t.iq_scan_entries),
+     fun t v -> t.iq_scan_entries <- v);
+    ("iq_wakeups_suppressed", (fun t -> t.iq_wakeups_suppressed),
+     fun t v -> t.iq_wakeups_suppressed <- v);
+    ("int_rf_reads", (fun t -> t.int_rf_reads), fun t v -> t.int_rf_reads <- v);
+    ("int_rf_writes", (fun t -> t.int_rf_writes),
+     fun t v -> t.int_rf_writes <- v);
+    ("int_rf_banks_on_sum", (fun t -> t.int_rf_banks_on_sum),
+     fun t v -> t.int_rf_banks_on_sum <- v);
+    ("int_rf_live_sum", (fun t -> t.int_rf_live_sum),
+     fun t v -> t.int_rf_live_sum <- v);
+    ("fp_rf_reads", (fun t -> t.fp_rf_reads), fun t v -> t.fp_rf_reads <- v);
+    ("fp_rf_writes", (fun t -> t.fp_rf_writes), fun t v -> t.fp_rf_writes <- v);
+    ("fp_rf_banks_on_sum", (fun t -> t.fp_rf_banks_on_sum),
+     fun t v -> t.fp_rf_banks_on_sum <- v);
+    ("fetched", (fun t -> t.fetched), fun t v -> t.fetched <- v);
+    ("branches", (fun t -> t.branches), fun t v -> t.branches <- v);
+    ("mispredicts", (fun t -> t.mispredicts), fun t v -> t.mispredicts <- v);
+    ("btb_bubbles", (fun t -> t.btb_bubbles), fun t v -> t.btb_bubbles <- v);
+    ("il1_misses", (fun t -> t.il1_misses), fun t v -> t.il1_misses <- v);
+    ("dl1_misses", (fun t -> t.dl1_misses), fun t v -> t.dl1_misses <- v);
+    ("l2_misses", (fun t -> t.l2_misses), fun t v -> t.l2_misses <- v);
+    ("loads", (fun t -> t.loads), fun t v -> t.loads <- v);
+    ("stores", (fun t -> t.stores), fun t v -> t.stores <- v);
+    ("store_forwards", (fun t -> t.store_forwards),
+     fun t v -> t.store_forwards <- v);
+    ("wp_fetched", (fun t -> t.wp_fetched), fun t v -> t.wp_fetched <- v);
+    ("wp_dispatched", (fun t -> t.wp_dispatched),
+     fun t v -> t.wp_dispatched <- v);
+    ("wp_issued", (fun t -> t.wp_issued), fun t v -> t.wp_issued <- v);
+    ("squashes", (fun t -> t.squashes), fun t v -> t.squashes <- v);
+    ("squashed", (fun t -> t.squashed), fun t v -> t.squashed <- v);
+    ("itlb_misses", (fun t -> t.itlb_misses), fun t v -> t.itlb_misses <- v);
+    ("dtlb_misses", (fun t -> t.dtlb_misses), fun t v -> t.dtlb_misses <- v);
+    ("dispatch_stall_policy", (fun t -> t.dispatch_stall_policy),
+     fun t v -> t.dispatch_stall_policy <- v);
+    ("dispatch_stall_iq_full", (fun t -> t.dispatch_stall_iq_full),
+     fun t v -> t.dispatch_stall_iq_full <- v);
+    ("dispatch_stall_rob_full", (fun t -> t.dispatch_stall_rob_full),
+     fun t v -> t.dispatch_stall_rob_full <- v);
+    ("dispatch_stall_no_reg", (fun t -> t.dispatch_stall_no_reg),
+     fun t v -> t.dispatch_stall_no_reg <- v);
+    ("dispatch_stall_lsq_full", (fun t -> t.dispatch_stall_lsq_full),
+     fun t v -> t.dispatch_stall_lsq_full <- v);
+  ]
 
 (* Field-wise accumulation: [add a b] folds [b]'s counters into [a].
    Every field is a plain sum, including [cycles] — so summing disjoint
    per-region statistics (where each region's [cycles] counts the
    cycles attributed to it) reproduces a run's global statistics
    exactly. *)
-let add a b =
-  a.cycles <- a.cycles + b.cycles;
-  a.committed <- a.committed + b.committed;
-  a.dispatched <- a.dispatched + b.dispatched;
-  a.iqset_dispatch_slots <- a.iqset_dispatch_slots + b.iqset_dispatch_slots;
-  a.iq_occupancy_sum <- a.iq_occupancy_sum + b.iq_occupancy_sum;
-  a.iq_banks_on_sum <- a.iq_banks_on_sum + b.iq_banks_on_sum;
-  a.iq_wakeups_gated <- a.iq_wakeups_gated + b.iq_wakeups_gated;
-  a.iq_wakeups_nonempty <- a.iq_wakeups_nonempty + b.iq_wakeups_nonempty;
-  a.iq_wakeups_naive <- a.iq_wakeups_naive + b.iq_wakeups_naive;
-  a.iq_dispatch_ram_writes <-
-    a.iq_dispatch_ram_writes + b.iq_dispatch_ram_writes;
-  a.iq_dispatch_cam_writes <-
-    a.iq_dispatch_cam_writes + b.iq_dispatch_cam_writes;
-  a.iq_issue_reads <- a.iq_issue_reads + b.iq_issue_reads;
-  a.iq_broadcasts <- a.iq_broadcasts + b.iq_broadcasts;
-  a.iq_selects <- a.iq_selects + b.iq_selects;
-  a.iq_scan_entries <- a.iq_scan_entries + b.iq_scan_entries;
-  a.iq_wakeups_suppressed <- a.iq_wakeups_suppressed + b.iq_wakeups_suppressed;
-  a.int_rf_reads <- a.int_rf_reads + b.int_rf_reads;
-  a.int_rf_writes <- a.int_rf_writes + b.int_rf_writes;
-  a.int_rf_banks_on_sum <- a.int_rf_banks_on_sum + b.int_rf_banks_on_sum;
-  a.int_rf_live_sum <- a.int_rf_live_sum + b.int_rf_live_sum;
-  a.fp_rf_reads <- a.fp_rf_reads + b.fp_rf_reads;
-  a.fp_rf_writes <- a.fp_rf_writes + b.fp_rf_writes;
-  a.fp_rf_banks_on_sum <- a.fp_rf_banks_on_sum + b.fp_rf_banks_on_sum;
-  a.fetched <- a.fetched + b.fetched;
-  a.branches <- a.branches + b.branches;
-  a.mispredicts <- a.mispredicts + b.mispredicts;
-  a.btb_bubbles <- a.btb_bubbles + b.btb_bubbles;
-  a.il1_misses <- a.il1_misses + b.il1_misses;
-  a.dl1_misses <- a.dl1_misses + b.dl1_misses;
-  a.l2_misses <- a.l2_misses + b.l2_misses;
-  a.loads <- a.loads + b.loads;
-  a.stores <- a.stores + b.stores;
-  a.store_forwards <- a.store_forwards + b.store_forwards;
-  a.wp_fetched <- a.wp_fetched + b.wp_fetched;
-  a.wp_dispatched <- a.wp_dispatched + b.wp_dispatched;
-  a.wp_issued <- a.wp_issued + b.wp_issued;
-  a.squashes <- a.squashes + b.squashes;
-  a.squashed <- a.squashed + b.squashed;
-  a.itlb_misses <- a.itlb_misses + b.itlb_misses;
-  a.dtlb_misses <- a.dtlb_misses + b.dtlb_misses;
-  a.dispatch_stall_policy <- a.dispatch_stall_policy + b.dispatch_stall_policy;
-  a.dispatch_stall_iq_full <-
-    a.dispatch_stall_iq_full + b.dispatch_stall_iq_full;
-  a.dispatch_stall_rob_full <-
-    a.dispatch_stall_rob_full + b.dispatch_stall_rob_full;
-  a.dispatch_stall_no_reg <- a.dispatch_stall_no_reg + b.dispatch_stall_no_reg;
-  a.dispatch_stall_lsq_full <-
-    a.dispatch_stall_lsq_full + b.dispatch_stall_lsq_full
+let add a b = List.iter (fun (_, get, set) -> set a (get a + get b)) fields
 
 (* A field-for-field snapshot; the sampling harness diffs snapshots
    taken around each measured window. *)
-let copy t =
-  {
-    cycles = t.cycles;
-    committed = t.committed;
-    dispatched = t.dispatched;
-    iqset_dispatch_slots = t.iqset_dispatch_slots;
-    iq_occupancy_sum = t.iq_occupancy_sum;
-    iq_banks_on_sum = t.iq_banks_on_sum;
-    iq_wakeups_gated = t.iq_wakeups_gated;
-    iq_wakeups_nonempty = t.iq_wakeups_nonempty;
-    iq_wakeups_naive = t.iq_wakeups_naive;
-    iq_dispatch_ram_writes = t.iq_dispatch_ram_writes;
-    iq_dispatch_cam_writes = t.iq_dispatch_cam_writes;
-    iq_issue_reads = t.iq_issue_reads;
-    iq_broadcasts = t.iq_broadcasts;
-    iq_selects = t.iq_selects;
-    iq_scan_entries = t.iq_scan_entries;
-    iq_wakeups_suppressed = t.iq_wakeups_suppressed;
-    int_rf_reads = t.int_rf_reads;
-    int_rf_writes = t.int_rf_writes;
-    int_rf_banks_on_sum = t.int_rf_banks_on_sum;
-    int_rf_live_sum = t.int_rf_live_sum;
-    fp_rf_reads = t.fp_rf_reads;
-    fp_rf_writes = t.fp_rf_writes;
-    fp_rf_banks_on_sum = t.fp_rf_banks_on_sum;
-    fetched = t.fetched;
-    branches = t.branches;
-    mispredicts = t.mispredicts;
-    btb_bubbles = t.btb_bubbles;
-    il1_misses = t.il1_misses;
-    dl1_misses = t.dl1_misses;
-    l2_misses = t.l2_misses;
-    loads = t.loads;
-    stores = t.stores;
-    store_forwards = t.store_forwards;
-    wp_fetched = t.wp_fetched;
-    wp_dispatched = t.wp_dispatched;
-    wp_issued = t.wp_issued;
-    squashes = t.squashes;
-    squashed = t.squashed;
-    itlb_misses = t.itlb_misses;
-    dtlb_misses = t.dtlb_misses;
-    dispatch_stall_policy = t.dispatch_stall_policy;
-    dispatch_stall_iq_full = t.dispatch_stall_iq_full;
-    dispatch_stall_rob_full = t.dispatch_stall_rob_full;
-    dispatch_stall_no_reg = t.dispatch_stall_no_reg;
-    dispatch_stall_lsq_full = t.dispatch_stall_lsq_full;
-  }
+let copy t = { t with cycles = t.cycles }
 
 (* [diff a b]: the per-field difference [a - b] as a fresh value —
    the counter deltas accumulated between two snapshots. *)
 let diff a b =
-  {
-    cycles = a.cycles - b.cycles;
-    committed = a.committed - b.committed;
-    dispatched = a.dispatched - b.dispatched;
-    iqset_dispatch_slots = a.iqset_dispatch_slots - b.iqset_dispatch_slots;
-    iq_occupancy_sum = a.iq_occupancy_sum - b.iq_occupancy_sum;
-    iq_banks_on_sum = a.iq_banks_on_sum - b.iq_banks_on_sum;
-    iq_wakeups_gated = a.iq_wakeups_gated - b.iq_wakeups_gated;
-    iq_wakeups_nonempty = a.iq_wakeups_nonempty - b.iq_wakeups_nonempty;
-    iq_wakeups_naive = a.iq_wakeups_naive - b.iq_wakeups_naive;
-    iq_dispatch_ram_writes = a.iq_dispatch_ram_writes - b.iq_dispatch_ram_writes;
-    iq_dispatch_cam_writes = a.iq_dispatch_cam_writes - b.iq_dispatch_cam_writes;
-    iq_issue_reads = a.iq_issue_reads - b.iq_issue_reads;
-    iq_broadcasts = a.iq_broadcasts - b.iq_broadcasts;
-    iq_selects = a.iq_selects - b.iq_selects;
-    iq_scan_entries = a.iq_scan_entries - b.iq_scan_entries;
-    iq_wakeups_suppressed =
-      a.iq_wakeups_suppressed - b.iq_wakeups_suppressed;
-    int_rf_reads = a.int_rf_reads - b.int_rf_reads;
-    int_rf_writes = a.int_rf_writes - b.int_rf_writes;
-    int_rf_banks_on_sum = a.int_rf_banks_on_sum - b.int_rf_banks_on_sum;
-    int_rf_live_sum = a.int_rf_live_sum - b.int_rf_live_sum;
-    fp_rf_reads = a.fp_rf_reads - b.fp_rf_reads;
-    fp_rf_writes = a.fp_rf_writes - b.fp_rf_writes;
-    fp_rf_banks_on_sum = a.fp_rf_banks_on_sum - b.fp_rf_banks_on_sum;
-    fetched = a.fetched - b.fetched;
-    branches = a.branches - b.branches;
-    mispredicts = a.mispredicts - b.mispredicts;
-    btb_bubbles = a.btb_bubbles - b.btb_bubbles;
-    il1_misses = a.il1_misses - b.il1_misses;
-    dl1_misses = a.dl1_misses - b.dl1_misses;
-    l2_misses = a.l2_misses - b.l2_misses;
-    loads = a.loads - b.loads;
-    stores = a.stores - b.stores;
-    store_forwards = a.store_forwards - b.store_forwards;
-    wp_fetched = a.wp_fetched - b.wp_fetched;
-    wp_dispatched = a.wp_dispatched - b.wp_dispatched;
-    wp_issued = a.wp_issued - b.wp_issued;
-    squashes = a.squashes - b.squashes;
-    squashed = a.squashed - b.squashed;
-    itlb_misses = a.itlb_misses - b.itlb_misses;
-    dtlb_misses = a.dtlb_misses - b.dtlb_misses;
-    dispatch_stall_policy = a.dispatch_stall_policy - b.dispatch_stall_policy;
-    dispatch_stall_iq_full = a.dispatch_stall_iq_full - b.dispatch_stall_iq_full;
-    dispatch_stall_rob_full = a.dispatch_stall_rob_full - b.dispatch_stall_rob_full;
-    dispatch_stall_no_reg = a.dispatch_stall_no_reg - b.dispatch_stall_no_reg;
-    dispatch_stall_lsq_full =
-      a.dispatch_stall_lsq_full - b.dispatch_stall_lsq_full;
-  }
+  let d = create () in
+  List.iter (fun (_, get, set) -> set d (get a - get b)) fields;
+  d
 
-(* Every field with its name, for field-by-field divergence reports. *)
-let to_fields t =
-  [
-    ("cycles", t.cycles);
-    ("committed", t.committed);
-    ("dispatched", t.dispatched);
-    ("iqset_dispatch_slots", t.iqset_dispatch_slots);
-    ("iq_occupancy_sum", t.iq_occupancy_sum);
-    ("iq_banks_on_sum", t.iq_banks_on_sum);
-    ("iq_wakeups_gated", t.iq_wakeups_gated);
-    ("iq_wakeups_nonempty", t.iq_wakeups_nonempty);
-    ("iq_wakeups_naive", t.iq_wakeups_naive);
-    ("iq_dispatch_ram_writes", t.iq_dispatch_ram_writes);
-    ("iq_dispatch_cam_writes", t.iq_dispatch_cam_writes);
-    ("iq_issue_reads", t.iq_issue_reads);
-    ("iq_broadcasts", t.iq_broadcasts);
-    ("iq_selects", t.iq_selects);
-    ("iq_scan_entries", t.iq_scan_entries);
-    ("iq_wakeups_suppressed", t.iq_wakeups_suppressed);
-    ("int_rf_reads", t.int_rf_reads);
-    ("int_rf_writes", t.int_rf_writes);
-    ("int_rf_banks_on_sum", t.int_rf_banks_on_sum);
-    ("int_rf_live_sum", t.int_rf_live_sum);
-    ("fp_rf_reads", t.fp_rf_reads);
-    ("fp_rf_writes", t.fp_rf_writes);
-    ("fp_rf_banks_on_sum", t.fp_rf_banks_on_sum);
-    ("fetched", t.fetched);
-    ("branches", t.branches);
-    ("mispredicts", t.mispredicts);
-    ("btb_bubbles", t.btb_bubbles);
-    ("il1_misses", t.il1_misses);
-    ("dl1_misses", t.dl1_misses);
-    ("l2_misses", t.l2_misses);
-    ("loads", t.loads);
-    ("stores", t.stores);
-    ("store_forwards", t.store_forwards);
-    ("wp_fetched", t.wp_fetched);
-    ("wp_dispatched", t.wp_dispatched);
-    ("wp_issued", t.wp_issued);
-    ("squashes", t.squashes);
-    ("squashed", t.squashed);
-    ("itlb_misses", t.itlb_misses);
-    ("dtlb_misses", t.dtlb_misses);
-    ("dispatch_stall_policy", t.dispatch_stall_policy);
-    ("dispatch_stall_iq_full", t.dispatch_stall_iq_full);
-    ("dispatch_stall_rob_full", t.dispatch_stall_rob_full);
-    ("dispatch_stall_no_reg", t.dispatch_stall_no_reg);
-    ("dispatch_stall_lsq_full", t.dispatch_stall_lsq_full);
-  ]
+let to_fields t = List.map (fun (name, get, _) -> (name, get t)) fields
 
 let equal a b = to_fields a = to_fields b
 

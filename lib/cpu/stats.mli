@@ -51,10 +51,68 @@ type t = {
 
 val create : unit -> t
 
-(** The fold: apply one pipeline event's counter deltas. The pipeline
-    accumulates its own statistics exclusively through this function, and
-    any sink can reconstruct identical statistics from the event stream
-    alone (see DESIGN.md §11). *)
+(** {1 Per-kind updaters}
+
+    One function per counter-bearing event kind, taking the event's
+    payload unboxed: the only code that accumulates statistics. The
+    pipeline's no-sink emitters call them directly, {!absorb} dispatches
+    onto them, so the two paths cannot drift (DESIGN.md §11.1). *)
+
+val commit : t -> unit
+val cache_miss : t -> Sdiq_events.Event.cache_level -> unit
+val rf_write : t -> Sdiq_events.Event.rf_file -> unit
+
+val wakeup :
+  t -> tags:int -> naive:int -> nonempty:int -> gated:int -> suppressed:int ->
+  unit
+
+val select : t -> unit
+val select_scan : t -> entries:int -> unit
+val issue : t -> store_forward:bool -> wp:bool -> unit
+val rf_read : t -> ints:int -> fps:int -> unit
+
+val dispatch :
+  t -> kind:Sdiq_events.Event.dispatch_kind -> cam_writes:int -> wp:bool ->
+  unit
+
+val dispatch_stall : t -> Sdiq_events.Event.stall_reason -> unit
+val squash : t -> squashed:int -> unit
+val tlb_miss : t -> Sdiq_events.Event.tlb_unit -> unit
+
+(** A special NOOP ate a dispatch slot (tag delivery counts nothing). *)
+val annotation_noop : t -> unit
+
+(** Fetch of a correct-path sequential instruction. *)
+val fetch_seq : t -> unit
+
+(** Fetch of any wrong-path instruction: fetch activity only, never a
+    branch, mispredict or BTB bubble. *)
+val fetch_wp : t -> unit
+
+(** Fetch of a correct-path conditional branch or return (a return
+    passes [~btb_bubble:false]). *)
+val fetch_branch : t -> mispredicted:bool -> btb_bubble:bool -> unit
+
+(** Fetch of a correct-path jump or call. *)
+val fetch_jump : t -> btb_bubble:bool -> unit
+
+(** Fold one cycle's integrand snapshot; sets [cycles] to [cycle + 1].
+    The pipeline passes the 0-based index of the cycle just completed; a
+    per-region bucket passes its own [cycles] to count the cycles spent
+    in it. *)
+val cycle_end :
+  t ->
+  cycle:int ->
+  iq_occupancy:int ->
+  iq_banks_on:int ->
+  int_rf_banks_on:int ->
+  int_rf_live:int ->
+  fp_rf_banks_on:int ->
+  unit
+
+(** The fold: apply one pipeline event's counter deltas through the
+    matching updater above. Any sink can reconstruct the pipeline's
+    statistics from the event stream alone (see DESIGN.md §11). *)
 val absorb : t -> Sdiq_events.Event.t -> unit
 
 (** [add a b] accumulates [b] into [a], field by field. Every field —
@@ -70,7 +128,8 @@ val copy : t -> t
     counter deltas accumulated between two snapshots. *)
 val diff : t -> t -> t
 
-(** Every field with its name, for field-by-field divergence reports. *)
+(** Every field with its name, in declaration order, for field-by-field
+    divergence reports. [add], [diff] and this walk one field table. *)
 val to_fields : t -> (string * int) list
 
 val equal : t -> t -> bool

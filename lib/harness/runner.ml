@@ -236,3 +236,22 @@ let savings ?params ?sched t name technique : Sdiq_power.Report.t =
 let non_empty_saving ?params t name : float =
   let base = run t name Technique.Baseline in
   Sdiq_power.Report.non_empty_dynamic_saving ?params ~cfg:t.config base
+
+(* Total IQ energy per technique over the whole suite — the numbers the
+   run ledger tracks across commits for exact-drift gating (any drift
+   under an unchanged digest means the simulator changed). Reads
+   memoised pairs, costs nothing after [run_all]. *)
+let energy_totals t =
+  let params = Sdiq_power.Params.default in
+  List.map
+    (fun tech ->
+      let total =
+        List.fold_left
+          (fun acc bench ->
+            let e = Sdiq_power.Iq_power.technique params (run t bench tech) in
+            acc +. e.Sdiq_power.Iq_power.dynamic
+            +. e.Sdiq_power.Iq_power.static_)
+          0. (bench_names t)
+      in
+      (Technique.name tech, total))
+    Technique.all

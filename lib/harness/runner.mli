@@ -115,3 +115,9 @@ val savings :
 
 (** The "nonEmpty" saving on a benchmark's baseline run. *)
 val non_empty_saving : ?params:Sdiq_power.Params.t -> t -> string -> float
+
+(** Total IQ energy (dynamic + static, default power parameters) per
+    technique of {!Technique.all}, summed over the suite's detailed runs
+    — what the run ledger records for exact-drift gating
+    ({!Sdiq_obs.Ledger}). Simulates any pair not yet memoised. *)
+val energy_totals : t -> (string * float) list

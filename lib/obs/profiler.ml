@@ -58,13 +58,13 @@ let sink t ev =
   | _ -> ());
   let per = t.regions.(t.cur) in
   (match ev with
-  | Event.Cycle_end { iq_occupancy; _ } ->
-    (* absorb would overwrite the bucket's [cycles] with the global
-       running total; per-region cycles must be cycles-spent-here so
-       the buckets sum to the global count. *)
-    let spent = per.stats.Stats.cycles in
-    Stats.absorb per.stats ev;
-    per.stats.Stats.cycles <- spent + 1;
+  | Event.Cycle_end
+      { iq_occupancy; iq_banks_on; int_rf_banks_on; int_rf_live;
+        fp_rf_banks_on; _ } ->
+    (* Per-region cycles are cycles-spent-here, not the global cycle
+       index, so the buckets sum to the global count. *)
+    Stats.cycle_end per.stats ~cycle:per.stats.Stats.cycles ~iq_occupancy
+      ~iq_banks_on ~int_rf_banks_on ~int_rf_live ~fp_rf_banks_on;
     Hist.observe per.occ iq_occupancy;
     if iq_occupancy > per.peak then per.peak <- iq_occupancy
   | _ -> Stats.absorb per.stats ev);

@@ -67,13 +67,21 @@ let parse_string st =
         | 'r' -> Buffer.add_char b '\r'
         | 't' -> Buffer.add_char b '\t'
         | 'u' ->
-          if st.pos + 4 > String.length st.s then fail st "short \\u escape";
-          let hex = String.sub st.s st.pos 4 in
-          st.pos <- st.pos + 4;
-          let code =
-            try int_of_string ("0x" ^ hex)
-            with _ -> fail st "bad \\u escape"
-          in
+          (* exactly four hex digits: [int_of_string] would also take
+             underscores *)
+          let code = ref 0 in
+          for _ = 1 to 4 do
+            let d =
+              match peek st with
+              | Some ('0' .. '9' as h) -> Char.code h - Char.code '0'
+              | Some ('a' .. 'f' as h) -> Char.code h - Char.code 'a' + 10
+              | Some ('A' .. 'F' as h) -> Char.code h - Char.code 'A' + 10
+              | _ -> fail st "bad \\u escape"
+            in
+            advance st;
+            code := (!code lsl 4) lor d
+          done;
+          let code = !code in
           (* Codepoints are re-encoded as UTF-8; surrogate pairs are
              left as two replacement sequences (the telemetry layer
              never emits them). *)
@@ -97,19 +105,35 @@ let parse_string st =
   go ();
   Buffer.contents b
 
+(* RFC 8259's number grammar, checked before conversion: an optional
+   minus, then 0 or a digit run not starting with 0, an optional
+   fraction of one or more digits, an optional exponent of one or more
+   digits — so "01", "-.5" and "1." are errors, not numbers that
+   [float_of_string] happens to accept. *)
 let parse_number st =
   let start = st.pos in
-  let is_num_char = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
+  let is_digit = function Some '0' .. '9' -> true | _ -> false in
+  let digits () =
+    if not (is_digit (peek st)) then fail st "expected digit";
+    while is_digit (peek st) do
+      advance st
+    done
   in
-  while (match peek st with Some c -> is_num_char c | None -> false) do
-    advance st
-  done;
-  let text = String.sub st.s start (st.pos - start) in
-  match float_of_string_opt text with
-  | Some f -> f
-  | None -> fail st (Printf.sprintf "bad number %S" text)
+  if peek st = Some '-' then advance st;
+  (match peek st with
+  | Some '0' -> advance st
+  | _ -> digits ());
+  if peek st = Some '.' then begin
+    advance st;
+    digits ()
+  end;
+  (match peek st with
+  | Some ('e' | 'E') ->
+    advance st;
+    (match peek st with Some ('+' | '-') -> advance st | _ -> ());
+    digits ()
+  | _ -> ());
+  float_of_string (String.sub st.s start (st.pos - start))
 
 let rec parse_value st =
   skip_ws st;

@@ -4,7 +4,10 @@
 
     Numbers are [float]s; [%.17g] printing keeps them round-trippable.
     The parser accepts any RFC 8259 document (objects preserve key
-    order, duplicate keys keep both) and rejects trailing garbage. *)
+    order, duplicate keys keep both) and nothing else: a number outside
+    the RFC grammar (["01"], ["-.5"], ["1."]), a [\u] escape without
+    exactly four hex digits, or trailing garbage is an [Error] naming
+    the offset. It never raises. *)
 
 type t =
   | Null

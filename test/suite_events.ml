@@ -26,8 +26,8 @@ let kind_index name =
 
 (* Run [bench] under [tech] with a fresh pipeline; [attach] is given the
    pipeline before the run for sink registration. *)
-let run_with ?(budget = 2_000) ~attach bench tech =
-  let p = Technique.build tech bench in
+let run_with ?(budget = 2_000) ?sched ~attach bench tech =
+  let p = Technique.build ?sched tech bench in
   attach p;
   Pipeline.run ~max_insns:budget p
 
@@ -102,28 +102,38 @@ let test_sink_fold_matches_stats_all_techniques () =
     [ gzip (); mcf () ]
 
 (* The dual-path pin: with no sink the pipeline's per-kind emitters
-   update statistics directly (the fast path); with any sink attached
-   every event goes through the bus and [Stats.absorb]. The two paths
-   must produce identical statistics — integer for integer — on every
-   benchmark and technique, or the fast path has drifted from the
-   event vocabulary. *)
+   call the [Stats] updaters directly (the fast path); with any sink
+   attached every event goes through the bus and [Stats.absorb]. The
+   two paths must produce identical statistics — integer for integer —
+   on every benchmark, technique and scheduler policy: nskip:4 pins the
+   bounded [Select_scan] entries, load_delay the suppressed wakeups. *)
 let test_nosink_stats_equal_sink_stats () =
   List.iter
-    (fun bench ->
+    (fun sched ->
       List.iter
-        (fun tech ->
-          let nosink = run_with bench tech ~attach:(fun _ -> ()) in
-          let sunk =
-            run_with bench tech ~attach:(fun p ->
-                Pipeline.subscribe ~name:"null" p (fun _ -> ()))
-          in
-          Alcotest.(check bool)
-            (Fmt.str "%s/%s: no-sink stats == sink-attached stats"
-               bench.Sdiq_workloads.Bench.name (Technique.name tech))
-            true
-            (Stats.equal nosink sunk))
-        Technique.all)
-    [ gzip (); mcf () ]
+        (fun bench ->
+          List.iter
+            (fun tech ->
+              let nosink = run_with ~sched bench tech ~attach:(fun _ -> ()) in
+              let sunk =
+                run_with ~sched bench tech ~attach:(fun p ->
+                    Pipeline.subscribe ~name:"null" p (fun _ -> ()))
+              in
+              Alcotest.(check bool)
+                (Fmt.str "%s/%s/%s: no-sink stats == sink-attached stats"
+                   bench.Sdiq_workloads.Bench.name (Technique.name tech)
+                   (Sdiq_cpu.Sched.name sched))
+                true
+                (Stats.equal nosink sunk);
+              if sched = Sdiq_cpu.Sched.load_delay then
+                Alcotest.(check bool)
+                  (Fmt.str "%s/%s: load_delay suppresses some wakeups"
+                     bench.Sdiq_workloads.Bench.name (Technique.name tech))
+                  true
+                  (nosink.Stats.iq_wakeups_suppressed > 0))
+            Technique.all)
+        [ gzip (); mcf () ])
+    Sdiq_cpu.Sched.[ oldest_first; nskip ~n:4; load_delay ]
 
 let prop_sink_fold_matches_stats =
   QCheck.Test.make ~count:12

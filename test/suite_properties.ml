@@ -345,12 +345,12 @@ let arbitrary_event_streams =
     QCheck.Gen.(pair (list_size (int_range 0 60) gen_event)
                   (list_size (int_range 0 60) gen_event))
 
-(* [Stats.add] (and [diff]) must cover every field [to_fields] reports:
-   adding two absorbed buckets is the field-wise sum, and subtracting
-   one back recovers the other exactly. A field added to the record but
-   forgotten in [add]/[diff]/[to_fields] (the per-region attribution
-   and the sampling harness rely on all three) breaks this within a few
-   random streams. *)
+(* [Stats.add], [diff] and [to_fields] all walk one field table, so
+   adding two absorbed buckets must be the field-wise sum and
+   subtracting one back must recover the other exactly. An entry whose
+   getter and setter name different fields breaks this within a few
+   random streams; an entry missing from the table altogether is caught
+   by [test_stats_field_table_covers_record] below. *)
 let prop_stats_add_conservation =
   let module Stats = Sdiq_cpu.Stats in
   QCheck.Test.make ~count:100
@@ -371,6 +371,17 @@ let prop_stats_add_conservation =
         (Stats.to_fields sum)
         (List.combine (Stats.to_fields a) (Stats.to_fields b))
       && Stats.equal (Stats.diff sum b) a)
+
+(* The field table must list every record field: one left out would be
+   dropped silently by [add], [diff] and [to_fields] together (and so
+   by [equal]). All of [Stats.t]'s fields are immediate ints, so the
+   record's block size is its field count. *)
+let test_stats_field_table_covers_record () =
+  let s = Sdiq_cpu.Stats.create () in
+  Alcotest.(check int)
+    "to_fields lists every Stats.t field"
+    (Obj.size (Obj.repr s))
+    (List.length (Sdiq_cpu.Stats.to_fields s))
 
 (* --- register-file free list under resize + squash interleavings --------- *)
 
@@ -602,4 +613,8 @@ let suite =
       prop_strip_insert_roundtrip;
       prop_pseudo_iq_respects_deps;
       prop_loop_schedule_sane;
+    ]
+  @ [
+      Alcotest.test_case "Stats field table covers the record" `Quick
+        test_stats_field_table_covers_record;
     ]

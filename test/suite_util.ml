@@ -1,4 +1,5 @@
-(* Tests for the utility library: RNG determinism and statistics. *)
+(* Tests for the utility library: RNG determinism, statistics, the
+   domain pool and the JSON reader. *)
 
 open Sdiq_util
 
@@ -163,6 +164,90 @@ let test_pool_sizes () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* --- JSON ------------------------------------------------------------------ *)
+
+(* Inputs the reader used to accept: [int_of_string "0x1_2f"] took the
+   underscore, and [float_of_string] took the three malformed numbers.
+   Each must be an [Error] naming the offset where the grammar broke. *)
+let test_json_rejects_malformed () =
+  List.iter
+    (fun (doc, offset) ->
+      match Json.parse doc with
+      | Ok v ->
+        Alcotest.failf "%S parsed as %s, expected an error" doc
+          (Json.to_string v)
+      | Error msg ->
+        let suffix = Printf.sprintf "at offset %d" offset in
+        Alcotest.(check bool)
+          (Printf.sprintf "%S: %S ends %S" doc msg suffix)
+          true
+          (String.ends_with ~suffix msg))
+    [ ({|"\u1_2f"|}, 4); ("-.5", 1); ("1.", 2); ("01", 1) ]
+
+let test_json_accepts_grammar () =
+  List.iter
+    (fun (doc, v) ->
+      Alcotest.(check bool) doc true (Json.parse doc = Ok v))
+    [
+      ("0", Json.Num 0.);
+      ("-0.5", Json.Num (-0.5));
+      ("1e3", Json.Num 1000.);
+      ("2.5E-1", Json.Num 0.25);
+      ("-10e+1", Json.Num (-100.));
+      ({|"\u012F\u0041"|}, Json.Str "\xc4\xafA");
+    ]
+
+let gen_json =
+  let open QCheck.Gen in
+  let finite = map (fun f -> if Float.is_finite f then f else 0.) float in
+  let str = string_size ~gen:char (int_range 0 6) in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun f -> Json.Num f) finite;
+        map (fun n -> Json.Num (float_of_int n)) small_signed_int;
+        map (fun s -> Json.Str s) str;
+      ]
+  in
+  sized_size (int_range 0 3)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               ( 1,
+                 map (fun l -> Json.Arr l)
+                   (list_size (int_range 0 4) (self (n - 1))) );
+               ( 1,
+                 map
+                   (fun kvs -> Json.Obj kvs)
+                   (list_size (int_range 0 4) (pair str (self (n - 1)))) );
+             ])
+
+(* Printing then parsing a finite document is the identity, and no
+   single-byte corruption of a valid document makes the reader raise:
+   it answers [Ok] or [Error], so a damaged ledger line or trace is a
+   diagnosable failure, never a crash. *)
+let prop_json_round_trip_and_total =
+  QCheck.Test.make ~count:500
+    ~name:"Json: parse (to_string v) = Ok v; mutations never raise"
+    (QCheck.make
+       ~print:(fun (v, i, c) ->
+         Printf.sprintf "%s [%d] <- %C" (Json.to_string v) i c)
+       QCheck.Gen.(triple gen_json nat char))
+    (fun (v, i, c) ->
+      let doc = Json.to_string v in
+      let mutated = Bytes.of_string doc in
+      Bytes.set mutated (i mod String.length doc) c;
+      Json.parse doc = Ok v
+      &&
+      match Json.parse (Bytes.to_string mutated) with
+      | Ok _ | Error _ -> true
+      | exception _ -> false)
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -184,4 +269,9 @@ let suite =
     Alcotest.test_case "pool: exception propagates, pool survives" `Quick
       test_pool_exception_propagates;
     Alcotest.test_case "pool: sizing" `Quick test_pool_sizes;
+    Alcotest.test_case "json: malformed input is an error" `Quick
+      test_json_rejects_malformed;
+    Alcotest.test_case "json: number grammar and \\u escapes" `Quick
+      test_json_accepts_grammar;
+    QCheck_alcotest.to_alcotest prop_json_round_trip_and_total;
   ]
