@@ -1,10 +1,11 @@
 # Convenience targets for the sdiq reproduction.
 
 DOMAINS ?= 4
-BENCH   := _build/default/bench/main.exe
+REPORT  := _build/default/bin/report.exe
+FIGS    := fig6,fig7,fig8,fig9,fig10,fig11,fig12
 FUZZ_N  ?= 500
 
-.PHONY: all build test lint tighten-audit campaign fuzz check-campaign trace profile policy-grid telemetry
+.PHONY: all build test lint tighten-audit campaign fuzz check-campaign trace profile policy-grid telemetry perf-gate
 
 all: build lint
 
@@ -59,41 +60,37 @@ profile:
 	done
 	@echo "profile: _build/profile-metrics.json validated"
 
-# Smoke-check the parallel campaign: every figure bench/main.exe derives
+# Smoke-check the parallel campaign: every figure report.exe derives
 # from the simulation table must be byte-identical on 1 domain and on
-# $(DOMAINS) domains. Only the figures (fig6..fig12) are diffed — the
-# campaign timing line and table2's measured compile times legitimately
-# vary between any two runs, parallel or not.
+# $(DOMAINS) domains. Only the figures (fig6..fig12) are diffed; the
+# trailing campaign timing line legitimately varies between any two runs.
 campaign:
-	dune build bench/main.exe bin/report.exe
-	@$(BENCH) --quick --domains 1 | sed -n '/^== fig/,$$p' > _build/campaign-1.out
-	@$(BENCH) --quick --domains $(DOMAINS) | sed -n '/^== fig/,$$p' > _build/campaign-n.out
+	dune build bin/report.exe
+	@$(REPORT) --budget 20000 --only $(FIGS) --domains 1 \
+	  | grep -v '^campaign:' > _build/campaign-1.out
+	@$(REPORT) --budget 20000 --only $(FIGS) --domains $(DOMAINS) \
+	  | grep -v '^campaign:' > _build/campaign-n.out
 	@diff _build/campaign-1.out _build/campaign-n.out \
 	  && echo "campaign: figures identical on 1 vs $(DOMAINS) domains"
 	@# Sampled campaign: the scaled suite under SMARTS sampling; report.exe
 	@# exits non-zero unless every (benchmark x technique) pair covers at
 	@# least ten million instructions over at least 30 measured windows.
-	@dune exec bin/report.exe -- --sample > _build/campaign-sampled.out
+	@$(REPORT) --sample > _build/campaign-sampled.out
 	@tail -1 _build/campaign-sampled.out
-	@# Archive the MIPS probe at the repo root so the telemetry gate has a
-	@# committed baseline to diff against (see `make telemetry`).
-	@$(BENCH) --mips-json BENCH_mips.json | tail -1
 
 # One full telemetry pass: a traced report campaign appending to the
-# run ledger, an OpenMetrics scrape of a profiled run, a MIPS probe
-# recorded into the same ledger, with the regression gate run after
-# each append (the gate evaluates the newest record, so the report's
-# deterministic energy totals and the probe's host-scoped MIPS are
-# each gated in turn; >10% MIPS drop or any energy drift fails). The
-# trace loads in Perfetto / chrome://tracing; check the exposition
-# with `promtool check metrics < $(TELEM)/metrics.om`.
+# run ledger and an OpenMetrics scrape of a profiled run, then the
+# ledger gate (schema check, then the newest record against its
+# predecessor: any energy drift fails). The trace loads in Perfetto /
+# chrome://tracing; check the exposition with
+# `promtool check metrics < $(TELEM)/metrics.om`. Host speed is gated
+# by `make perf-gate`, not here.
 #
 # TELEM defaults to the committed ledger directory; CI points it at an
-# untracked copy so runs never dirty the checkout (mips records are
-# host-scoped anyway and would only seed there — see lib/obs/ledger.mli).
+# untracked copy so runs never dirty the checkout.
 TELEM ?= telemetry
 telemetry:
-	dune build bin/report.exe bin/simulate.exe bin/benchdiff.exe bench/main.exe
+	dune build bin/report.exe bin/simulate.exe bin/benchdiff.exe
 	dune exec bin/report.exe -- --budget 20000 --only fig6 \
 	  --ledger $(TELEM)/ledger.jsonl --trace-spans $(TELEM)/spans.json \
 	  | tail -3
@@ -101,9 +98,59 @@ telemetry:
 	  --budget 20000 --metrics $(TELEM)/metrics.om | tail -1
 	dune exec bin/benchdiff.exe -- --ledger $(TELEM)/ledger.jsonl --check-schema
 	dune exec bin/benchdiff.exe -- --ledger $(TELEM)/ledger.jsonl
-	dune exec bench/main.exe -- --mips-json _build/mips.json \
-	  --ledger $(TELEM)/ledger.jsonl | tail -2
-	dune exec bin/benchdiff.exe -- --ledger $(TELEM)/ledger.jsonl
+
+# Host-speed gate: the git revision BASE against the working tree, on
+# this host. BASE is exported with `git archive` into $(PERF_GATE)/src.
+# For seeds 1-10, both trees run bench/perf's paper-grid (the detailed
+# core) and sampled-campaign (the sampled regime) with the same seed,
+# the side that runs first alternating from seed to seed. compare.exe
+# judges the pairs on the limits in .github/perf-gate.json (mips may
+# drop by at most 50%). The gate passes only when compare.exe exits 0
+# or 1, prints at least one metric verdict, and every line it prints is
+# a run-count header, a metric that is improved, unchanged or
+# unresolved, or a sim_digest difference; exit 1 also needs a
+# sim_digest line, the one tolerated cause (the golden snapshot in
+# `dune runtest` owns simulated output). Any other line or exit code
+# fails it: a regressed or missing metric, fewer than ten pairs, a rise
+# in failed operations, a workload run on one side only. Results land in
+# $(PERF_GATE)/{base,change}/ and the verdict in $(PERF_GATE)/compare.txt.
+PERF_GATE := _build/perf-gate
+perf-gate:
+	@test -n "$(BASE)" || { echo "perf-gate: usage: make perf-gate BASE=<rev>" >&2; exit 2; }
+	@git rev-parse --verify --quiet "$(BASE)^{commit}" > /dev/null \
+	  || { echo "perf-gate: unknown BASE $(BASE)" >&2; exit 2; }
+	rm -rf $(PERF_GATE)
+	mkdir -p $(PERF_GATE)/src $(PERF_GATE)/base $(PERF_GATE)/change
+	git archive -o $(PERF_GATE)/base.tar $(BASE)
+	tar -xf $(PERF_GATE)/base.tar -C $(PERF_GATE)/src
+	dune build bench/perf/compare.exe
+	@set -e; for s in 1 2 3 4 5 6 7 8 9 10; do \
+	  if [ $$((s % 2)) = 1 ]; then order="base change"; else order="change base"; fi; \
+	  for w in paper-grid sampled-campaign; do \
+	    for side in $$order; do \
+	      if [ $$side = base ]; then dir=$(PERF_GATE)/src; else dir=.; fi; \
+	      log=$(PERF_GATE)/$$side/$$w-seed$$s.log; \
+	      out=$$dir/bench/perf/_out/$$w-seed$$s-trace0.json; rm -f $$out; \
+	      (cd $$dir && bash bench/perf/run.sh --workload $$w --seed $$s \
+	        --seconds 3 --trace 0) > $$log 2>&1 \
+	        || echo "perf-gate: $$side $$w seed $$s exited non-zero (see $$log)"; \
+	      cp $$out $(PERF_GATE)/$$side/; \
+	      echo "perf-gate: seed $$s $$w $$side: $$(tail -1 $$log)"; \
+	    done; \
+	  done; \
+	done
+	@rc=0; ./_build/default/bench/perf/compare.exe \
+	  --benchmark .github/perf-gate.json $(PERF_GATE)/base/*.json -- \
+	  $(PERF_GATE)/change/*.json > $(PERF_GATE)/compare.txt 2>&1 || rc=$$?; \
+	  cat $(PERF_GATE)/compare.txt; ok=yes; \
+	  case $$rc in 0|1) ;; *) ok=no ;; esac; \
+	  grep -Evq '^== [^ ]+: [0-9]+ parent runs, [0-9]+ change runs$$|^   sim_digest differs: |^   [a-z_]+ +parent .* (improved|unchanged|unresolved)$$' \
+	    $(PERF_GATE)/compare.txt && ok=no; \
+	  grep -Eq '^   [a-z_]+ +parent .* (improved|unchanged|unresolved)$$' \
+	    $(PERF_GATE)/compare.txt || ok=no; \
+	  if [ $$rc = 1 ]; then grep -q '^   sim_digest differs: ' $(PERF_GATE)/compare.txt || ok=no; fi; \
+	  if [ $$ok = no ]; then echo "perf-gate: FAIL against $(BASE)"; exit 1; fi; \
+	  echo "perf-gate: ok against $(BASE)"
 
 # Scheduler-policy grid: every benchmark x {noop, improved} x
 # {oldest_first, nskip:4, load_delay}, with both policy gates enforced

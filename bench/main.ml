@@ -1,59 +1,14 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (Section 5) and, with [--micro], times the core
-   primitives with Bechamel.
+(* The Bechamel micro-suite: times the substrate primitives (IQ
+   broadcast, cache access, branch prediction, pseudo-IQ and CDS
+   analysis), one small simulation under each bus, checker and scheduler
+   configuration, and each table/figure computation at a tiny scale.
 
-   Default output: Table 1 (configuration), Table 2 (compilation time),
-   Figures 6-12 as per-benchmark rows with the paper's reported averages
-   alongside. One Bechamel test per table/figure (and per substrate
-   primitive) runs in the micro section. *)
+     dune exec bench/main.exe
+
+   bin/report.exe regenerates the paper's tables and figures;
+   bench/perf measures end-to-end host speed. *)
 
 module H = Sdiq_harness
-
-let print_table1 () =
-  Fmt.pr "== table1: processor configuration ==@.%a@.@." Sdiq_cpu.Config.pp
-    Sdiq_cpu.Config.default
-
-let run_experiments ?domains ?ledger ~budget () =
-  let r = H.Runner.create ?domains ~budget () in
-  Fmt.pr
-    "Running %d benchmarks x %d techniques at %d instructions each on %d \
-     domain(s)...@."
-    (List.length (H.Runner.bench_names r))
-    (List.length H.Technique.all)
-    budget (H.Runner.domains r);
-  H.Runner.run_all r;
-  (match H.Runner.campaign_stats r with
-  | Some c ->
-    Fmt.pr "%a@.@." H.Runner.pp_campaign c;
-    Option.iter
-      (fun file ->
-        let digest =
-          Sdiq_obs.Ledger.config_digest
-            ~extra:(Printf.sprintf "budget=%d" budget)
-            Sdiq_cpu.Config.default Sdiq_cpu.Sched.default
-        in
-        let record =
-          Sdiq_obs.Ledger.make ~kind:"campaign" ~digest
-            ~domains:c.H.Runner.domains_used ~pairs:c.H.Runner.pairs_total
-            ~wall_s:c.H.Runner.wall_s ~energy:(H.Runner.energy_totals r) ()
-        in
-        Sdiq_obs.Ledger.append ~file record;
-        Fmt.pr "ledger: appended campaign record to %s@.@." file)
-      ledger
-  | None -> ());
-  print_table1 ();
-  Fmt.pr "%a@." H.Experiments.pp_table2 (H.Experiments.table2 r);
-  List.iter
-    (fun e -> Fmt.pr "%a@." H.Experiments.pp_exp e)
-    [
-      H.Experiments.fig6 r;
-      H.Experiments.fig7 r;
-      H.Experiments.fig8 r;
-      H.Experiments.fig9 r;
-      H.Experiments.fig10 r;
-      H.Experiments.fig11 r;
-      H.Experiments.fig12 r;
-    ]
 
 (* --- Bechamel microbenchmarks ------------------------------------------ *)
 
@@ -176,7 +131,7 @@ let micro_tests () =
     bench_experiment "fig12" (fun () -> H.Experiments.fig12 (tiny_runner ()));
   ]
 
-let run_micro () =
+let () =
   Fmt.pr "== microbenchmarks (Bechamel) ==@.";
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
@@ -194,105 +149,3 @@ let run_micro () =
       | Some [ t ] -> Fmt.pr "  %-28s %12.1f ns/run@." name t
       | Some _ | None -> Fmt.pr "  %-28s (no estimate)@." name)
     results
-
-let run_ablations ~budget () =
-  Fmt.pr "@.== ablation studies (design choices from DESIGN.md) ==@.";
-  List.iter
-    (fun s -> Fmt.pr "%a@." H.Ablations.pp_study s)
-    (H.Ablations.all ~budget ())
-
-(* --- machine-readable MIPS probe ---------------------------------------- *)
-
-(* The regression guard's input: wall-clock MIPS of the detailed no-sink
-   hot path and of a whole-program sampled run on one mid-size workload,
-   as one JSON object. CI archives this file per commit so a throughput
-   regression is visible as a number diff, not an anecdote. Single-run
-   wall-clock numbers carry ~±5% machine noise — treat small deltas as
-   noise and trends as signal. *)
-let write_mips_json ?ledger file =
-  let outer = 120_000 in
-  let mk () =
-    H.Technique.build H.Technique.Baseline
-      (Sdiq_workloads.W_gzip.build ~outer ())
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let policy = Sdiq_cpu.Sched.name Sdiq_cpu.Config.default.Sdiq_cpu.Config.sched in
-  let p = mk () in
-  let stats, detailed_s = time (fun () -> Sdiq_cpu.Pipeline.run p) in
-  let detailed_insns = stats.Sdiq_cpu.Stats.committed in
-  let p2 = mk () in
-  let sampled, sampled_s = time (fun () -> H.Sampling.sample p2) in
-  let mips insns s = if s > 0. then float_of_int insns /. s /. 1e6 else 0. in
-  let oc = open_out file in
-  Printf.fprintf oc
-    {|{"workload":"gzip","policy":"%s","outer":%d,"detailed":{"instructions":%d,"seconds":%.4f,"mips":%.3f},"sampled":{"instructions":%d,"windows":%d,"seconds":%.4f,"mips":%.3f}}|}
-    policy outer detailed_insns detailed_s
-    (mips detailed_insns detailed_s)
-    sampled.H.Sampling.total_insns sampled.H.Sampling.windows sampled_s
-    (mips sampled.H.Sampling.total_insns sampled_s);
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "mips: %s (detailed %.2f MIPS over %d instrs, sampled %.2f MIPS \
-          over %d instrs)@."
-    file
-    (mips detailed_insns detailed_s)
-    detailed_insns
-    (mips sampled.H.Sampling.total_insns sampled_s)
-    sampled.H.Sampling.total_insns;
-  Option.iter
-    (fun lfile ->
-      (* MIPS is host wall-clock speed: scope the digest to this host so
-         the strict ledger gate never compares records across machines
-         (a fresh CI runner seeds its own trajectory instead of being
-         diffed against whatever machine wrote the committed records). *)
-      let digest =
-        Sdiq_obs.Ledger.config_digest
-          ~extra:
-            (Printf.sprintf "mips:outer=%d:host=%s" outer
-               (Sdiq_obs.Ledger.host_id ()))
-          Sdiq_cpu.Config.default Sdiq_cpu.Config.default.Sdiq_cpu.Config.sched
-      in
-      let record =
-        Sdiq_obs.Ledger.make ~kind:"mips" ~digest ~domains:1 ~pairs:2
-          ~wall_s:(detailed_s +. sampled_s)
-          ~mips_detailed:(mips detailed_insns detailed_s)
-          ~mips_sampled:(mips sampled.H.Sampling.total_insns sampled_s)
-          ()
-      in
-      Sdiq_obs.Ledger.append ~file:lfile record;
-      Fmt.pr "ledger: appended mips record to %s@." lfile)
-    ledger
-
-(* [--domains N] caps the campaign pool; default is the hardware's
-   recommended domain count. *)
-let parse_opt_arg name argv =
-  let n = Array.length argv in
-  let rec find i =
-    if i >= n then None
-    else if argv.(i) = name && i + 1 < n then Some argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
-
-let parse_domains argv =
-  Option.bind (parse_opt_arg "--domains" argv) int_of_string_opt
-
-let () =
-  let micro = Array.exists (fun a -> a = "--micro") Sys.argv in
-  let ablations = Array.exists (fun a -> a = "--ablations") Sys.argv in
-  let quick = Array.exists (fun a -> a = "--quick") Sys.argv in
-  let domains = parse_domains Sys.argv in
-  let ledger = parse_opt_arg "--ledger" Sys.argv in
-  let budget = if quick then 20_000 else 100_000 in
-  match parse_opt_arg "--mips-json" Sys.argv with
-  | Some file ->
-    (* probe-only mode: CI runs this as a dedicated step *)
-    write_mips_json ?ledger file
-  | None ->
-    run_experiments ?domains ?ledger ~budget ();
-    if ablations then run_ablations ~budget:(budget / 2) ();
-    if micro then run_micro ()

@@ -3,18 +3,15 @@
    Loads telemetry/ledger.jsonl (or --ledger FILE), validates every
    record against the schema, and compares the newest record to its
    most recent predecessor of the same kind and config/policy digest:
-   a detailed- or sampled-MIPS drop beyond --threshold (default 10%)
-   or any drift in an energy total exits non-zero. With --baseline
-   BENCH_mips.json the newest MIPS-carrying record is also checked
-   against the archived probe numbers.
+   any drift in an energy total exits non-zero. Host speed is gated by
+   `make perf-gate` instead (bench/perf, parent against change on one
+   host).
 
      dune exec bin/benchdiff.exe -- --check-schema
-     dune exec bin/benchdiff.exe -- --threshold 0.05
-     dune exec bin/benchdiff.exe -- --baseline BENCH_mips.json *)
+     dune exec bin/benchdiff.exe -- --ledger _build/telemetry/ledger.jsonl *)
 
 open Cmdliner
 module Ledger = Sdiq_obs.Ledger
-module Json = Sdiq_util.Json
 
 let ledger_arg =
   let doc = "Ledger file (JSONL, one record per run)." in
@@ -23,13 +20,6 @@ let ledger_arg =
     & opt string "telemetry/ledger.jsonl"
     & info [ "ledger" ] ~docv:"FILE" ~doc)
 
-let threshold_arg =
-  let doc =
-    "Fractional MIPS regression allowed before the gate fails (0.10 = \
-     10%). Energy totals are exempt from the threshold: any drift fails."
-  in
-  Arg.(value & opt float 0.10 & info [ "threshold" ] ~docv:"FRAC" ~doc)
-
 let check_schema_arg =
   let doc =
     "Only validate that every ledger line parses as a schema-1 record; \
@@ -37,19 +27,7 @@ let check_schema_arg =
   in
   Arg.(value & flag & info [ "check-schema" ] ~doc)
 
-let baseline_arg =
-  let doc =
-    "Also gate the newest MIPS-carrying record against the archived \
-     probe file (BENCH_mips.json, as written by bench/main.exe \
-     --mips-json)."
-  in
-  Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
-
-let report (v : Ledger.verdict) =
-  List.iter (fun m -> Fmt.pr "benchdiff: %s@." m) v.Ledger.messages;
-  v.Ledger.ok
-
-let run ledger threshold check_schema baseline =
+let run ledger check_schema =
   match Ledger.load ~file:ledger with
   | Error msg ->
     Fmt.epr "benchdiff: %s@." msg;
@@ -58,33 +36,14 @@ let run ledger threshold check_schema baseline =
     Fmt.pr "benchdiff: %s: %d record(s), schema ok@." ledger
       (List.length records);
     if check_schema then exit 0;
-    let ok = report (Ledger.gate ~threshold records) in
-    let ok =
-      match baseline with
-      | None -> ok
-      | Some file -> (
-        let text =
-          try In_channel.with_open_text file In_channel.input_all
-          with Sys_error msg ->
-            Fmt.epr "benchdiff: %s@." msg;
-            exit 1
-        in
-        match Json.parse text with
-        | Error msg ->
-          Fmt.epr "benchdiff: %s: bad JSON: %s@." file msg;
-          exit 1
-        | Ok probe_json ->
-          report (Ledger.gate_against_probe ~threshold ~probe_json records)
-          && ok)
-    in
-    exit (if ok then 0 else 1)
+    let v = Ledger.gate records in
+    List.iter (fun m -> Fmt.pr "benchdiff: %s@." m) v.Ledger.messages;
+    exit (if v.Ledger.ok then 0 else 1)
 
 let cmd =
   let doc = "regression gate over the telemetry run ledger" in
   Cmd.v
     (Cmd.info "sdiq-benchdiff" ~doc)
-    Term.(
-      const run $ ledger_arg $ threshold_arg $ check_schema_arg
-      $ baseline_arg)
+    Term.(const run $ ledger_arg $ check_schema_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -38,7 +38,10 @@ let budget_arg =
   Arg.(value & opt int 100_000 & info [ "n"; "budget" ] ~docv:"N" ~doc)
 
 let domains_arg =
-  let doc = "Domains for the profiling pool (default: recommended count)." in
+  let doc =
+    "Domains for the profiling pool (default: recommended count); must \
+     be at least 1."
+  in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
 let top_arg =
@@ -198,6 +201,13 @@ let run benches techniques budget domains top slack json csv policy
       Fmt.epr "no techniques given@.";
       exit 1
     end;
+    Option.iter
+      (fun n ->
+        if n < 1 then begin
+          Fmt.epr "sdiq-profile: --domains must be at least 1 (got %d)@." n;
+          exit 1
+        end)
+      domains;
     let runner = H.Runner.create ~budget ~benches ~sched ?domains () in
     let pairs, campaign = H.Runner.profile_all ~techniques runner in
     if json then print_json budget sched pairs campaign

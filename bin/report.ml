@@ -1,23 +1,42 @@
 (* sdiq-report: regenerate the paper's tables and figures, selectively.
 
-     dune exec bin/report.exe                      # everything
+     dune exec bin/report.exe                      # table2, figures, tighten
      dune exec bin/report.exe -- --only fig6,fig8  # a subset
+     dune exec bin/report.exe -- --only table1,ablations
      dune exec bin/report.exe -- --markdown        # EXPERIMENTS.md body *)
 
 open Cmdliner
 module H = Sdiq_harness
 
-let all_ids =
+let default_ids =
   [ "table2"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11"; "fig12";
     "tighten" ]
+
+(* Not part of the default report (or the EXPERIMENTS.md body): they
+   run only when named, and neither needs the campaign. *)
+let extra_ids = [ "table1"; "ablations" ]
+let all_ids = default_ids @ extra_ids
 
 let budget_arg =
   let doc = "Committed-instruction budget per run." in
   Arg.(value & opt int 100_000 & info [ "n"; "budget" ] ~docv:"N" ~doc)
 
 let only_arg =
-  let doc = "Comma-separated experiment ids (table2, fig6..fig12, tighten)." in
+  let doc =
+    "Comma-separated experiment ids: table2, fig6..fig12 and tighten (the \
+     default set), plus table1 (processor configuration) and ablations \
+     (the DESIGN.md ablation studies at half the budget), which run only \
+     when named."
+  in
   Arg.(value & opt (some string) None & info [ "only" ] ~docv:"IDS" ~doc)
+
+let domains_arg =
+  let doc =
+    "Domains for the campaign pool (default: the hardware's recommended \
+     domain count); must be at least 1. Figures are identical for every \
+     $(docv)."
+  in
+  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
 let markdown_arg =
   let doc = "Emit Markdown tables (the body of EXPERIMENTS.md)." in
@@ -87,9 +106,10 @@ let trace_spans_arg =
    per program) under SMARTS sampling for every technique, with a hard
    coverage guard — an estimate whose run was too short to support its
    interval must fail the build, not print a plausible-looking table. *)
-let run_sampled_campaign ?sched ~min_insns ~min_windows () =
+let run_sampled_campaign ?sched ?domains ~min_insns ~min_windows () =
   let r =
-    H.Runner.create ~benches:(Sdiq_workloads.Suite.scaled ()) ?sched ()
+    H.Runner.create ~benches:(Sdiq_workloads.Suite.scaled ()) ?sched ?domains
+      ()
   in
   H.Runner.run_all_sampled r;
   let shortfalls = ref [] in
@@ -377,8 +397,15 @@ let pp_table2_markdown ppf rows =
     rows;
   Fmt.pf ppf "@."
 
-let run budget only markdown sample min_insns min_windows policy policy_grid
-    ledger trace_spans =
+let run budget only domains markdown sample min_insns min_windows policy
+    policy_grid ledger trace_spans =
+  Option.iter
+    (fun n ->
+      if n < 1 then begin
+        Fmt.epr "sdiq-report: --domains must be at least 1 (got %d)@." n;
+        exit 1
+      end)
+    domains;
   let sched =
     match policy with
     | None -> None
@@ -405,11 +432,12 @@ let run budget only markdown sample min_insns min_windows policy policy_grid
   (match policy_grid with
   | Some file -> run_policy_grid ~budget ~file
   | None ->
-  if sample then run_sampled_campaign ?sched ~min_insns ~min_windows ()
+  if sample then
+    run_sampled_campaign ?sched ?domains ~min_insns ~min_windows ()
   else begin
   let ids =
     match only with
-    | None -> all_ids
+    | None -> default_ids
     | Some s -> String.split_on_char ',' s |> List.map String.trim
   in
   (* Validate before simulating anything: a typo'd id must fail loudly,
@@ -422,14 +450,22 @@ let run budget only markdown sample min_insns min_windows policy policy_grid
       (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
       (String.concat ", " all_ids);
     exit 1);
-  let r = H.Runner.create ~budget ?sched () in
+  let r = H.Runner.create ~budget ?sched ?domains () in
   (* Run the whole campaign up front: the figures then read memoised
-     pairs, and campaign_stats is populated for every invocation —
-     including --only, which used to skip the summary line. *)
-  H.Runner.run_all r;
+     pairs, and campaign_stats is populated for every invocation that
+     names a campaign experiment, --only included. *)
+  if List.exists (fun id -> not (List.mem id extra_ids)) ids then
+    H.Runner.run_all r;
   List.iter
     (fun id ->
-      if id = "table2" then
+      if id = "table1" then
+        Fmt.pr "== table1: processor configuration ==@.%a@.@."
+          Sdiq_cpu.Config.pp Sdiq_cpu.Config.default
+      else if id = "ablations" then
+        List.iter
+          (Fmt.pr "%a@." H.Ablations.pp_study)
+          (H.Ablations.all ~budget:(budget / 2) ())
+      else if id = "table2" then
         let rows = H.Experiments.table2 r in
         if markdown then Fmt.pr "%a" pp_table2_markdown rows
         else Fmt.pr "%a@." H.Experiments.pp_table2 rows
@@ -475,8 +511,8 @@ let cmd =
   Cmd.v
     (Cmd.info "sdiq-report" ~doc)
     Term.(
-      const run $ budget_arg $ only_arg $ markdown_arg $ sample_arg
-      $ min_insns_arg $ min_windows_arg $ policy_arg $ policy_grid_arg
-      $ ledger_arg $ trace_spans_arg)
+      const run $ budget_arg $ only_arg $ domains_arg $ markdown_arg
+      $ sample_arg $ min_insns_arg $ min_windows_arg $ policy_arg
+      $ policy_grid_arg $ ledger_arg $ trace_spans_arg)
 
 let () = exit (Cmd.eval cmd)

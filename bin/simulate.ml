@@ -93,8 +93,8 @@ let trace_spans_arg =
 let domains_arg =
   let doc =
     "Domains for the runner's campaign pool (default: the hardware's \
-     recommended domain count). Detailed runs only: rejected with \
-     $(b,--sample) (a sampled pair runs on one domain)."
+     recommended domain count); must be at least 1. Detailed runs only: \
+     rejected with $(b,--sample) (a sampled pair runs on one domain)."
   in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
@@ -280,7 +280,10 @@ let validate_flags ~budget ~verbose ~timeline ~trace ~metrics ~domains
     require "window" (window <> None);
     Option.iter
       (fun n -> if n <= 0 then err "--budget must be positive (got %d)" n)
-      budget
+      budget;
+    Option.iter
+      (fun n -> if n < 1 then err "--domains must be at least 1 (got %d)" n)
+      domains
   end;
   match List.rev !errors with
   | [] -> ()

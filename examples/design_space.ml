@@ -24,10 +24,21 @@ let budget = 50_000
 let pool =
   let rec find i =
     if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = "--domains" then int_of_string_opt Sys.argv.(i + 1)
+    else if Sys.argv.(i) = "--domains" then Some Sys.argv.(i + 1)
     else find (i + 1)
   in
-  Sdiq_util.Pool.create ?domains:(find 1) ()
+  let domains =
+    Option.map
+      (fun v ->
+        match int_of_string_opt v with
+        | Some n when n >= 1 -> n
+        | _ ->
+          Printf.eprintf
+            "design_space: --domains must be an integer >= 1 (got %S)\n" v;
+          exit 1)
+      (find 1)
+  in
+  Sdiq_util.Pool.create ?domains ()
 
 let ipc_loss base tech =
   (Sdiq_cpu.Stats.ipc base -. Sdiq_cpu.Stats.ipc tech)

@@ -22,8 +22,9 @@
    arithmetic from that snapshot and demands equality, not bounds.
 
    Checks are O(machine size) per cycle (IQ slots + ROB entries + register
-   files); `bench/main.exe --micro` measures the slowdown. Violations are
-   formatted only on failure — the passing path allocates nothing. *)
+   files); the `bench/main.exe` micro-suite measures the slowdown.
+   Violations are formatted only on failure — the passing path allocates
+   nothing. *)
 
 open Sdiq_cpu
 

@@ -1,7 +1,6 @@
 (* Ablation studies over the design choices DESIGN.md calls out. These go
-   beyond the paper's evaluation but use only its machinery; the
-   design_space example and `bench/main.exe --ablations` both drive this
-   module. *)
+   beyond the paper's evaluation but use only its machinery;
+   `report.exe --only ablations` drives this module. *)
 
 open Sdiq_workloads
 

@@ -9,8 +9,6 @@ type record = {
   domains : int;
   pairs : int;
   wall_s : float;
-  mips_detailed : float option;
-  mips_sampled : float option;
   energy : (string * float) list;
 }
 
@@ -21,12 +19,6 @@ let config_digest ?(extra = "") config sched =
     (Digest.string
        (Fmt.str "%a|%s|%s" Sdiq_cpu.Config.pp config
           (Sdiq_cpu.Sched.key sched) extra))
-
-(* Host-speed measurements (wall clock, MIPS) are only comparable on
-   the machine that took them, so records carrying them fold this into
-   their digest: records from different hosts then never share a digest
-   and the strict gate can only ever compare same-machine runs. *)
-let host_id () = try Unix.gethostname () with _ -> "unknown-host"
 
 let git_describe () =
   try
@@ -47,7 +39,7 @@ let iso8601_now () =
     tm.Unix.tm_sec
 
 let make ?time ?git ?digest ?(domains = 1) ?(pairs = 0) ?(wall_s = 0.)
-    ?mips_detailed ?mips_sampled ?(energy = []) ~kind () =
+    ?(energy = []) ~kind () =
   {
     schema = schema_version;
     time = (match time with Some t -> t | None -> iso8601_now ());
@@ -60,23 +52,15 @@ let make ?time ?git ?digest ?(domains = 1) ?(pairs = 0) ?(wall_s = 0.)
     domains;
     pairs;
     wall_s;
-    mips_detailed;
-    mips_sampled;
     energy = List.sort (fun (a, _) (b, _) -> String.compare a b) energy;
   }
 
 let to_json r =
-  let opt name = function
-    | None -> ""
-    | Some v -> Printf.sprintf ",\"%s\":%s" name (Json.to_string (Json.Num v))
-  in
   Printf.sprintf
-    "{\"schema\":%d,\"time\":\"%s\",\"git\":\"%s\",\"kind\":\"%s\",\"digest\":\"%s\",\"domains\":%d,\"pairs\":%d,\"wall_s\":%s%s%s,\"energy\":{%s}}"
+    "{\"schema\":%d,\"time\":\"%s\",\"git\":\"%s\",\"kind\":\"%s\",\"digest\":\"%s\",\"domains\":%d,\"pairs\":%d,\"wall_s\":%s,\"energy\":{%s}}"
     r.schema (Json.escape r.time) (Json.escape r.git) (Json.escape r.kind)
     (Json.escape r.digest) r.domains r.pairs
     (Json.to_string (Json.Num r.wall_s))
-    (opt "mips_detailed" r.mips_detailed)
-    (opt "mips_sampled" r.mips_sampled)
     (String.concat ","
        (List.map
           (fun (k, v) ->
@@ -91,14 +75,6 @@ let of_json j =
     | Some v -> Ok v
     | None -> Error (Printf.sprintf "ledger record: missing or bad %S" name)
   in
-  let opt_float name =
-    match Json.member name j with
-    | None -> Ok None
-    | Some v -> (
-      match Json.to_float v with
-      | Some f -> Ok (Some f)
-      | None -> Error (Printf.sprintf "ledger record: bad %S" name))
-  in
   let* schema = field "schema" Json.to_int in
   if schema <> schema_version then
     Error (Printf.sprintf "ledger record: unknown schema %d" schema)
@@ -110,8 +86,6 @@ let of_json j =
     let* domains = field "domains" Json.to_int in
     let* pairs = field "pairs" Json.to_int in
     let* wall_s = field "wall_s" Json.to_float in
-    let* mips_detailed = opt_float "mips_detailed" in
-    let* mips_sampled = opt_float "mips_sampled" in
     let* energy =
       match Json.member "energy" j with
       | Some (Json.Obj kvs) ->
@@ -127,20 +101,7 @@ let of_json j =
       | Some _ -> Error "ledger record: energy is not an object"
       | None -> Ok []
     in
-    Ok
-      {
-        schema;
-        time;
-        git;
-        kind;
-        digest;
-        domains;
-        pairs;
-        wall_s;
-        mips_detailed;
-        mips_sampled;
-        energy;
-      }
+    Ok { schema; time; git; kind; digest; domains; pairs; wall_s; energy }
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then (
@@ -159,21 +120,22 @@ let append ~file r =
 let load ~file =
   if not (Sys.file_exists file) then Ok []
   else
-    let ic = open_in file in
-    let rec go n acc =
-      match input_line ic with
-      | exception End_of_file -> Ok (List.rev acc)
-      | "" -> go (n + 1) acc
-      | line -> (
-        match Json.parse line with
-        | Error e ->
-          Error (Printf.sprintf "%s:%d: bad JSON: %s" file n e)
-        | Ok j -> (
-          match of_json j with
-          | Error e -> Error (Printf.sprintf "%s:%d: %s" file n e)
-          | Ok r -> go (n + 1) (r :: acc)))
-    in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> go 1 [])
+    match In_channel.with_open_text file In_channel.input_all with
+    | exception Sys_error e ->
+      Error (Printf.sprintf "%s: unreadable ledger: %s" file e)
+    | text ->
+      let rec go n acc = function
+        | [] -> Ok (List.rev acc)
+        | "" :: lines -> go (n + 1) acc lines
+        | line :: lines -> (
+          match Json.parse line with
+          | Error e -> Error (Printf.sprintf "%s:%d: bad JSON: %s" file n e)
+          | Ok j -> (
+            match of_json j with
+            | Error e -> Error (Printf.sprintf "%s:%d: %s" file n e)
+            | Ok r -> go (n + 1) (r :: acc) lines))
+      in
+      go 1 [] (String.split_on_char '\n' text)
 
 type verdict = { ok : bool; messages : string list }
 
@@ -193,20 +155,6 @@ let baseline_of records newest =
       else last_match acc rest
   in
   last_match None records
-
-let check_mips ~threshold ~what ~baseline ~current =
-  match (baseline, current) with
-  | Some b, Some c when b > 0. ->
-    let drop = (b -. c) /. b in
-    if drop > threshold then
-      Some
-        (Printf.sprintf "FAIL %s MIPS regressed %.1f%% (%.3f -> %.3f, gate %.0f%%)"
-           what (100. *. drop) b c (100. *. threshold))
-    else
-      Some
-        (Printf.sprintf "ok   %s MIPS %.3f -> %.3f (%+.1f%%)" what b c
-           (-100. *. drop))
-  | _ -> None
 
 (* Symmetric over the two technique sets: a technique that appears,
    disappears or is renamed between records is a drift just as much as
@@ -234,7 +182,7 @@ let check_energy ~baseline ~current =
       | _ -> None)
     keys
 
-let gate ?(threshold = 0.10) records =
+let gate records =
   match List.rev records with
   | [] -> pass [ "ok   empty ledger (nothing to gate)" ]
   | newest :: _ -> (
@@ -245,55 +193,12 @@ let gate ?(threshold = 0.10) records =
             newest.kind
             (String.sub newest.digest 0 (min 8 (String.length newest.digest)));
         ]
-    | Some prior ->
-      let energy_msgs =
-        match check_energy ~baseline:prior.energy ~current:newest.energy with
-        | [] when prior.energy <> [] || newest.energy <> [] ->
+    | Some prior -> (
+      match check_energy ~baseline:prior.energy ~current:newest.energy with
+      | [] when prior.energy = [] -> pass [ "ok   nothing comparable" ]
+      | [] ->
+        pass
           [ Printf.sprintf "ok   energy totals match (%d techniques)"
               (List.length newest.energy);
           ]
-        | msgs -> msgs
-      in
-      let msgs =
-        List.filter_map Fun.id
-          [ check_mips ~threshold ~what:"detailed"
-              ~baseline:prior.mips_detailed ~current:newest.mips_detailed;
-            check_mips ~threshold ~what:"sampled" ~baseline:prior.mips_sampled
-              ~current:newest.mips_sampled;
-          ]
-        @ energy_msgs
-      in
-      let msgs = if msgs = [] then [ "ok   nothing comparable" ] else msgs in
-      if List.exists (fun m -> String.length m >= 4 && String.sub m 0 4 = "FAIL") msgs
-      then fail msgs
-      else pass msgs)
-
-let gate_against_probe ?(threshold = 0.10) ~probe_json records =
-  (* BENCH_mips.json nests the probes: {"detailed":{"mips":...},...}. *)
-  let probe section =
-    Option.bind (Json.member section probe_json) (fun s ->
-        Option.bind (Json.member "mips" s) Json.to_float)
-  in
-  let newest =
-    List.rev records
-    |> List.find_opt (fun r ->
-           r.mips_detailed <> None || r.mips_sampled <> None)
-  in
-  match newest with
-  | None -> pass [ "ok   no MIPS-carrying ledger record (nothing to gate)" ]
-  | Some r ->
-    let msgs =
-      List.filter_map Fun.id
-        [ check_mips ~threshold ~what:"detailed" ~baseline:(probe "detailed")
-            ~current:r.mips_detailed;
-          check_mips ~threshold ~what:"sampled" ~baseline:(probe "sampled")
-            ~current:r.mips_sampled;
-        ]
-    in
-    let msgs =
-      if msgs = [] then [ "ok   probe and ledger share no MIPS fields" ]
-      else msgs
-    in
-    if List.exists (fun m -> String.length m >= 4 && String.sub m 0 4 = "FAIL") msgs
-    then fail msgs
-    else pass msgs
+      | msgs -> fail msgs))

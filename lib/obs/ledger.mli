@@ -4,28 +4,27 @@
 
     A record carries provenance (git describe, a digest of the machine
     configuration and scheduler policy), geometry (domain count, pairs)
-    and the measurements worth tracking across commits: wall clock,
-    the MIPS probes, and total IQ energy by technique. Records are
-    append-only — the ledger is the perf trajectory, so nothing ever
-    rewrites it.
+    and the measurements worth tracking across commits: wall clock and
+    total IQ energy by technique. Records are append-only, so nothing
+    ever rewrites the ledger; lines written by older versions (which
+    may carry since-retired fields such as [mips_*]) still load.
+    Host speed is gated elsewhere, parent against change on one host
+    ([bench/perf], [make perf-gate]).
 
     {!gate} compares the newest record against the most recent earlier
-    record of the same kind and digest: a detailed- or sampled-MIPS
-    drop beyond the threshold (default 10%) fails, and {e any} drift
-    in an energy total fails outright — energies are deterministic
-    given the digest, so a change means the simulator changed. *)
+    record of the same kind and digest: {e any} drift in an energy
+    total fails — energies are deterministic given the digest, so a
+    change means the simulator changed. *)
 
 type record = {
   schema : int;  (** record format version; currently 1 *)
   time : string;  (** ISO-8601 UTC *)
   git : string;  (** [git describe --always --dirty], or "unknown" *)
-  kind : string;  (** "campaign" | "mips" | "report" | test kinds *)
+  kind : string;  (** "report", or "campaign"/"mips" in older lines *)
   digest : string;  (** {!config_digest} of config + policy *)
   domains : int;
   pairs : int;
   wall_s : float;
-  mips_detailed : float option;
-  mips_sampled : float option;
   energy : (string * float) list;  (** technique -> total IQ energy *)
 }
 
@@ -36,14 +35,6 @@ type record = {
     differ never gate against each other. *)
 val config_digest :
   ?extra:string -> Sdiq_cpu.Config.t -> Sdiq_cpu.Sched.t -> string
-
-(** The hostname, for folding into the digest of records whose
-    measurements are host-speed (MIPS, wall clock): a digest that
-    includes the host never matches a record taken on another machine,
-    so {!gate}'s strict threshold only ever compares same-machine runs
-    — on a new host such a record seeds rather than gates.
-    "unknown-host" when the hostname is unavailable. *)
-val host_id : unit -> string
 
 (** [git describe --always --dirty]; "unknown" when git is absent. *)
 val git_describe : unit -> string
@@ -57,8 +48,6 @@ val make :
   ?domains:int ->
   ?pairs:int ->
   ?wall_s:float ->
-  ?mips_detailed:float ->
-  ?mips_sampled:float ->
   ?energy:(string * float) list ->
   kind:string ->
   unit ->
@@ -72,21 +61,14 @@ val of_json : Sdiq_util.Json.t -> (record, string) result
 val append : file:string -> record -> unit
 
 (** Every record of the ledger, oldest first. [Error] on an unreadable
-    or malformed line (the message names the line). An absent file is
-    an empty ledger. *)
+    file (a directory, no permission) or a malformed line, with a
+    message naming the file and, for a bad line, its number. An absent
+    file is an empty ledger. Never raises. *)
 val load : file:string -> (record list, string) result
 
 type verdict = { ok : bool; messages : string list }
 
 (** Evaluate the newest record against its predecessors (same kind and
-    digest). [threshold] is the fractional MIPS regression allowed
-    (default 0.10). An empty ledger or a record with no comparable
+    digest). An empty ledger or a record with no comparable
     predecessor passes (it seeds the trajectory). *)
-val gate : ?threshold:float -> record list -> verdict
-
-(** Compare the newest MIPS-carrying record against an external probe
-    file ([BENCH_mips.json] as written by [bench/main.exe --mips-json]):
-    fails when detailed or sampled MIPS fall more than [threshold]
-    below the archived numbers. *)
-val gate_against_probe :
-  ?threshold:float -> probe_json:Sdiq_util.Json.t -> record list -> verdict
+val gate : record list -> verdict

@@ -1,6 +1,6 @@
 (** A minimal JSON value with a recursive-descent parser and canonical
     printer — just enough for the telemetry round-trips (ledger records,
-    Chrome trace documents, MIPS probes) without an external dependency.
+    Chrome trace documents, perf results) without an external dependency.
 
     Numbers are [float]s; [%.17g] printing keeps them round-trippable.
     The parser accepts any RFC 8259 document (objects preserve key

@@ -222,13 +222,13 @@ let test_hostprof_metrics () =
 
 (* --- run ledger --------------------------------------------------------- *)
 
-let sample_record ?(kind = "test") ?(digest = "d0") ?mips_detailed
-    ?mips_sampled ?(energy = [ ("noop", 10.5); ("improved", 7.25) ]) () =
+let sample_record ?(kind = "test") ?(digest = "d0")
+    ?(energy = [ ("noop", 10.5); ("improved", 7.25) ]) () =
   Obs.Ledger.make ~time:"2026-01-01T00:00:00Z" ~git:"deadbee" ~kind ~digest
-    ~domains:3 ~pairs:55 ~wall_s:1.5 ?mips_detailed ?mips_sampled ~energy ()
+    ~domains:3 ~pairs:55 ~wall_s:1.5 ~energy ()
 
 let test_ledger_round_trip () =
-  let r = sample_record ~mips_detailed:1.25 () in
+  let r = sample_record () in
   match Json.parse (Obs.Ledger.to_json r) with
   | Error e -> Alcotest.fail ("ledger JSON does not parse: " ^ e)
   | Ok j -> (
@@ -239,8 +239,8 @@ let test_ledger_round_trip () =
 
 let test_ledger_file_round_trip () =
   let file = Filename.temp_file "sdiq-ledger" ".jsonl" in
-  let a = sample_record ~mips_detailed:1.0 ()
-  and b = sample_record ~mips_sampled:8.5 () in
+  let a = sample_record ()
+  and b = sample_record ~energy:[ ("noop", 8.5) ] () in
   Obs.Ledger.append ~file a;
   Obs.Ledger.append ~file b;
   (match Obs.Ledger.load ~file with
@@ -254,36 +254,89 @@ let test_ledger_file_round_trip () =
   | Ok _ -> Alcotest.fail "absent file should load as empty"
   | Error e -> Alcotest.fail e
 
-let test_ledger_rejects_malformed () =
+let load_text text =
   let file = Filename.temp_file "sdiq-ledger" ".jsonl" in
-  let oc = open_out file in
-  output_string oc "{\"schema\":1,\"oops\"\n";
-  close_out oc;
-  (match Obs.Ledger.load ~file with
+  Out_channel.with_open_bin file (fun oc -> output_string oc text);
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () -> Obs.Ledger.load ~file)
+
+let test_ledger_rejects_malformed () =
+  match load_text "{\"schema\":1,\"oops\"\n" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "malformed line must be an error, not a skip");
-  Sys.remove file
+  | Ok _ -> Alcotest.fail "malformed line must be an error, not a skip"
+
+let test_ledger_unreadable_path () =
+  let dir = Filename.temp_dir "sdiq-ledger" "" in
+  (match Obs.Ledger.load ~file:dir with
+  | Error msg ->
+    Alcotest.(check bool) "message names the path" true
+      (String.starts_with ~prefix:(dir ^ ": ") msg)
+  | Ok _ -> Alcotest.fail "a directory must be an error, not a ledger");
+  Sys.rmdir dir
+
+(* The ledger is append-only, so lines from before the MIPS fields were
+   retired must keep loading. *)
+let test_ledger_legacy_mips_line () =
+  let line =
+    {|{"schema":1,"time":"2026-01-01T00:00:00Z","git":"deadbee","kind":"mips","digest":"d0","domains":1,"pairs":2,"wall_s":3.5,"mips_detailed":1.1,"mips_sampled":8.8,"energy":{}}|}
+  in
+  match load_text (line ^ "\n") with
+  | Ok [ r ] ->
+    Alcotest.(check string) "kind" "mips" r.Obs.Ledger.kind;
+    Alcotest.(check (float 0.)) "wall_s" 3.5 r.Obs.Ledger.wall_s
+  | Ok _ -> Alcotest.fail "expected exactly one record"
+  | Error e -> Alcotest.fail e
+
+(* Strings that need escaping: quotes, backslashes, control bytes. *)
+let gen_ledger_string =
+  let open QCheck.Gen in
+  string_size ~gen:(oneof [ printable; oneofl [ '"'; '\\'; '\n'; '\001' ] ])
+    (int_range 0 12)
+
+let gen_ledger_record =
+  let open QCheck.Gen in
+  let finite =
+    map (fun x -> Float.of_int x /. 64.) (int_range (-100_000) 100_000)
+  in
+  map
+    (fun ((git, kind, digest), (domains, pairs, wall_s), energy) ->
+      Obs.Ledger.make ~time:"2026-01-01T00:00:00Z" ~git ~kind ~digest ~domains
+        ~pairs ~wall_s ~energy ())
+    (triple
+       (triple gen_ledger_string gen_ledger_string gen_ledger_string)
+       (triple (int_range 1 64) (int_range 0 2000) (oneof [ finite; float ]))
+       (list_size (int_range 0 6) (pair gen_ledger_string finite)))
+
+let arbitrary_ledger_record =
+  QCheck.make gen_ledger_record ~print:Obs.Ledger.to_json
+
+let prop_ledger_round_trip =
+  QCheck.Test.make ~count:300 ~name:"ledger: generated records round-trip"
+    arbitrary_ledger_record (fun r ->
+      QCheck.assume (Float.is_finite r.Obs.Ledger.wall_s);
+      match Json.parse (Obs.Ledger.to_json r) with
+      | Error _ -> false
+      | Ok j -> Obs.Ledger.of_json j = Ok r)
+
+(* Any single-byte mutation of a valid line is a record or an [Error]
+   from [load], never an exception. *)
+let prop_ledger_mutation_total =
+  QCheck.Test.make ~count:300
+    ~name:"ledger: single-byte mutations load or fail, never raise"
+    QCheck.(
+      pair arbitrary_ledger_record
+        (pair (int_range 0 max_int) (int_range 0 255)))
+    (fun (r, (pos, byte)) ->
+      let line = Bytes.of_string (Obs.Ledger.to_json r) in
+      Bytes.set line (pos mod Bytes.length line) (Char.chr byte);
+      match load_text (Bytes.to_string line ^ "\n") with
+      | Ok _ | Error _ -> true)
 
 (* --- the regression gate ------------------------------------------------ *)
 
 let check_gate name expected (v : Obs.Ledger.verdict) =
   Alcotest.(check bool) name expected v.Obs.Ledger.ok
-
-let test_gate_pass_and_fail () =
-  let base = sample_record ~mips_detailed:10.0 () in
-  (* Within threshold: 5% down passes the 10% gate. *)
-  check_gate "5% drop passes" true
-    (Obs.Ledger.gate [ base; sample_record ~mips_detailed:9.5 () ]);
-  (* An injected 11% regression fails. *)
-  check_gate "11% drop fails" false
-    (Obs.Ledger.gate [ base; sample_record ~mips_detailed:8.9 () ]);
-  (* A tighter threshold flips the 5% verdict. *)
-  check_gate "5% drop fails a 2% gate" false
-    (Obs.Ledger.gate ~threshold:0.02
-       [ base; sample_record ~mips_detailed:9.5 () ]);
-  (* Faster never fails. *)
-  check_gate "speedup passes" true
-    (Obs.Ledger.gate [ base; sample_record ~mips_detailed:12.0 () ])
 
 let test_gate_energy_drift () =
   let base = sample_record () in
@@ -307,43 +360,22 @@ let test_gate_energy_drift () =
     (Obs.Ledger.gate
        [ base; sample_record ~energy:[ ("noop", 10.5); ("renamed", 7.25) ] () ])
 
+(* Every record below is built by its own call: [gate] finds the newest
+   record's baseline by physical equality. *)
 let test_gate_scoping () =
+  let drifted ?kind ?digest () =
+    sample_record ?kind ?digest ~energy:[ ("noop", 1.0) ] ()
+  in
   check_gate "empty ledger passes" true (Obs.Ledger.gate []);
   check_gate "no comparable prior (digest changed) passes" true
-    (Obs.Ledger.gate
-       [ sample_record ~mips_detailed:10.0 ();
-         sample_record ~digest:"d1" ~mips_detailed:1.0 ();
-       ]);
+    (Obs.Ledger.gate [ sample_record (); drifted ~digest:"d1" () ]);
   check_gate "no comparable prior (kind changed) passes" true
-    (Obs.Ledger.gate
-       [ sample_record ~mips_detailed:10.0 ();
-         sample_record ~kind:"other" ~mips_detailed:1.0 ();
-       ]);
+    (Obs.Ledger.gate [ sample_record (); drifted ~kind:"other" () ]);
   (* The baseline is the most recent same-kind+digest record, not the
-     oldest: 10 -> 9.5 -> 9.1 passes even though 10 -> 9.1 would not. *)
+     oldest: base -> drifted -> drifted passes even though base ->
+     drifted would not. *)
   check_gate "chained drifts compare to the latest prior" true
-    (Obs.Ledger.gate
-       [ sample_record ~mips_detailed:10.0 ();
-         sample_record ~mips_detailed:9.5 ();
-         sample_record ~mips_detailed:9.1 ();
-       ])
-
-let test_gate_against_probe () =
-  let probe =
-    match
-      Json.parse
-        {|{"detailed":{"mips":10.0},"sampled":{"mips":80.0}}|}
-    with
-    | Ok j -> j
-    | Error e -> Alcotest.fail e
-  in
-  let records d s = [ sample_record ~mips_detailed:d ~mips_sampled:s () ] in
-  check_gate "probe gate passes within threshold" true
-    (Obs.Ledger.gate_against_probe ~probe_json:probe (records 9.5 76.0));
-  check_gate "probe gate fails on detailed regression" false
-    (Obs.Ledger.gate_against_probe ~probe_json:probe (records 8.5 80.0));
-  check_gate "probe gate fails on sampled regression" false
-    (Obs.Ledger.gate_against_probe ~probe_json:probe (records 10.0 60.0))
+    (Obs.Ledger.gate [ sample_record (); drifted (); drifted () ])
 
 (* --- tracing is invisible in simulation output -------------------------- *)
 
@@ -462,13 +494,15 @@ let suite =
       test_ledger_file_round_trip;
     Alcotest.test_case "ledger rejects malformed lines" `Quick
       test_ledger_rejects_malformed;
-    Alcotest.test_case "gate: threshold pass/fail" `Quick
-      test_gate_pass_and_fail;
+    Alcotest.test_case "ledger load: unreadable path is an Error" `Quick
+      test_ledger_unreadable_path;
+    Alcotest.test_case "ledger load: legacy mips_* line" `Quick
+      test_ledger_legacy_mips_line;
+    QCheck_alcotest.to_alcotest prop_ledger_round_trip;
+    QCheck_alcotest.to_alcotest prop_ledger_mutation_total;
     Alcotest.test_case "gate: exact energy drift" `Quick
       test_gate_energy_drift;
     Alcotest.test_case "gate: kind/digest scoping" `Quick test_gate_scoping;
-    Alcotest.test_case "gate: archived probe baseline" `Quick
-      test_gate_against_probe;
     Alcotest.test_case "tracing preserves Stats.equal" `Quick
       test_tracing_preserves_stats;
     Alcotest.test_case "tracing preserves 1-vs-3-domain identity" `Quick
