@@ -75,6 +75,16 @@ let json_arg =
   in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
+(* A file that cannot be opened, read or written is a usage error naming
+   its flag (exit 64, like an unloadable waiver file), not an uncaught
+   [Sys_error]; exit 1 would read as "warnings only". *)
+let file_error flag msg =
+  Fmt.epr "sdiq-lint: --%s: %s@." flag msg;
+  exit 64
+
+let open_out_flag flag path =
+  try open_out path with Sys_error e -> file_error flag e
+
 let dump_dot dir (bench : Sdiq_workloads.Bench.t) =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let prog = bench.Sdiq_workloads.Bench.prog in
@@ -110,38 +120,30 @@ let dump_dot dir (bench : Sdiq_workloads.Bench.t) =
 
 (* --- runtime-trace delivery integrity ----------------------------------- *)
 
-(* Minimal field extraction for the flat one-object-per-line JSON the
-   trace sink writes (lib/events/trace.ml); no JSON dependency needed. *)
-let find_sub line pat =
-  let n = String.length line and m = String.length pat in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub line i m = pat then Some (i + m)
-    else go (i + 1)
-  in
-  go 0
+(* Apply [f] to each line of [path] with its 1-based number; returns the
+   number of lines. *)
+let iter_lines flag path f =
+  match open_in path with
+  | exception Sys_error e -> file_error flag e
+  | ic ->
+    let rec go n =
+      match input_line ic with
+      | line ->
+        f n line;
+        go (n + 1)
+      | exception End_of_file ->
+        close_in ic;
+        n - 1
+      | exception Sys_error e ->
+        close_in_noerr ic;
+        file_error flag (path ^ ": " ^ e)
+    in
+    go 1
 
-let int_field line key =
-  match find_sub line (Printf.sprintf "\"%s\":" key) with
-  | None -> None
-  | Some i ->
-    let n = String.length line in
-    let j = ref i in
-    if !j < n && line.[!j] = '-' then incr j;
-    let start = !j in
-    while !j < n && line.[!j] >= '0' && line.[!j] <= '9' do
-      incr j
-    done;
-    if !j = start then None
-    else int_of_string_opt (String.sub line i (!j - i))
+module Json = Sdiq_util.Json
 
-let str_field line key =
-  match find_sub line (Printf.sprintf "\"%s\":\"" key) with
-  | None -> None
-  | Some i -> (
-    match String.index_from_opt line i '"' with
-    | None -> None
-    | Some j -> Some (String.sub line i (j - i)))
+let int_field ev key = Option.bind (Json.member key ev) Json.to_int
+let str_field ev key = Option.bind (Json.member key ev) Json.to_str
 
 (* Audit [path] against the binary prepared exactly as the simulator
    harness prepares it for [mode]. Returns the number of errors. *)
@@ -160,81 +162,76 @@ let audit_trace ~(bench : Sdiq_workloads.Bench.t) ~(mode : Driver.mode) path =
         if !errors <= 20 then Fmt.pr "  error: %s@." msg)
       fmt
   in
-  let lines = ref 0 in
   let prev_cycle = ref 0 in
   let prev_commit_sn = ref (-1) in
   let commits = ref 0 in
   let annotations = ref 0 in
   let cycle_ends = ref 0 in
-  let ic = open_in path in
-  (try
-     while true do
-       let line = input_line ic in
-       incr lines;
-       match (str_field line "ev", int_field line "cycle") with
-       | None, _ | _, None ->
-         error "line %d: malformed event (no ev/cycle field): %s" !lines line
-       | Some ev, Some cycle ->
-         if cycle < !prev_cycle then
-           error "line %d: cycle went backwards (%d after %d)" !lines cycle
-             !prev_cycle;
-         prev_cycle := cycle;
-         (match ev with
-         | "annotation" -> (
-           incr annotations;
-           match
-             ( int_field line "pc",
-               int_field line "value",
-               str_field line "delivery" )
-           with
-           | Some pc, Some value, Some delivery ->
-             if pc < 0 || pc >= Sdiq_isa.Prog.length prepared then
-               error "line %d: annotation pc %d outside the binary" !lines pc
-             else begin
-               let i = Sdiq_isa.Prog.instr prepared pc in
-               match delivery with
-               | "noop" ->
-                 if i.Sdiq_isa.Instr.op <> Sdiq_isa.Opcode.Iqset then
-                   error
-                     "line %d: NOOP delivery at pc %d but the binary has %s \
-                      there"
-                     !lines pc
-                     (Sdiq_isa.Instr.to_string i)
-                 else if i.Sdiq_isa.Instr.imm <> value then
-                   error
-                     "line %d: NOOP delivery at pc %d carries %d, binary \
-                      says %d"
-                     !lines pc value i.Sdiq_isa.Instr.imm
-               | "tag" ->
-                 if i.Sdiq_isa.Instr.tag <> Some value then
-                   error
-                     "line %d: tag delivery at pc %d carries %d, binary \
-                      says %s"
-                     !lines pc value
-                     (match i.Sdiq_isa.Instr.tag with
-                     | Some v -> string_of_int v
-                     | None -> "no tag")
-               | d -> error "line %d: unknown delivery kind %S" !lines d
-             end
-           | _ -> error "line %d: annotation event missing fields" !lines)
-         | "commit" -> (
-           incr commits;
-           match int_field line "sn" with
-           | Some sn ->
-             if sn <= !prev_commit_sn then
-               error "line %d: commit sn %d not after %d (program order)"
-                 !lines sn !prev_commit_sn;
-             prev_commit_sn := sn
-           | None -> error "line %d: commit event missing sn" !lines)
-         | "cycle_end" ->
-           if cycle <> !cycle_ends then
-             error "line %d: cycle_end for cycle %d, expected %d" !lines cycle
-               !cycle_ends;
-           incr cycle_ends
-         | _ -> ())
-     done
-   with End_of_file -> ());
-  close_in ic;
+  let events =
+    iter_lines "trace" path (fun n line ->
+      let j = match Json.parse line with Ok j -> j | Error _ -> Json.Null in
+      match (str_field j "ev", int_field j "cycle") with
+      | None, _ | _, None ->
+        error "line %d: malformed event (no ev/cycle field): %s" n line
+      | Some ev, Some cycle ->
+        if cycle < !prev_cycle then
+          error "line %d: cycle went backwards (%d after %d)" n cycle
+            !prev_cycle;
+        prev_cycle := cycle;
+        (match ev with
+        | "annotation" -> (
+          incr annotations;
+          match
+            ( int_field j "pc",
+              int_field j "value",
+              str_field j "delivery" )
+          with
+          | Some pc, Some value, Some delivery ->
+            if pc < 0 || pc >= Sdiq_isa.Prog.length prepared then
+              error "line %d: annotation pc %d outside the binary" n pc
+            else begin
+              let i = Sdiq_isa.Prog.instr prepared pc in
+              match delivery with
+              | "noop" ->
+                if i.Sdiq_isa.Instr.op <> Sdiq_isa.Opcode.Iqset then
+                  error
+                    "line %d: NOOP delivery at pc %d but the binary has %s \
+                     there"
+                    n pc
+                    (Sdiq_isa.Instr.to_string i)
+                else if i.Sdiq_isa.Instr.imm <> value then
+                  error
+                    "line %d: NOOP delivery at pc %d carries %d, binary \
+                     says %d"
+                    n pc value i.Sdiq_isa.Instr.imm
+              | "tag" ->
+                if i.Sdiq_isa.Instr.tag <> Some value then
+                  error
+                    "line %d: tag delivery at pc %d carries %d, binary \
+                     says %s"
+                    n pc value
+                    (match i.Sdiq_isa.Instr.tag with
+                    | Some v -> string_of_int v
+                    | None -> "no tag")
+              | d -> error "line %d: unknown delivery kind %S" n d
+            end
+          | _ -> error "line %d: annotation event missing fields" n)
+        | "commit" -> (
+          incr commits;
+          match int_field j "sn" with
+          | Some sn ->
+            if sn <= !prev_commit_sn then
+              error "line %d: commit sn %d not after %d (program order)"
+                n sn !prev_commit_sn;
+            prev_commit_sn := sn
+          | None -> error "line %d: commit event missing sn" n)
+        | "cycle_end" ->
+          if cycle <> !cycle_ends then
+            error "line %d: cycle_end for cycle %d, expected %d" n cycle
+              !cycle_ends;
+          incr cycle_ends
+        | _ -> ()))
+  in
   if !commits = 0 then error "trace retired no instructions";
   let binary_annotated =
     Sdiq_isa.Prog.count_matching prepared (fun i ->
@@ -249,7 +246,7 @@ let audit_trace ~(bench : Sdiq_workloads.Bench.t) ~(mode : Driver.mode) path =
   Fmt.pr
     "== %s/%s trace: %d events over %d cycles — %d commits in order, %d \
      annotation deliveries verified: %s@."
-    bench.Sdiq_workloads.Bench.name mode.Driver.name !lines !cycle_ends
+    bench.Sdiq_workloads.Bench.name mode.Driver.name events !cycle_ends
     !commits !annotations
     (if !errors = 0 then "clean" else Fmt.str "%d error(s)" !errors);
   !errors
@@ -283,6 +280,10 @@ let run bench_name mode dot quiet infos trace waivers_file json_file =
         exit 64
     in
     exit (if audit_trace ~bench ~mode:m path > 0 then 2 else 0));
+  (* Opened before the audit, so an unwritable path fails at once. *)
+  let json_out =
+    Option.map (fun path -> (path, open_out_flag "json" path)) json_file
+  in
   let benches =
     match bench_name with
     | None -> Sdiq_workloads.Suite.all ()
@@ -377,11 +378,10 @@ let run bench_name mode dot quiet infos trace waivers_file json_file =
         waived;
       Option.iter (fun dir -> dump_dot dir bench) dot)
     benches;
-  (match json_file with
+  (match json_out with
   | None -> ()
-  | Some path ->
+  | Some (path, oc) ->
     let entries = List.rev !json_entries in
-    let oc = open_out path in
     output_string oc "[";
     List.iteri
       (fun i s ->

@@ -163,11 +163,18 @@ let window_arg =
   in
   Arg.(value & opt (some int) None & info [ "window" ] ~docv:"N" ~doc)
 
+(* An output file that cannot be opened is a usage error naming its flag
+   (exit 1), not an uncaught [Sys_error]. *)
+let open_out_flag flag path =
+  try open_out path
+  with Sys_error e ->
+    Fmt.epr "sdiq-simulate: --%s: %s@." flag e;
+    exit 1
+
 (* A dedicated traced run: the runner's build, with the JSONL trace sink
    on the bus. *)
-let write_trace bench technique ~sched ~budget file =
+let write_trace bench technique ~sched ~budget (file, oc) =
   let p = Sdiq_harness.Technique.build ~sched technique bench in
-  let oc = open_out file in
   Sdiq_cpu.Pipeline.subscribe ~name:"jsonl-trace" p
     (Sdiq_events.Trace.sink oc);
   let stats = Sdiq_cpu.Pipeline.run ~max_insns:budget p in
@@ -177,7 +184,7 @@ let write_trace bench technique ~sched ~budget file =
 
 (* A dedicated profiled run: the region-attribution profiler and the
    host self-profiler ride the bus of one fresh simulation. *)
-let write_metrics bench technique ~sched ~budget file =
+let write_metrics bench technique ~sched ~budget (file, oc) =
   let p = Sdiq_harness.Technique.build ~sched technique bench in
   let map =
     Sdiq_obs.Region.build
@@ -187,7 +194,6 @@ let write_metrics bench technique ~sched ~budget file =
   let prof = Sdiq_obs.Profiler.attach map p in
   let host = Sdiq_obs.Hostprof.attach p in
   let stats = Sdiq_cpu.Pipeline.run ~max_insns:budget p in
-  let oc = open_out file in
   if Filename.check_suffix file ".om" || Filename.check_suffix file ".prom"
   then
     (* OpenMetrics exposition: the profiler's streaming registry merged
@@ -348,6 +354,9 @@ let run bench_name technique budget verbose timeline trace metrics domains
             Option.value window ~default:dflt.Sdiq_harness.Sampling.window_len;
         }
   | Some bench ->
+    (* Opened before the main run, so an unwritable path fails at once. *)
+    let output flag = Option.map (fun f -> (f, open_out_flag flag f)) in
+    let trace = output "trace" trace and metrics = output "metrics" metrics in
     let checker =
       if check then Some Sdiq_check.Checker.fresh_hook else None
     in

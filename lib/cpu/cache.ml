@@ -7,8 +7,8 @@
    the techniques being compared. *)
 
 (* One [Chunked] row per set, so a short run allocates only the sets it
-   touches: the ways' tags (-1 = invalid), then their LRU stamps, then
-   the cycle at which each line's data arrives. *)
+   touches: the ways' tags ([empty] = invalid), then their LRU stamps,
+   then the cycle at which each line's data arrives. *)
 type t = {
   sets : int;
   ways : int;
@@ -24,10 +24,15 @@ type outcome =
   | Inflight of int (* remaining cycles until the line's fill completes *)
   | Miss
 
+(* The tag of an invalid way. Line numbers are floored byte addresses
+   over a line of at least 2 bytes, so they lie in [min_int/2, max_int/2]
+   and none equals [empty]: a cold way can never hit. *)
+let empty = min_int
+
 let create ~sets ~ways ~line =
-  if sets <= 0 || ways <= 0 || line <= 0 then invalid_arg "Cache.create";
+  if sets <= 0 || ways <= 0 || line < 2 then invalid_arg "Cache.create";
   let template =
-    Array.init (3 * ways) (fun k -> if k < ways then -1 else 0)
+    Array.init (3 * ways) (fun k -> if k < ways then empty else 0)
   in
   {
     sets;
@@ -42,7 +47,9 @@ let create ~sets ~ways ~line =
 let hits t = t.hits
 let misses t = t.misses
 
-let line_key t addr = addr / t.line
+(* Floor division: byte addresses -line..-1 are line -1, not line 0. *)
+let line_key t addr =
+  if addr >= 0 then addr / t.line else ((addr + 1) / t.line) - 1
 
 (* [probe t ~now addr]: tag-match the line. A miss installs it (LRU
    eviction) with fill time [now]; the caller is expected to push the fill

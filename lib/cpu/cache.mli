@@ -12,6 +12,9 @@ type outcome =
   | Inflight of int (** remaining cycles until the fill completes *)
   | Miss
 
+(** [line] is in bytes and at least 2 (so no line number collides with
+    the invalid-way marker); raises [Invalid_argument] otherwise. Line
+    numbers are floored, so negative addresses map to negative lines. *)
 val create : sets:int -> ways:int -> line:int -> t
 val hits : t -> int
 val misses : t -> int

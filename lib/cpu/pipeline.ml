@@ -6,15 +6,22 @@
    instruction is detected at fetch time, the frontend does not stall
    (unless [speculative_fetch] is off): it keeps fetching down the
    *predicted* path, synthesising wrong-path instructions with a shadow
-   executor that reads the predictor for control flow and a copy of the
-   architectural state for values. Wrong-path work renames, dispatches,
-   issues and completes like any other — occupying the IQ, ROB, LSQ and
-   physical registers and heating the caches — but never commits: when
-   the branch resolves at writeback, everything younger is squashed with
-   an exact rollback of the rename map, the free lists and every queue
-   (DESIGN.md §14). The functional oracle only ever runs the correct
-   path, so the committed stream is identical with speculation on or
-   off; only timing, occupancy and activity differ.
+   executor that reads the predictor for control flow and runs
+   [Exec.datapath] on a shadow of the oracle's state for values.
+   Wrong-path work renames, dispatches, issues and completes like any
+   other — occupying the IQ, ROB, LSQ and physical registers and heating
+   the caches — but never commits: when the branch resolves at
+   writeback, everything younger is squashed with an exact rollback of
+   the rename map, the free lists and every queue (DESIGN.md §14). The
+   functional oracle only ever runs the correct path, so the committed
+   stream is identical with speculation on or off; only timing,
+   occupancy and activity differ.
+
+   Each frontend rule has one implementation, which every path calls:
+   [Exec.datapath] computes values (oracle and wrong path),
+   [predict_train] is the correct path's predictor step (detailed fetch
+   and fast-forward), and [l1_access] is the cache walk (load issue,
+   store commit, instruction fetch and fast-forward).
 
    Cycle phase order (matters, and matches the paper's Figure 1 timing):
      commit → writeback (wakeup) → issue/select → dispatch → fetch
@@ -112,13 +119,12 @@ type t = {
   mutable wp_mode : bool;
   mutable wp_pc : int; (* next wrong-path pc; -1 = wp fetch idle *)
   mutable wp_next_sn : int; (* synthetic sns, from [blocked_sn] + 1 *)
-  (* shadow architectural state seeding the wrong-path executor: register
-     copies taken at episode entry, plus store overlays over the oracle's
-     memory (the oracle itself is never touched off the correct path) *)
-  wp_iregs : int array;
-  wp_fregs : float array;
-  wp_imem : (int, int) Hashtbl.t;
-  wp_fmem : (int, float) Hashtbl.t;
+  wp_exec : Exec.state;
+      (* the wrong-path executor's state: a shadow of [exec], forked at
+         episode entry (the oracle never leaves the correct path) *)
+  mutable pred_taken : bool;
+      (* [predict_train] scratch: the direction it predicted for the
+         last conditional branch *)
   wp_ras : int array; (* RAS snapshot, restored at squash *)
   mutable wp_ras_top : int;
   iq_wp : Bytes.t; (* per-IQ-slot wrong-path flag, for pointer rewind *)
@@ -373,10 +379,8 @@ let create ?(config = Config.default) ?(policy = Policy.unlimited) ?sched prog =
       wp_mode = false;
       wp_pc = -1;
       wp_next_sn = 0;
-      wp_iregs = Array.make Reg.num_int 0;
-      wp_fregs = Array.make Reg.num_fp 0.;
-      wp_imem = Hashtbl.create 64;
-      wp_fmem = Hashtbl.create 64;
+      wp_exec = Exec.shadow exec;
+      pred_taken = false;
       wp_ras = Array.make config.Config.ras_size 0;
       wp_ras_top = 0;
       iq_wp = Bytes.make config.Config.iq_size '\000';
@@ -400,6 +404,34 @@ let create ?(config = Config.default) ?(policy = Policy.unlimited) ?sched prog =
 let int_tag p = p
 let fp_tag t p = t.cfg.Config.rf_size + p
 
+(* --- memory hierarchy ---------------------------------------------------- *)
+
+(* One access to the two-level hierarchy through the L1 [l1] at [level]:
+   the latency until the data arrives — [hit] on a settled hit, the
+   remaining fill time (+1) on a line still in flight, else the L2 or
+   memory latency, installing the line in both levels. Every access
+   path (load issue, store commit, instruction fetch, fast-forward)
+   goes through here, so all apply the same state transitions; [quiet]
+   (fast-forward) only suppresses the miss events and statistics. *)
+let l1_access t l1 level ~hit ~quiet addr =
+  let now = t.cycle in
+  match Cache.probe l1 ~now addr with
+  | Cache.Hit -> hit
+  | Cache.Inflight r -> r + 1
+  | Cache.Miss ->
+    if not quiet then emit_cache_miss t level addr;
+    let lat =
+      match Cache.probe t.l2 ~now addr with
+      | Cache.Hit -> t.cfg.Config.l2_hit
+      | Cache.Inflight r -> r + 1
+      | Cache.Miss ->
+        if not quiet then emit_cache_miss t Ev.L2 addr;
+        Cache.set_fill t.l2 addr (now + t.cfg.Config.mem_latency);
+        t.cfg.Config.mem_latency
+    in
+    Cache.set_fill l1 addr (now + lat);
+    lat
+
 (* --- commit ------------------------------------------------------------ *)
 
 (* Destinations travel as Rob's packed int codes on the hot path. *)
@@ -422,21 +454,10 @@ let commit_one t idx =
      not stall the pipeline (a write buffer is assumed). *)
   if Instr.is_store i then begin
     t.stores_in_flight <- t.stores_in_flight - 1;
-    let now = t.cycle in
-    match Cache.probe t.dl1 ~now dyn.Exec.addr with
-    | Cache.Hit | Cache.Inflight _ -> ()
-    | Cache.Miss ->
-      emit_cache_miss t Ev.Dl1 dyn.Exec.addr;
-      let lat =
-        match Cache.probe t.l2 ~now dyn.Exec.addr with
-        | Cache.Hit -> t.cfg.Config.l2_hit
-        | Cache.Inflight r -> r + 1
-        | Cache.Miss ->
-          emit_cache_miss t Ev.L2 dyn.Exec.addr;
-          Cache.set_fill t.l2 dyn.Exec.addr (now + t.cfg.Config.mem_latency);
-          t.cfg.Config.mem_latency
-      in
-      Cache.set_fill t.dl1 dyn.Exec.addr (now + lat)
+    ignore
+      (l1_access t t.dl1 Ev.Dl1 ~hit:t.cfg.Config.dl1_hit ~quiet:false
+         dyn.Exec.addr
+        : int)
   end
 
 let commit_stage t =
@@ -576,8 +597,6 @@ let squash_wrong_path t bidx =
   t.wp_mode <- false;
   t.wp_pc <- -1;
   t.wp_iq_boundary <- -1;
-  if Hashtbl.length t.wp_imem > 0 then Hashtbl.reset t.wp_imem;
-  if Hashtbl.length t.wp_fmem > 0 then Hashtbl.reset t.wp_fmem;
   emit_squash t branch_dyn ~squashed:(fq_squashed + !nrob)
 
 (* --- writeback --------------------------------------------------------- *)
@@ -712,23 +731,7 @@ let conflicting_store t idx addr =
    instruction latency, the cache time is added on top). A line still in
    flight from an earlier miss delivers when its fill completes. *)
 let load_cache_latency t addr =
-  let now = t.cycle in
-  match Cache.probe t.dl1 ~now addr with
-  | Cache.Hit -> t.cfg.Config.dl1_hit
-  | Cache.Inflight r -> r + 1
-  | Cache.Miss ->
-    emit_cache_miss t Ev.Dl1 addr;
-    let lat =
-      match Cache.probe t.l2 ~now addr with
-      | Cache.Hit -> t.cfg.Config.l2_hit
-      | Cache.Inflight r -> r + 1
-      | Cache.Miss ->
-        emit_cache_miss t Ev.L2 addr;
-        Cache.set_fill t.l2 addr (now + t.cfg.Config.mem_latency);
-        t.cfg.Config.mem_latency
-    in
-    Cache.set_fill t.dl1 addr (now + lat);
-    lat
+  l1_access t t.dl1 Ev.Dl1 ~hit:t.cfg.Config.dl1_hit ~quiet:false addr
 
 (* One register-file read event per issuing instruction, counting its
    int and fp source reads (the per-file counters live in [Regfile] for
@@ -1058,6 +1061,34 @@ let fq_push t dyn =
   t.fq_tail <- (if tl = Array.length t.fq_dyns then 0 else tl);
   t.fq_count <- t.fq_count + 1
 
+(* The frontend's one predictor step for a correct-path instruction
+   [dyn], shared by detailed fetch and fast-forward so both train the
+   predictor identically: consult it, then train it with the oracle's
+   outcome at once (fetch order is commit order on the correct path).
+   Returns the guessed next pc — the BTB's target (-1 on a miss) or the
+   fall-through for a conditional, the BTB's target for a jump or call,
+   the popped RAS address (-1 when empty) for a return, and [pc + 1]
+   otherwise. A conditional's predicted direction is left in
+   [t.pred_taken]. *)
+let predict_train t (dyn : Exec.dyn) =
+  let pc = dyn.Exec.pc in
+  match dyn.Exec.instr.Instr.op with
+  | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge ->
+    let predicted_taken = Branch_pred.predict_direction t.bpred pc in
+    let btb = Branch_pred.btb_lookup_tgt t.bpred pc in
+    Branch_pred.update_direction t.bpred pc ~taken:dyn.Exec.taken;
+    if dyn.Exec.taken then
+      Branch_pred.btb_update t.bpred pc ~target:dyn.Exec.next_pc;
+    t.pred_taken <- predicted_taken;
+    if predicted_taken then btb else pc + 1
+  | Opcode.Jmp | Opcode.Call as op ->
+    if op = Opcode.Call then Branch_pred.ras_push t.bpred (pc + 1);
+    let btb = Branch_pred.btb_lookup_tgt t.bpred pc in
+    Branch_pred.btb_update t.bpred pc ~target:dyn.Exec.next_pc;
+    btb
+  | Opcode.Ret -> Branch_pred.ras_pop_addr t.bpred
+  | _ -> pc + 1
+
 (* Probe the instruction-side memory hierarchy for the fetch group at
    [start_pc]: ITLB first, then IL1 (with L2 refill). [Some delay]
    stalls fetch; the TLB installs on its miss, so the penalty is paid
@@ -1069,72 +1100,24 @@ let ifetch_stall t start_pc =
     Some t.cfg.Config.tlb_miss_penalty
   end
   else
-    match Cache.probe t.il1 ~now:t.cycle (start_pc * 4) with
-    | Cache.Hit -> None
-    | Cache.Inflight r -> Some (r + 1)
-    | Cache.Miss ->
-      emit_cache_miss t Ev.Il1 (start_pc * 4);
-      let lat =
-        match Cache.probe t.l2 ~now:t.cycle (start_pc * 4) with
-        | Cache.Hit -> t.cfg.Config.l2_hit
-        | Cache.Inflight r -> r + 1
-        | Cache.Miss ->
-          emit_cache_miss t Ev.L2 (start_pc * 4);
-          Cache.set_fill t.l2 (start_pc * 4)
-            (t.cycle + t.cfg.Config.mem_latency);
-          t.cfg.Config.mem_latency
-      in
-      Cache.set_fill t.il1 (start_pc * 4) (t.cycle + lat);
-      Some lat
+    (* A settled hit costs no stall; -1 cannot be a latency. *)
+    let lat = l1_access t t.il1 Ev.Il1 ~hit:(-1) ~quiet:false (start_pc * 4) in
+    if lat < 0 then None else Some lat
 
 (* --- wrong-path execution ------------------------------------------------ *)
 
 (* Shadow executor for the speculative frontend (DESIGN.md §14): runs
-   the *predicted* path after a detected mispredict, against register
-   copies taken at episode entry and a store overlay over the oracle's
-   memory — the oracle itself never leaves the correct path. Arithmetic
-   mirrors [Exec.step] exactly (total: division by zero and out-of-range
-   shifts yield 0, unwritten memory reads 0). Control flow follows the
+   the *predicted* path after a detected mispredict. Values come from
+   [Exec.datapath] on [t.wp_exec], a shadow of the oracle forked at
+   episode entry — the same datapath [Exec.step] runs, over the
+   shadow's registers and a store overlay on the oracle's memory; the
+   oracle itself never leaves the correct path. Control flow follows the
    predictor, because down the wrong path there is no oracle outcome to
    follow: direction tables are read but never trained, the BTB's LRU is
    touched as any lookup does, and the RAS is pushed and popped for real
-   (restored from the episode snapshot at squash). *)
+   (restored from the episode snapshot at squash).
 
-let wp_ireg t r = if r = 0 then 0 else t.wp_iregs.(r)
-
-let wp_src1_int t (i : Instr.t) =
-  match i.Instr.src1 with Some (Reg.Int r) -> wp_ireg t r | _ -> 0
-
-let wp_src2_int t (i : Instr.t) =
-  match i.Instr.src2 with Some (Reg.Int r) -> wp_ireg t r | _ -> 0
-
-let wp_src1_fp t (i : Instr.t) =
-  match i.Instr.src1 with Some (Reg.Fp r) -> t.wp_fregs.(r) | _ -> 0.
-
-let wp_src2_fp t (i : Instr.t) =
-  match i.Instr.src2 with Some (Reg.Fp r) -> t.wp_fregs.(r) | _ -> 0.
-
-let wp_write_int t (i : Instr.t) v =
-  match i.Instr.dst with
-  | Some (Reg.Int r) -> if r <> 0 then t.wp_iregs.(r) <- v
-  | Some (Reg.Fp _) | None -> ()
-
-let wp_write_fp t (i : Instr.t) v =
-  match i.Instr.dst with
-  | Some (Reg.Fp r) -> t.wp_fregs.(r) <- v
-  | Some (Reg.Int _) | None -> ()
-
-let wp_peek t a =
-  match Hashtbl.find_opt t.wp_imem a with
-  | Some v -> v
-  | None -> Exec.peek t.exec a
-
-let wp_fpeek t a =
-  match Hashtbl.find_opt t.wp_fmem a with
-  | Some v -> v
-  | None -> Exec.fpeek t.exec a
-
-(* Execute the wrong-path instruction at [t.wp_pc]. [None] when the
+   Executes the wrong-path instruction at [t.wp_pc]. [None] when the
    wrong path has nowhere to go — a predicted-taken transfer with no BTB
    target, a return off an empty RAS, a Halt, or running off the program
    — in which case nothing is mutated and wrong-path fetch idles until
@@ -1144,138 +1127,44 @@ let wp_step t : Exec.dyn option =
   if pc < 0 || pc >= Prog.length t.prog then None
   else begin
     let i = t.prog.Prog.code.(pc) in
-    match i.Instr.op with
-    | Opcode.Halt -> None
-    | _ ->
-      let fallthrough = pc + 1 in
-      let next_pc = ref fallthrough in
-      let taken = ref false in
-      let addr = ref (-1) in
-      let ok = ref true in
-      (* Control decision first: a stalling opcode must leave no trace
-         (the RAS pop for a feasible return is the one real mutation,
-         and [ras_pop_addr] leaves an empty stack untouched). *)
-      (match i.Instr.op with
+    (* Control decision first: a stalling opcode must leave no trace
+       (the RAS pop for a feasible return is the one real mutation, and
+       [ras_pop_addr] leaves an empty stack untouched). [next_pc] is -1
+       on a stall, else the predicted successor. *)
+    let taken =
+      match i.Instr.op with
       | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge ->
-        if Branch_pred.predict_direction t.bpred pc then begin
-          let tgt = Branch_pred.btb_lookup_tgt t.bpred pc in
-          if tgt < 0 then ok := false
-          else begin
-            taken := true;
-            next_pc := tgt
-          end
-        end
-      | Opcode.Jmp ->
-        let tgt = Branch_pred.btb_lookup_tgt t.bpred pc in
-        if tgt < 0 then ok := false
-        else begin
-          taken := true;
-          next_pc := tgt
-        end
+        Branch_pred.predict_direction t.bpred pc
+      | Opcode.Jmp | Opcode.Call | Opcode.Ret -> true
+      | _ -> false
+    in
+    let next_pc =
+      match i.Instr.op with
+      | Opcode.Halt -> -1
+      | _ when not taken -> pc + 1
+      | Opcode.Ret -> Branch_pred.ras_pop_addr t.bpred
       | Opcode.Call ->
         let tgt = Branch_pred.btb_lookup_tgt t.bpred pc in
-        if tgt < 0 then ok := false
-        else begin
-          taken := true;
-          next_pc := tgt;
-          Branch_pred.ras_push t.bpred fallthrough
-        end
-      | Opcode.Ret ->
-        let ra = Branch_pred.ras_pop_addr t.bpred in
-        if ra < 0 then ok := false
-        else begin
-          taken := true;
-          next_pc := ra
-        end
-      | _ -> ());
-      if not !ok then None
-      else begin
-        (match i.Instr.op with
-        | Opcode.Add -> wp_write_int t i (wp_src1_int t i + wp_src2_int t i)
-        | Opcode.Sub -> wp_write_int t i (wp_src1_int t i - wp_src2_int t i)
-        | Opcode.And ->
-          wp_write_int t i (wp_src1_int t i land wp_src2_int t i)
-        | Opcode.Or -> wp_write_int t i (wp_src1_int t i lor wp_src2_int t i)
-        | Opcode.Xor ->
-          wp_write_int t i (wp_src1_int t i lxor wp_src2_int t i)
-        | Opcode.Shl ->
-          let n = wp_src2_int t i in
-          wp_write_int t i (if Exec.shift_ok n then wp_src1_int t i lsl n else 0)
-        | Opcode.Shr ->
-          let n = wp_src2_int t i in
-          wp_write_int t i (if Exec.shift_ok n then wp_src1_int t i lsr n else 0)
-        | Opcode.Slt ->
-          wp_write_int t i (if wp_src1_int t i < wp_src2_int t i then 1 else 0)
-        | Opcode.Sle ->
-          wp_write_int t i
-            (if wp_src1_int t i <= wp_src2_int t i then 1 else 0)
-        | Opcode.Seq ->
-          wp_write_int t i (if wp_src1_int t i = wp_src2_int t i then 1 else 0)
-        | Opcode.Sne ->
-          wp_write_int t i
-            (if wp_src1_int t i <> wp_src2_int t i then 1 else 0)
-        | Opcode.Addi -> wp_write_int t i (wp_src1_int t i + i.Instr.imm)
-        | Opcode.Andi -> wp_write_int t i (wp_src1_int t i land i.Instr.imm)
-        | Opcode.Ori -> wp_write_int t i (wp_src1_int t i lor i.Instr.imm)
-        | Opcode.Xori -> wp_write_int t i (wp_src1_int t i lxor i.Instr.imm)
-        | Opcode.Shli ->
-          wp_write_int t i
-            (if Exec.shift_ok i.Instr.imm then wp_src1_int t i lsl i.Instr.imm
-             else 0)
-        | Opcode.Shri ->
-          wp_write_int t i
-            (if Exec.shift_ok i.Instr.imm then wp_src1_int t i lsr i.Instr.imm
-             else 0)
-        | Opcode.Slti ->
-          wp_write_int t i (if wp_src1_int t i < i.Instr.imm then 1 else 0)
-        | Opcode.Li -> wp_write_int t i i.Instr.imm
-        | Opcode.Mov -> wp_write_int t i (wp_src1_int t i)
-        | Opcode.Mul -> wp_write_int t i (wp_src1_int t i * wp_src2_int t i)
-        | Opcode.Div ->
-          let d = wp_src2_int t i in
-          wp_write_int t i (if d = 0 then 0 else wp_src1_int t i / d)
-        | Opcode.Fadd -> wp_write_fp t i (wp_src1_fp t i +. wp_src2_fp t i)
-        | Opcode.Fsub -> wp_write_fp t i (wp_src1_fp t i -. wp_src2_fp t i)
-        | Opcode.Fmul -> wp_write_fp t i (wp_src1_fp t i *. wp_src2_fp t i)
-        | Opcode.Fdiv ->
-          let d = wp_src2_fp t i in
-          wp_write_fp t i (if d = 0. then 0. else wp_src1_fp t i /. d)
-        | Opcode.Fli -> wp_write_fp t i (float_of_int i.Instr.imm /. 1000.)
-        | Opcode.Fmov -> wp_write_fp t i (wp_src1_fp t i)
-        | Opcode.Itof -> wp_write_fp t i (float_of_int (wp_src1_int t i))
-        | Opcode.Ftoi -> wp_write_int t i (int_of_float (wp_src1_fp t i))
-        | Opcode.Load ->
-          let a = wp_src1_int t i + i.Instr.imm in
-          addr := a;
-          wp_write_int t i (wp_peek t a)
-        | Opcode.Store ->
-          let a = wp_src1_int t i + i.Instr.imm in
-          addr := a;
-          Hashtbl.replace t.wp_imem a (wp_src2_int t i)
-        | Opcode.Fload ->
-          let a = wp_src1_int t i + i.Instr.imm in
-          addr := a;
-          wp_write_fp t i (wp_fpeek t a)
-        | Opcode.Fstore ->
-          let a = wp_src1_int t i + i.Instr.imm in
-          addr := a;
-          Hashtbl.replace t.wp_fmem a (wp_src2_fp t i)
-        | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge | Opcode.Jmp
-        | Opcode.Call | Opcode.Ret | Opcode.Nop | Opcode.Iqset
-        | Opcode.Halt -> ());
-        let sn = t.wp_next_sn in
-        t.wp_next_sn <- sn + 1;
-        t.wp_pc <- !next_pc;
-        Some
-          {
-            Exec.sn;
-            pc;
-            instr = i;
-            next_pc = !next_pc;
-            taken = !taken;
-            addr = !addr;
-          }
-      end
+        if tgt >= 0 then Branch_pred.ras_push t.bpred (pc + 1);
+        tgt
+      | _ -> Branch_pred.btb_lookup_tgt t.bpred pc
+    in
+    if next_pc < 0 then None
+    else begin
+      Exec.datapath t.wp_exec i;
+      let sn = t.wp_next_sn in
+      t.wp_next_sn <- sn + 1;
+      t.wp_pc <- next_pc;
+      Some
+        {
+          Exec.sn;
+          pc;
+          instr = i;
+          next_pc;
+          taken;
+          addr = t.wp_exec.Exec.d_addr;
+        }
+    end
   end
 
 (* Begin an episode: fetch will proceed down the predicted path while
@@ -1290,10 +1179,7 @@ let enter_wp_mode t (dyn : Exec.dyn) ~target =
     (if target >= 0 && target < Prog.length t.prog then target else -1);
   t.wp_next_sn <- dyn.Exec.sn + 1;
   t.wp_iq_boundary <- -1;
-  Array.blit t.exec.Exec.iregs 0 t.wp_iregs 0 (Array.length t.wp_iregs);
-  Array.blit t.exec.Exec.fregs 0 t.wp_fregs 0 (Array.length t.wp_fregs);
-  if Hashtbl.length t.wp_imem > 0 then Hashtbl.reset t.wp_imem;
-  if Hashtbl.length t.wp_fmem > 0 then Hashtbl.reset t.wp_fmem;
+  Exec.fork t.wp_exec;
   t.wp_ras_top <- Branch_pred.ras_save t.bpred t.wp_ras
 
 (* Wrong-path fetch: [fetch_stage]'s mirror, driven by [wp_step] instead
@@ -1347,6 +1233,23 @@ let wp_fetch_stage t =
       done
   end
 
+(* A taken transfer whose guessed target [guess] is wrong costs a BTB
+   redirect bubble. *)
+let btb_bubble t guess (dyn : Exec.dyn) =
+  guess <> dyn.Exec.next_pc
+  && begin
+       t.fetch_resume_at <- t.cycle + t.cfg.Config.btb_miss_penalty;
+       true
+     end
+
+(* After a detected mispredict of [dyn] (already recorded in
+   [blocked_sn]): a speculative frontend keeps fetching down the
+   predicted [target]; a blocking one fetched nothing speculative, and
+   an empty squash still marks the recovery. *)
+let after_mispredict t dyn ~target =
+  if t.cfg.Config.speculative_fetch then enter_wp_mode t dyn ~target
+  else emit_squash t dyn ~squashed:0
+
 let fetch_stage t =
   if t.halted || t.fetch_hold || t.cycle < t.fetch_resume_at then ()
   else if t.blocked_sn >= 0 then
@@ -1396,102 +1299,37 @@ let fetch_stage t =
                  then emit one [Fetch] event capturing the outcome. *)
               (match i.Instr.op with
               | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge ->
-                let predicted_taken =
-                  Branch_pred.predict_direction t.bpred dyn.Exec.pc
-                in
-                let btb = Branch_pred.btb_lookup_tgt t.bpred dyn.Exec.pc in
-                (* Train immediately: fetch order = commit order here. *)
-                Branch_pred.update_direction t.bpred dyn.Exec.pc
-                  ~taken:dyn.Exec.taken;
-                if dyn.Exec.taken then
-                  Branch_pred.btb_update t.bpred dyn.Exec.pc
-                    ~target:dyn.Exec.next_pc;
-                if predicted_taken <> dyn.Exec.taken then begin
+                let guess = predict_train t dyn in
+                (* A taken or predicted-taken branch ends the group. *)
+                continue := not (t.pred_taken || dyn.Exec.taken);
+                if t.pred_taken <> dyn.Exec.taken then begin
                   t.blocked_sn <- dyn.Exec.sn;
-                  continue := false;
                   emit_fetch_cond t dyn ~taken:dyn.Exec.taken
                     ~mispredicted:true ~btb_bubble:false;
-                  if t.cfg.Config.speculative_fetch then
-                    (* Keep fetching down the predicted path: not-taken
-                       falls through; taken needs the BTB's pre-update
-                       idea of a target (looked up above). *)
-                    enter_wp_mode t dyn
-                      ~target:
-                        (if predicted_taken then btb else dyn.Exec.pc + 1)
-                  else
-                    (* Blocking frontend: nothing speculative was
-                       fetched; the event still marks the recovery. *)
-                    emit_squash t dyn ~squashed:0
-                end
-                else if dyn.Exec.taken then begin
-                  let btb_bubble =
-                    if btb = dyn.Exec.next_pc then false
-                    else begin
-                      t.fetch_resume_at <-
-                        t.cycle + t.cfg.Config.btb_miss_penalty;
-                      true
-                    end
-                  in
-                  continue := false;
-                  emit_fetch_cond t dyn ~taken:true ~mispredicted:false
-                    ~btb_bubble
+                  (* Not-taken falls through; taken follows the BTB's
+                     pre-update idea of a target. *)
+                  after_mispredict t dyn ~target:guess
                 end
                 else
-                  emit_fetch_cond t dyn ~taken:false ~mispredicted:false
-                    ~btb_bubble:false
-              | Opcode.Jmp ->
-                let btb_bubble =
-                  if Branch_pred.btb_lookup_tgt t.bpred dyn.Exec.pc
-                     = dyn.Exec.next_pc
-                  then false
-                  else begin
-                    t.fetch_resume_at <-
-                      t.cycle + t.cfg.Config.btb_miss_penalty;
-                    true
-                  end
-                in
-                Branch_pred.btb_update t.bpred dyn.Exec.pc
-                  ~target:dyn.Exec.next_pc;
+                  emit_fetch_cond t dyn ~taken:dyn.Exec.taken
+                    ~mispredicted:false
+                    ~btb_bubble:(dyn.Exec.taken && btb_bubble t guess dyn)
+              | Opcode.Jmp | Opcode.Call as op ->
+                let btb_bubble = btb_bubble t (predict_train t dyn) dyn in
                 continue := false;
-                emit_fetch_jump t dyn ~btb_bubble
-              | Opcode.Call ->
-                Branch_pred.ras_push t.bpred (dyn.Exec.pc + 1);
-                let btb_bubble =
-                  if Branch_pred.btb_lookup_tgt t.bpred dyn.Exec.pc
-                     = dyn.Exec.next_pc
-                  then false
-                  else begin
-                    t.fetch_resume_at <-
-                      t.cycle + t.cfg.Config.btb_miss_penalty;
-                    true
-                  end
-                in
-                Branch_pred.btb_update t.bpred dyn.Exec.pc
-                  ~target:dyn.Exec.next_pc;
-                continue := false;
-                emit_fetch_call t dyn ~btb_bubble
+                if op = Opcode.Jmp then emit_fetch_jump t dyn ~btb_bubble
+                else emit_fetch_call t dyn ~btb_bubble
               | Opcode.Ret ->
-                let ra = Branch_pred.ras_pop_addr t.bpred in
-                let mispredicted =
-                  if ra = dyn.Exec.next_pc then false
-                  else begin
-                    (* Return mispredicted: wait for it to resolve. *)
-                    t.blocked_sn <- dyn.Exec.sn;
-                    true
-                  end
-                in
+                (* The popped address is the predicted path; the pop
+                   itself is architecturally right and is part of the
+                   pre-episode snapshot. An empty stack (-1) predicts
+                   nothing, so wrong-path fetch idles. *)
+                let ra = predict_train t dyn in
+                let mispredicted = ra <> dyn.Exec.next_pc in
+                if mispredicted then t.blocked_sn <- dyn.Exec.sn;
                 continue := false;
                 emit_fetch_ret t dyn ~mispredicted;
-                if mispredicted then begin
-                  if t.cfg.Config.speculative_fetch then
-                    (* The popped (wrong) address is the predicted path.
-                       The pop itself is architecturally right and is
-                       part of the pre-episode snapshot; an empty stack
-                       (ra = -1) predicts nothing, so wrong-path fetch
-                       idles. *)
-                    enter_wp_mode t dyn ~target:ra
-                  else emit_squash t dyn ~squashed:0
-                end
+                if mispredicted then after_mispredict t dyn ~target:ra
               | _ -> emit_fetch_seq t dyn)
               end)
       done
@@ -1618,32 +1456,14 @@ let drain ?(max_cycles = 1_000_000) t =
          (Printf.sprintf "drain: in-flight instructions did not retire \
                           within %d cycles" max_cycles))
 
-(* Event-free cache probes for fast-forward: same state transitions as
-   the detailed probes ([fetch_stage] / [load_cache_latency] /
-   [commit_one]'s store path), but no statistics and no sink traffic —
-   fast-forwarded work is outside every measured window. *)
-let ff_probe t cache addr =
-  match Cache.probe cache ~now:t.cycle addr with
-  | Cache.Hit | Cache.Inflight _ -> ()
-  | Cache.Miss ->
-    let lat =
-      match Cache.probe t.l2 ~now:t.cycle addr with
-      | Cache.Hit -> t.cfg.Config.l2_hit
-      | Cache.Inflight r -> r + 1
-      | Cache.Miss ->
-        Cache.set_fill t.l2 addr (t.cycle + t.cfg.Config.mem_latency);
-        t.cfg.Config.mem_latency
-    in
-    Cache.set_fill cache addr (t.cycle + lat)
-
 (* Functional fast-forward: execute up to [insns] oracle instructions
    with no timing model, keeping the long-lived microarchitectural state
    warm — branch-direction tables, BTB, RAS, all three caches, both
    TLBs and the policy's region state receive exactly the updates
-   detailed execution would apply (predict + train per conditional, BTB
-   touch/update per control transfer, one icache probe and ITLB train
-   per line transition, a data-cache probe and DTLB train per load and
-   store, annotations delivered in program order).
+   detailed execution would apply: the same [predict_train] step per
+   control transfer, the same [l1_access] walk (quiet: no events) with
+   an ITLB train per line transition and a DTLB train per load and
+   store, annotations delivered in program order.
    The cycle counter advances one cycle per instruction so cache fill
    times stay monotone; no events are emitted and no statistics change.
    Requires a drained machine (see [drain]). Returns the number of
@@ -1661,7 +1481,7 @@ let fast_forward t ~insns =
       if line <> !last_line then begin
         last_line := line;
         Tlb.train t.itlb (pc * 4);
-        ff_probe t t.il1 (pc * 4)
+        ignore (l1_access t t.il1 Ev.Il1 ~hit:0 ~quiet:true (pc * 4) : int)
       end;
       match Exec.step t.exec with
       | None -> t.halted <- true
@@ -1674,31 +1494,13 @@ let fast_forward t ~insns =
         | Opcode.Iqset ->
           Policy.on_annotation t.policy t.iq ~pc:dyn.Exec.pc
             ~value:i.Instr.imm
-        | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge ->
-          let (_ : bool) =
-            Branch_pred.predict_direction t.bpred dyn.Exec.pc
-          in
-          let (_ : int) = Branch_pred.btb_lookup_tgt t.bpred dyn.Exec.pc in
-          Branch_pred.update_direction t.bpred dyn.Exec.pc
-            ~taken:dyn.Exec.taken;
-          if dyn.Exec.taken then
-            Branch_pred.btb_update t.bpred dyn.Exec.pc
-              ~target:dyn.Exec.next_pc
-        | Opcode.Jmp ->
-          let (_ : int) = Branch_pred.btb_lookup_tgt t.bpred dyn.Exec.pc in
-          Branch_pred.btb_update t.bpred dyn.Exec.pc
-            ~target:dyn.Exec.next_pc
-        | Opcode.Call ->
-          Branch_pred.ras_push t.bpred (dyn.Exec.pc + 1);
-          let (_ : int) = Branch_pred.btb_lookup_tgt t.bpred dyn.Exec.pc in
-          Branch_pred.btb_update t.bpred dyn.Exec.pc
-            ~target:dyn.Exec.next_pc
-        | Opcode.Ret ->
-          let (_ : int) = Branch_pred.ras_pop_addr t.bpred in
-          ()
+        | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge | Opcode.Jmp
+        | Opcode.Call | Opcode.Ret ->
+          ignore (predict_train t dyn : int)
         | Opcode.Load | Opcode.Fload | Opcode.Store | Opcode.Fstore ->
           Tlb.train t.dtlb dyn.Exec.addr;
-          ff_probe t t.dl1 dyn.Exec.addr
+          ignore
+            (l1_access t t.dl1 Ev.Dl1 ~hit:0 ~quiet:true dyn.Exec.addr : int)
         | _ -> ());
         (* A tagged instruction delivers its annotation regardless of
            opcode, as at dispatch. *)

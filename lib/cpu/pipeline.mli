@@ -87,13 +87,13 @@ type t = {
           wrong-path fetch) *)
   mutable wp_pc : int;  (** next wrong-path pc; [-1] = wp fetch idle *)
   mutable wp_next_sn : int;
-  wp_iregs : int array;
-      (** shadow registers seeding the wrong-path executor, copied at
-          episode entry (the oracle never leaves the correct path) *)
-  wp_fregs : float array;
-  wp_imem : (int, int) Hashtbl.t;
-      (** wrong-path store overlay over the oracle's memory *)
-  wp_fmem : (int, float) Hashtbl.t;
+  wp_exec : Sdiq_isa.Exec.state;
+      (** the wrong-path executor's state: an {!Sdiq_isa.Exec.shadow} of
+          [exec], forked at episode entry (the oracle never leaves the
+          correct path) *)
+  mutable pred_taken : bool;
+      (** scratch: the direction the frontend predicted for the last
+          conditional branch it fetched or fast-forwarded *)
   wp_ras : int array;  (** RAS snapshot, restored at squash *)
   mutable wp_ras_top : int;
   iq_wp : Bytes.t;

@@ -13,17 +13,22 @@ type t = {
   entries : int;
   page_size : int;          (* words per page; must be a power of two *)
   page_shift : int;
-  tags : int array;         (* virtual page number, -1 when empty *)
+  tags : int array;         (* virtual page number, [empty] when free *)
   stamps : int array;       (* last-use clock for LRU *)
   mutable clock : int;
   mutable lookups : int;
   mutable misses : int;
 }
 
+(* The tag of a free entry. Pages of at least 2 words shift the address
+   right by at least one bit, so page numbers lie in
+   [min_int/2, max_int/2] and none equals [empty]: a cold TLB never hits. *)
+let empty = min_int
+
 let create ~entries ~page_size =
   if entries <= 0 then invalid_arg "Tlb.create: entries";
-  if page_size <= 0 || page_size land (page_size - 1) <> 0 then
-    invalid_arg "Tlb.create: page_size must be a power of two";
+  if page_size < 2 || page_size land (page_size - 1) <> 0 then
+    invalid_arg "Tlb.create: page_size must be a power of two, at least 2";
   let shift =
     let rec go s n = if n = 1 then s else go (s + 1) (n lsr 1) in
     go 0 page_size
@@ -32,13 +37,14 @@ let create ~entries ~page_size =
     entries;
     page_size;
     page_shift = shift;
-    tags = Array.make entries (-1);
+    tags = Array.make entries empty;
     stamps = Array.make entries 0;
     clock = 0;
     lookups = 0;
     misses = 0;
   }
 
+(* [asr] floors, so words -page_size..-1 are page -1. *)
 let page_of t addr = addr asr t.page_shift
 
 (* Probe for [addr]'s page; on a miss, install it over the LRU entry.

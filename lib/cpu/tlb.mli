@@ -7,10 +7,12 @@
 type t
 
 (** [create ~entries ~page_size] — [page_size] is in words and must be
-    a power of two. *)
+    a power of two, at least 2 (so no page number collides with the
+    free-entry marker). *)
 val create : entries:int -> page_size:int -> t
 
-(** Virtual page number of a word address. *)
+(** Virtual page number of a word address (floored: negative addresses
+    have negative pages). *)
 val page_of : t -> int -> int
 
 (** Probe for the page holding [addr]; install over the LRU entry on a

@@ -4,7 +4,12 @@
     each instruction as it is fetched, producing the dynamic stream the
     timing model schedules. Arithmetic is total (division by zero yields
     0, out-of-range shifts yield 0, unwritten memory reads 0) so randomly
-    generated programs cannot fault. *)
+    generated programs cannot fault.
+
+    One datapath serves every executor: {!step} is {!datapath} plus the
+    oracle's own control flow, and the pipeline's wrong-path frontend
+    runs {!datapath} on a {!shadow} state, deciding control flow from
+    the branch predictor instead. *)
 
 type dyn = {
   sn : int;       (** dynamic sequence number, from 0 *)
@@ -21,6 +26,9 @@ type state = {
   fregs : float array;
   imem : Intmap.t;  (** integer memory (open addressing) *)
   fmem : (int, float) Hashtbl.t;
+  base : state option;
+      (** a shadow's backing state: [imem]/[fmem] then hold only the
+          shadow's own stores, and other addresses read [base]'s memory *)
   mutable stack : int list;
   mutable pc : int;
   mutable steps : int;
@@ -34,16 +42,28 @@ type state = {
 
 val create : Prog.t -> state
 
-(** Shift amounts outside [0, 63) make the result 0 (total semantics);
-    exported so the pipeline's wrong-path executor matches exactly. *)
-val shift_ok : int -> bool
+(** A shadow of [base]: its own registers (zero until {!fork}) and a
+    store overlay over [base]'s memory. Loads read the overlay first,
+    then [base]; stores never reach [base]. *)
+val shadow : state -> state
 
-(** Integer memory access (word granularity; unwritten reads 0). *)
+(** Re-seed a shadow: copy its base's registers and drop the overlay.
+    Raises [Invalid_argument] on a state that is not a shadow. *)
+val fork : state -> unit
+
+(** Integer memory access (word granularity; unwritten reads 0; a
+    shadow reads through to its base). *)
 val peek : state -> int -> int
 
 val poke : state -> int -> int -> unit
 val fpeek : state -> int -> float
 val fpoke : state -> int -> float -> unit
+
+(** Every non-control effect of one instruction: ALU and FP results,
+    loads and stores, and [d_addr] (the effective address, [-1] for a
+    non-memory op). Control instructions, [Nop], [Iqset] and [Halt]
+    change nothing. *)
+val datapath : state -> Instr.t -> unit
 
 (** Execute the instruction at the current pc; [None] once halted. *)
 val step : state -> dyn option

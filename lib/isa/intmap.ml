@@ -3,7 +3,8 @@
    [Hashtbl] costs a generic hash, a structural key compare and an
    option allocation per probe; this map is a power-of-two table with
    multiplicative hashing and linear probing — allocation-free lookups,
-   no deletion (the oracle only writes and reads memory). Lookup of an
+   no single-key deletion (the oracle only writes and reads memory; a
+   wrong-path store overlay is dropped whole with [clear]). Lookup of an
    absent key yields [default], matching the "unwritten memory reads 0"
    semantics. *)
 
@@ -31,24 +32,26 @@ let create n =
    negative in randomly generated programs). *)
 let slot_of t k = (k * 0x2545F4914F6CDD1D) land t.mask
 
-let find t k ~default =
+(* The slot holding [k], or the free slot ending its probe run. *)
+let slot t k =
   let i = ref (slot_of t k) in
   while
     Bytes.unsafe_get t.used !i = '\001' && Array.unsafe_get t.keys !i <> k
   do
     i := (!i + 1) land t.mask
   done;
-  if Bytes.unsafe_get t.used !i = '\001' then Array.unsafe_get t.vals !i
+  !i
+
+let find t k ~default =
+  let i = slot t k in
+  if Bytes.unsafe_get t.used i = '\001' then Array.unsafe_get t.vals i
   else default
 
+let mem t k = Bytes.unsafe_get t.used (slot t k) = '\001'
+
 let rec replace t k v =
-  let i = ref (slot_of t k) in
-  while
-    Bytes.unsafe_get t.used !i = '\001' && Array.unsafe_get t.keys !i <> k
-  do
-    i := (!i + 1) land t.mask
-  done;
-  if Bytes.unsafe_get t.used !i = '\001' then t.vals.(!i) <- v
+  let i = slot t k in
+  if Bytes.unsafe_get t.used i = '\001' then t.vals.(i) <- v
   else if 2 * (t.count + 1) > t.mask + 1 then begin
     (* Keep the load factor under 1/2: rehash into a doubled table. *)
     let okeys = t.keys and ovals = t.vals and oused = t.used in
@@ -64,13 +67,20 @@ let rec replace t k v =
     replace t k v
   end
   else begin
-    t.keys.(!i) <- k;
-    t.vals.(!i) <- v;
-    Bytes.unsafe_set t.used !i '\001';
+    t.keys.(i) <- k;
+    t.vals.(i) <- v;
+    Bytes.unsafe_set t.used i '\001';
     t.count <- t.count + 1
   end
 
 let count t = t.count
+
+(* Drop every binding, keeping the capacity. *)
+let clear t =
+  if t.count > 0 then begin
+    Bytes.fill t.used 0 (Bytes.length t.used) '\000';
+    t.count <- 0
+  end
 
 let iter f t =
   for i = 0 to t.mask do

@@ -6,6 +6,8 @@
    commutative — the sharded-campaign determinism the test suite pins
    depends on exactly that. *)
 
+module Json = Sdiq_util.Json
+
 type t = {
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
@@ -137,19 +139,6 @@ let to_string t =
            (all_series t);
        ])
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let obj fields =
   "{" ^ String.concat "," fields ^ "}"
 
@@ -159,25 +148,25 @@ let to_json t =
       Printf.sprintf {|"counters":%s|}
         (obj
            (List.map
-              (fun (k, v) -> Printf.sprintf {|"%s":%d|} (json_escape k) v)
+              (fun (k, v) -> Printf.sprintf {|"%s":%d|} (Json.escape k) v)
               (counters t)));
       Printf.sprintf {|"gauges":%s|}
         (obj
            (List.map
               (fun (k, v) ->
-                Printf.sprintf {|"%s":%s|} (json_escape k) (float_str v))
+                Printf.sprintf {|"%s":%s|} (Json.escape k) (float_str v))
               (gauges t)));
       Printf.sprintf {|"hists":%s|}
         (obj
            (List.map
               (fun (k, h) ->
-                Printf.sprintf {|"%s":%s|} (json_escape k) (Hist.to_json h))
+                Printf.sprintf {|"%s":%s|} (Json.escape k) (Hist.to_json h))
               (hists t)));
       Printf.sprintf {|"series":%s|}
         (obj
            (List.map
               (fun (k, s) ->
-                Printf.sprintf {|"%s":%s|} (json_escape k) (Series.to_json s))
+                Printf.sprintf {|"%s":%s|} (Json.escape k) (Series.to_json s))
               (all_series t)));
     ]
 

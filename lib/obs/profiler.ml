@@ -4,6 +4,7 @@ module Exec = Sdiq_isa.Exec
 module Params = Sdiq_power.Params
 module Iq_power = Sdiq_power.Iq_power
 module Rf_power = Sdiq_power.Rf_power
+module Json = Sdiq_util.Json
 
 type per = {
   stats : Stats.t;
@@ -173,19 +174,6 @@ let slack t =
       else compare a.entry_info.Region.id b.entry_info.Region.id)
     entries
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let obj fields = "{" ^ String.concat "," fields ^ "}"
 let arr items = "[" ^ String.concat "," items ^ "]"
 let fnum v = Printf.sprintf "%.17g" v
@@ -194,7 +182,7 @@ let json_of_row r =
   obj
     [
       Printf.sprintf {|"id":%d|} r.info.Region.id;
-      Printf.sprintf {|"proc":"%s"|} (json_escape r.info.Region.proc);
+      Printf.sprintf {|"proc":"%s"|} (Json.escape r.info.Region.proc);
       Printf.sprintf {|"kind":"%s"|} (Region.kind_name r.info.Region.kind);
       Printf.sprintf {|"start":%d|} r.info.Region.start;
       Printf.sprintf {|"orig_start":%d|} r.info.Region.orig_start;
@@ -229,7 +217,7 @@ let to_json t =
       Printf.sprintf {|"totals":%s|}
         (obj
            (List.map
-              (fun (k, v) -> Printf.sprintf {|"%s":%d|} (json_escape k) v)
+              (fun (k, v) -> Printf.sprintf {|"%s":%d|} (Json.escape k) v)
               (Stats.to_fields total)
            @ [
                Printf.sprintf {|"iq_energy":%s|} (fnum tot_iq);
@@ -243,7 +231,7 @@ let to_json t =
                   [
                     Printf.sprintf {|"id":%d|} e.entry_info.Region.id;
                     Printf.sprintf {|"proc":"%s"|}
-                      (json_escape e.entry_info.Region.proc);
+                      (Json.escape e.entry_info.Region.proc);
                     Printf.sprintf {|"granted":%s|}
                       (match e.entry_info.Region.granted with
                       | Some g -> string_of_int g

@@ -44,6 +44,28 @@ let test_cache_capacity () =
   Alcotest.(check int) "4 misses" 4 (Cache.misses c);
   Alcotest.(check int) "4 hits" 4 (Cache.hits c)
 
+(* A cold cache or TLB must miss on negative lines and pages: the
+   invalid-way marker used to be -1, which is also the line of byte
+   addresses -line..-1, and truncating division put -31..-1 on line 0. *)
+let test_cache_cold_negative_line_misses () =
+  let c = Cache.create ~sets:512 ~ways:4 ~line:32 in
+  Alcotest.(check bool) "cold probe of line -1 misses" true
+    (Cache.probe c ~now:0 (-32) = Cache.Miss);
+  Alcotest.(check bool) "then it hits" true (Cache.access c (-32))
+
+let test_cache_negative_byte_not_line_zero () =
+  let c = Cache.create ~sets:512 ~ways:4 ~line:32 in
+  ignore (Cache.access c 5);
+  Alcotest.(check bool) "address -5 is not on line 0" true
+    (Cache.probe c ~now:0 (-5) = Cache.Miss);
+  Alcotest.(check bool) "-32 shares line -1 with -5" true (Cache.access c (-32))
+
+let test_tlb_cold_negative_page_misses () =
+  let t = Sdiq_cpu.Tlb.create ~entries:16 ~page_size:256 in
+  Alcotest.(check bool) "cold access of page -1 misses" false
+    (Sdiq_cpu.Tlb.access t (-1));
+  Alcotest.(check bool) "then it hits" true (Sdiq_cpu.Tlb.access t (-256))
+
 (* --- lazily materialised tables --- *)
 
 module Chunked = Sdiq_cpu.Chunked
@@ -832,6 +854,12 @@ let suite =
     Alcotest.test_case "cache hit after miss" `Quick test_cache_hit_after_miss;
     Alcotest.test_case "cache lru eviction" `Quick test_cache_lru_eviction;
     Alcotest.test_case "cache capacity" `Quick test_cache_capacity;
+    Alcotest.test_case "cold cache misses on line -1" `Quick
+      test_cache_cold_negative_line_misses;
+    Alcotest.test_case "negative byte is not on line 0" `Quick
+      test_cache_negative_byte_not_line_zero;
+    Alcotest.test_case "cold tlb misses on page -1" `Quick
+      test_tlb_cold_negative_page_misses;
     Alcotest.test_case "chunked rows read the template" `Quick
       test_chunked_untouched_rows_read_template;
     Alcotest.test_case "chunked rows are independent" `Quick

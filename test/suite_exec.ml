@@ -242,6 +242,85 @@ let test_max_steps_bound () =
   let steps = Exec.run ~max_steps:100 st in
   Alcotest.(check int) "bounded" 100 steps
 
+(* --- shadow states: the wrong-path executor's datapath --- *)
+
+let one_proc_prog () =
+  let b = Asm.create () in
+  let p = Asm.proc b "main" in
+  Asm.halt p;
+  Asm.assemble b ~entry:"main"
+
+let store_i ~base ~value off =
+  Instr.make ~src1:base ~src2:value ~imm:off Opcode.Store
+
+let load_i ~dst ~base off = Instr.make ~dst ~src1:base ~imm:off Opcode.Load
+
+let test_shadow_stores_stay_in_overlay () =
+  let base = Exec.create (one_proc_prog ()) in
+  Exec.poke base 10 5;
+  Exec.fpoke base 11 1.5;
+  let sh = Exec.shadow base in
+  Exec.fork sh;
+  sh.Exec.iregs.(3) <- 99;
+  sh.Exec.fregs.(2) <- 2.5;
+  Exec.datapath sh (store_i ~base:Reg.zero ~value:(r 3) 10);
+  Alcotest.(check int) "store address" 10 sh.Exec.d_addr;
+  Exec.datapath sh
+    (Instr.make ~src1:Reg.zero ~src2:(f 2) ~imm:11 Opcode.Fstore);
+  Exec.datapath sh (store_i ~base:Reg.zero ~value:(r 3) 12);
+  Alcotest.(check int) "base int memory untouched" 5 (Exec.peek base 10);
+  Alcotest.(check (float 0.)) "base fp memory untouched" 1.5
+    (Exec.fpeek base 11);
+  Alcotest.(check int) "no new base binding" 0 (Exec.peek base 12);
+  Alcotest.(check int) "shadow sees its store" 99 (Exec.peek sh 10);
+  Alcotest.(check (float 0.)) "shadow sees its fp store" 2.5
+    (Exec.fpeek sh 11)
+
+let test_shadow_loads_read_overlay_then_base () =
+  let base = Exec.create (one_proc_prog ()) in
+  Exec.poke base 20 7;
+  Exec.poke base 21 8;
+  let sh = Exec.shadow base in
+  Exec.fork sh;
+  Exec.datapath sh (load_i ~dst:(r 4) ~base:Reg.zero 20);
+  Alcotest.(check int) "unwritten: reads the base" 7 sh.Exec.iregs.(4);
+  Alcotest.(check int) "load address" 20 sh.Exec.d_addr;
+  sh.Exec.iregs.(5) <- 30;
+  Exec.datapath sh (store_i ~base:Reg.zero ~value:(r 5) 20);
+  Exec.datapath sh (load_i ~dst:(r 4) ~base:Reg.zero 20);
+  Alcotest.(check int) "written: reads the overlay" 30 sh.Exec.iregs.(4);
+  (* A zero stored in the overlay still shadows the base. *)
+  Exec.datapath sh (store_i ~base:Reg.zero ~value:Reg.zero 21);
+  Alcotest.(check int) "overlay zero wins" 0 (Exec.peek sh 21);
+  Exec.poke base 22 9;
+  Alcotest.(check int) "later base writes show through" 9 (Exec.peek sh 22);
+  Exec.datapath sh (Instr.make ~dst:(r 6) ~src1:(r 5) ~imm:1 Opcode.Addi);
+  Alcotest.(check int) "non-memory op: no address" (-1) sh.Exec.d_addr;
+  Alcotest.(check int) "arithmetic on shadow registers" 31 sh.Exec.iregs.(6);
+  Alcotest.(check int) "base registers untouched" 0 base.Exec.iregs.(6)
+
+let test_fork_copies_registers_drops_overlay () =
+  let base = Exec.create (one_proc_prog ()) in
+  Exec.poke base 40 1;
+  base.Exec.iregs.(7) <- 42;
+  base.Exec.fregs.(1) <- 3.25;
+  let sh = Exec.shadow base in
+  Exec.fork sh;
+  Alcotest.(check int) "int registers copied" 42 sh.Exec.iregs.(7);
+  Alcotest.(check (float 0.)) "fp registers copied" 3.25 sh.Exec.fregs.(1);
+  sh.Exec.iregs.(7) <- 0;
+  Exec.poke sh 40 2;
+  Exec.fpoke sh 41 4.;
+  base.Exec.iregs.(8) <- 5;
+  Exec.fork sh;
+  Alcotest.(check (array int)) "registers re-copied" base.Exec.iregs
+    sh.Exec.iregs;
+  Alcotest.(check int) "int overlay dropped" 1 (Exec.peek sh 40);
+  Alcotest.(check (float 0.)) "fp overlay dropped" 0. (Exec.fpeek sh 41);
+  Alcotest.check_raises "fork needs a shadow"
+    (Invalid_argument "Exec.fork: not a shadow state") (fun () ->
+      Exec.fork base)
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arith;
@@ -258,4 +337,10 @@ let suite =
     Alcotest.test_case "iqset is a semantic nop" `Quick
       test_iqset_is_semantic_nop;
     Alcotest.test_case "max steps bound" `Quick test_max_steps_bound;
+    Alcotest.test_case "shadow stores stay in the overlay" `Quick
+      test_shadow_stores_stay_in_overlay;
+    Alcotest.test_case "shadow loads read overlay then base" `Quick
+      test_shadow_loads_read_overlay_then_base;
+    Alcotest.test_case "fork copies registers, drops overlay" `Quick
+      test_fork_copies_registers_drops_overlay;
   ]

@@ -249,6 +249,31 @@ let test_budget_crossed_mid_ff_still_measures () =
   Alcotest.(check bool) "budget crossed during fast-forward" true
     (r.Sampling.total_insns >= 5_000)
 
+(* Fast-forward must warm the predictor exactly as detailed fetch trains
+   it. With speculative fetch off, detailed fetch touches the predictor
+   only on the correct path, so running a program to completion in
+   detail and fast-forwarding all of it must leave structurally equal
+   direction tables, BTB, RAS and counters. (With speculation on the
+   wrong path also reads the BTB and moves the RAS, so they differ.) *)
+let test_ff_trains_predictor_like_fetch () =
+  let config = { Sdiq_cpu.Config.default with speculative_fetch = false } in
+  List.iter
+    (fun (b : Sdiq_workloads.Bench.t) ->
+      let build () =
+        let p = Pipeline.create ~config b.Sdiq_workloads.Bench.prog in
+        b.Sdiq_workloads.Bench.init p.Pipeline.exec;
+        p
+      in
+      let detailed = build () in
+      ignore (Pipeline.run detailed : Stats.t);
+      let ff = build () in
+      ignore (Pipeline.fast_forward ff ~insns:max_int : int);
+      Alcotest.(check bool)
+        (b.Sdiq_workloads.Bench.name ^ ": predictor state equal")
+        true
+        (detailed.Pipeline.bpred = ff.Pipeline.bpred))
+    (Sdiq_workloads.Suite.tiny ())
+
 let suite =
   [
     Alcotest.test_case "estimator: constant ratio, floored CI" `Quick
@@ -268,4 +293,6 @@ let suite =
       test_zero_ff_single_window_equals_detailed;
     Alcotest.test_case "budget crossed mid-ff still measures the period"
       `Quick test_budget_crossed_mid_ff_still_measures;
+    Alcotest.test_case "fast-forward trains the predictor like fetch" `Quick
+      test_ff_trains_predictor_like_fetch;
   ]
