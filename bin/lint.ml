@@ -75,18 +75,10 @@ let json_arg =
   in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
-(* A file that cannot be opened, read or written is a usage error naming
-   its flag (exit 64, like an unloadable waiver file), not an uncaught
-   [Sys_error]; exit 1 would read as "warnings only". *)
-let file_error flag msg =
-  Fmt.epr "sdiq-lint: --%s: %s@." flag msg;
-  exit 64
-
-let open_out_flag flag path =
-  try open_out path with Sys_error e -> file_error flag e
+(* Usage errors exit 64: exit 1 would read as "warnings only". *)
+let cli = Cli.tool ~usage_status:64 "lint"
 
 let dump_dot dir (bench : Sdiq_workloads.Bench.t) =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let prog = bench.Sdiq_workloads.Bench.prog in
   List.iter
     (fun (p : Sdiq_isa.Prog.proc) ->
@@ -124,7 +116,7 @@ let dump_dot dir (bench : Sdiq_workloads.Bench.t) =
    number of lines. *)
 let iter_lines flag path f =
   match open_in path with
-  | exception Sys_error e -> file_error flag e
+  | exception Sys_error e -> Cli.fail cli "--%s: %s" flag e
   | ic ->
     let rec go n =
       match input_line ic with
@@ -136,7 +128,7 @@ let iter_lines flag path f =
         n - 1
       | exception Sys_error e ->
         close_in_noerr ic;
-        file_error flag (path ^ ": " ^ e)
+        Cli.fail cli "--%s: %s: %s" flag path e
     in
     go 1
 
@@ -259,41 +251,25 @@ let run bench_name mode dot quiet infos trace waivers_file json_file =
        compare the trace against the wrong binary. *)
     let bench =
       match bench_name with
-      | Some n -> (
-        match Sdiq_workloads.Suite.find n with
-        | Some b -> b
-        | None ->
-          Fmt.epr "unknown benchmark %S; available: %s@." n
-            (String.concat ", " (Sdiq_workloads.Suite.names ()));
-          exit 64)
+      | Some n -> Cli.bench cli n
       | None ->
-        Fmt.epr "--trace needs --bench NAME (the trace's benchmark)@.";
-        exit 64
+        Cli.fail cli "--trace needs --bench NAME (the trace's benchmark)"
     in
     let m =
       match Driver.mode_named mode with
       | Some m -> m
       | None ->
-        Fmt.epr
+        Cli.fail cli
           "--trace needs a single --mode (noop, extension, improved or \
-           tightened)@.";
-        exit 64
+           tightened)"
     in
     exit (if audit_trace ~bench ~mode:m path > 0 then 2 else 0));
-  (* Opened before the audit, so an unwritable path fails at once. *)
-  let json_out =
-    Option.map (fun path -> (path, open_out_flag "json" path)) json_file
-  in
+  let json_out = Cli.output cli "json" json_file in
+  let dot = Cli.dir cli "dot" dot in
   let benches =
     match bench_name with
     | None -> Sdiq_workloads.Suite.all ()
-    | Some n -> (
-      match Sdiq_workloads.Suite.find n with
-      | Some b -> [ b ]
-      | None ->
-        Fmt.epr "unknown benchmark %S; available: %s@." n
-          (String.concat ", " (Sdiq_workloads.Suite.names ()));
-        exit 64)
+    | Some n -> [ Cli.bench cli n ]
   in
   let modes =
     if mode = "all" then Driver.modes
@@ -301,11 +277,10 @@ let run bench_name mode dot quiet infos trace waivers_file json_file =
       match Driver.mode_named mode with
       | Some m -> [ m ]
       | None ->
-        Fmt.epr
+        Cli.fail cli
           "unknown mode %S; available: noop, extension, improved, tightened, \
-           all@."
-          mode;
-        exit 64
+           all"
+          mode
   in
   let waivers =
     match waivers_file with
@@ -313,9 +288,7 @@ let run bench_name mode dot quiet infos trace waivers_file json_file =
     | Some path -> (
       match Waiver.load path with
       | Ok ws -> ws
-      | Error e ->
-        Fmt.epr "cannot load waivers from %s: %s@." path e;
-        exit 64)
+      | Error e -> Cli.fail cli "--waivers: %s" e)
   in
   (* Waiver usage is tracked across every bench/mode so a waiver that
      fires anywhere in the run is not reported stale. *)

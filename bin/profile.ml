@@ -10,14 +10,7 @@ open Cmdliner
 module H = Sdiq_harness
 module Obs = Sdiq_obs
 
-let technique_of_string = function
-  | "baseline" -> Ok H.Technique.Baseline
-  | "noop" -> Ok H.Technique.Noop
-  | "extension" -> Ok H.Technique.Extension
-  | "improved" -> Ok H.Technique.Improved
-  | "abella" -> Ok H.Technique.Abella
-  | "tightened" -> Ok H.Technique.Tightened
-  | s -> Error ("unknown technique: " ^ s)
+let cli = Cli.tool "profile"
 
 let benches_arg =
   let doc =
@@ -28,8 +21,9 @@ let benches_arg =
 
 let techniques_arg =
   let doc =
-    "Comma-separated techniques (baseline, noop, extension, improved, \
-     abella)."
+    "Comma-separated techniques ("
+    ^ String.concat ", " (List.map H.Technique.name H.Technique.extended)
+    ^ ")."
   in
   Arg.(value & opt string "noop" & info [ "t"; "technique" ] ~docv:"TECHS" ~doc)
 
@@ -87,32 +81,19 @@ let split_commas s =
   |> List.filter (fun x -> x <> "")
 
 let parse_benches s =
-  if s = "all" then Ok (Sdiq_workloads.Suite.all ())
-  else
-    let names = split_commas s in
-    let missing =
-      List.filter
-        (fun n -> Option.is_none (Sdiq_workloads.Suite.find n))
-        names
-    in
-    if missing <> [] then
-      Error
-        (Printf.sprintf "unknown benchmark%s: %s (available: %s)"
-           (if List.length missing = 1 then "" else "s")
-           (String.concat ", " missing)
-           (String.concat ", " (Sdiq_workloads.Suite.names ())))
-    else
-      Ok (List.filter_map Sdiq_workloads.Suite.find names)
+  if s = "all" then Sdiq_workloads.Suite.all ()
+  else List.map (Cli.bench cli) (split_commas s)
 
 let parse_techniques s =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest -> (
-      match technique_of_string x with
-      | Ok t -> go (t :: acc) rest
-      | Error e -> Error e)
-  in
-  go [] (split_commas s)
+  match split_commas s with
+  | [] -> Cli.fail cli "--technique: no techniques given"
+  | names ->
+    List.map
+      (fun n ->
+        match H.Technique.of_string n with
+        | Ok t -> t
+        | Error e -> Cli.fail cli "--technique: %s" e)
+      names
 
 let print_json budget sched pairs campaign =
   let pair_docs =
@@ -183,43 +164,23 @@ let print_tables top slack sched pairs =
 let run benches techniques budget domains top slack json csv policy
     openmetrics =
   let sched =
-    match policy with
-    | None -> Sdiq_cpu.Sched.default
-    | Some s -> (
-      match Sdiq_cpu.Sched.of_string s with
-      | Ok sched -> sched
-      | Error msg ->
-        Fmt.epr "sdiq-profile: %s@." msg;
-        exit 1)
+    Option.value (Cli.policy cli policy) ~default:Sdiq_cpu.Sched.default
   in
-  match (parse_benches benches, parse_techniques techniques) with
-  | Error e, _ | _, Error e ->
-    Fmt.epr "%s@." e;
-    exit 1
-  | Ok benches, Ok techniques ->
-    if techniques = [] then begin
-      Fmt.epr "no techniques given@.";
-      exit 1
-    end;
-    Option.iter
-      (fun n ->
-        if n < 1 then begin
-          Fmt.epr "sdiq-profile: --domains must be at least 1 (got %d)@." n;
-          exit 1
-        end)
-      domains;
-    let runner = H.Runner.create ~budget ~benches ~sched ?domains () in
-    let pairs, campaign = H.Runner.profile_all ~techniques runner in
-    if json then print_json budget sched pairs campaign
-    else if csv then print_csv sched pairs
-    else print_tables top slack sched pairs;
-    Option.iter
-      (fun file ->
-        let oc = open_out file in
-        output_string oc (Obs.Metrics.to_openmetrics campaign);
-        close_out oc;
-        Fmt.pr "openmetrics: %s@." file)
-      openmetrics
+  let benches = parse_benches benches in
+  let techniques = parse_techniques techniques in
+  let domains = Cli.domains cli domains in
+  let openmetrics = Cli.output cli "openmetrics" openmetrics in
+  let runner = H.Runner.create ~budget ~benches ~sched ?domains () in
+  let pairs, campaign = H.Runner.profile_all ~techniques runner in
+  if json then print_json budget sched pairs campaign
+  else if csv then print_csv sched pairs
+  else print_tables top slack sched pairs;
+  Option.iter
+    (fun (file, oc) ->
+      output_string oc (Obs.Metrics.to_openmetrics campaign);
+      close_out oc;
+      Fmt.pr "openmetrics: %s@." file)
+    openmetrics
 
 let cmd =
   let doc = "region-level attribution profiles of simulated benchmarks" in

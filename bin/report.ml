@@ -8,6 +8,8 @@
 open Cmdliner
 module H = Sdiq_harness
 
+let cli = Cli.tool "report"
+
 let default_ids =
   [ "table2"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11"; "fig12";
     "tighten" ]
@@ -208,7 +210,7 @@ let run_tighten ~markdown r =
    lib/cpu/sched.ml; nskip is exempt, it genuinely trades ILP for scan
    energy), and the bounded scan must actually cut scan energy on at
    least three benchmarks, or the grid fails the build. *)
-let run_policy_grid ~budget ~file =
+let run_policy_grid ~budget (file, oc) =
   let params = Sdiq_power.Params.default in
   let policies =
     [
@@ -262,7 +264,6 @@ let run_policy_grid ~budget ~file =
     (H.Runner.bench_names r);
   let cells = List.rev !cells in
   (* JSON artifact for CI: one object per grid cell. *)
-  let oc = open_out file in
   let fnum = Printf.sprintf "%.17g" in
   Printf.fprintf oc {|{"budget":%d,"e_scan_entry":%s,"cells":[%s]}|} budget
     (fnum params.Sdiq_power.Params.e_scan_entry)
@@ -399,42 +400,8 @@ let pp_table2_markdown ppf rows =
 
 let run budget only domains markdown sample min_insns min_windows policy
     policy_grid ledger trace_spans =
-  Option.iter
-    (fun n ->
-      if n < 1 then begin
-        Fmt.epr "sdiq-report: --domains must be at least 1 (got %d)@." n;
-        exit 1
-      end)
-    domains;
-  let sched =
-    match policy with
-    | None -> None
-    | Some s -> (
-      match Sdiq_cpu.Sched.of_string s with
-      | Ok sched -> Some sched
-      | Error msg ->
-        Fmt.epr "sdiq-report: %s@." msg;
-        exit 1)
-  in
-  if trace_spans <> None then Sdiq_obs.Telemetry.start ();
-  let write_spans () =
-    Option.iter
-      (fun file ->
-        match Sdiq_obs.Telemetry.drain () with
-        | None -> ()
-        | Some r ->
-          Sdiq_obs.Telemetry.write_chrome file r;
-          Fmt.pr "trace-spans: %s (%d spans, %d counters)@." file
-            (List.length r.Sdiq_obs.Telemetry.Span.spans)
-            (List.length r.Sdiq_obs.Telemetry.Span.counters))
-      trace_spans
-  in
-  (match policy_grid with
-  | Some file -> run_policy_grid ~budget ~file
-  | None ->
-  if sample then
-    run_sampled_campaign ?sched ?domains ~min_insns ~min_windows ()
-  else begin
+  let domains = Cli.domains cli domains in
+  let sched = Cli.policy cli policy in
   let ids =
     match only with
     | None -> default_ids
@@ -445,11 +412,19 @@ let run budget only domains markdown sample min_insns min_windows policy
   (match List.filter (fun id -> not (List.mem id all_ids)) ids with
   | [] -> ()
   | unknown ->
-    Fmt.epr "unknown experiment id%s: %s@.valid ids: %s@."
+    Cli.fail cli "unknown experiment id%s: %s; valid ids: %s"
       (if List.length unknown = 1 then "" else "s")
       (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
-      (String.concat ", " all_ids);
-    exit 1);
+      (String.concat ", " all_ids));
+  let policy_grid = Cli.output cli "policy-grid" policy_grid in
+  let ledger = Cli.output ~append:true cli "ledger" ledger in
+  let write_spans = Cli.trace_spans cli trace_spans in
+  (match policy_grid with
+  | Some out -> run_policy_grid ~budget out
+  | None ->
+  if sample then
+    run_sampled_campaign ?sched ?domains ~min_insns ~min_windows ()
+  else begin
   let r = H.Runner.create ~budget ?sched ?domains () in
   (* Run the whole campaign up front: the figures then read memoised
      pairs, and campaign_stats is populated for every invocation that
@@ -464,7 +439,7 @@ let run budget only domains markdown sample min_insns min_windows policy
       else if id = "ablations" then
         List.iter
           (Fmt.pr "%a@." H.Ablations.pp_study)
-          (H.Ablations.all ~budget:(budget / 2) ())
+          (H.Ablations.all ~budget:(budget / 2) ?domains ())
       else if id = "table2" then
         let rows = H.Experiments.table2 r in
         if markdown then Fmt.pr "%a" pp_table2_markdown rows
@@ -487,7 +462,7 @@ let run budget only domains markdown sample min_insns min_windows policy
   | Some c ->
     Fmt.pr "%a@." H.Runner.pp_campaign c;
     Option.iter
-      (fun file ->
+      (fun (file, oc) ->
         let digest =
           Sdiq_obs.Ledger.config_digest
             ~extra:(Printf.sprintf "budget=%d" budget)
@@ -499,7 +474,8 @@ let run budget only domains markdown sample min_insns min_windows policy
             ~domains:c.H.Runner.domains_used ~pairs:c.H.Runner.pairs_total
             ~wall_s:c.H.Runner.wall_s ~energy:(H.Runner.energy_totals r) ()
         in
-        Sdiq_obs.Ledger.append ~file record;
+        Sdiq_obs.Ledger.output oc record;
+        close_out oc;
         Fmt.pr "ledger: appended %s record to %s@."
           record.Sdiq_obs.Ledger.kind file)
       ledger

@@ -7,19 +7,13 @@
 
 open Cmdliner
 
-let technique_of_string = function
-  | "baseline" -> Ok Sdiq_harness.Technique.Baseline
-  | "noop" -> Ok Sdiq_harness.Technique.Noop
-  | "extension" -> Ok Sdiq_harness.Technique.Extension
-  | "improved" -> Ok Sdiq_harness.Technique.Improved
-  | "abella" -> Ok Sdiq_harness.Technique.Abella
-  | "tightened" -> Ok Sdiq_harness.Technique.Tightened
-  | s -> Error (`Msg ("unknown technique: " ^ s))
-
 let technique_conv =
-  Arg.conv
-    ( technique_of_string,
-      fun ppf t -> Fmt.string ppf (Sdiq_harness.Technique.name t) )
+  let parse s =
+    Result.map_error (fun e -> `Msg e) (Sdiq_harness.Technique.of_string s)
+  in
+  Arg.conv (parse, fun ppf t -> Fmt.string ppf (Sdiq_harness.Technique.name t))
+
+let cli = Cli.tool "simulate"
 
 let bench_arg =
   let doc =
@@ -29,7 +23,12 @@ let bench_arg =
   Arg.(value & opt string "gzip" & info [ "b"; "bench" ] ~docv:"NAME" ~doc)
 
 let technique_arg =
-  let doc = "Technique: baseline, noop, extension, improved, abella." in
+  let doc =
+    "Technique: "
+    ^ String.concat ", "
+        (List.map Sdiq_harness.Technique.name Sdiq_harness.Technique.extended)
+    ^ "."
+  in
   Arg.(
     value
     & opt technique_conv Sdiq_harness.Technique.Baseline
@@ -163,14 +162,6 @@ let window_arg =
   in
   Arg.(value & opt (some int) None & info [ "window" ] ~docv:"N" ~doc)
 
-(* An output file that cannot be opened is a usage error naming its flag
-   (exit 1), not an uncaught [Sys_error]. *)
-let open_out_flag flag path =
-  try open_out path
-  with Sys_error e ->
-    Fmt.epr "sdiq-simulate: --%s: %s@." flag e;
-    exit 1
-
 (* A dedicated traced run: the runner's build, with the JSONL trace sink
    on the bus. *)
 let write_trace bench technique ~sched ~budget (file, oc) =
@@ -286,62 +277,30 @@ let validate_flags ~budget ~verbose ~timeline ~trace ~metrics ~domains
     require "window" (window <> None);
     Option.iter
       (fun n -> if n <= 0 then err "--budget must be positive (got %d)" n)
-      budget;
-    Option.iter
-      (fun n -> if n < 1 then err "--domains must be at least 1 (got %d)" n)
-      domains
+      budget
   end;
-  match List.rev !errors with
-  | [] -> ()
-  | msgs ->
-    List.iter (fun m -> Fmt.epr "sdiq-simulate: %s@." m) msgs;
-    exit 1
+  Cli.errors cli (List.rev !errors)
 
 let run bench_name technique budget verbose timeline trace metrics domains
     check sample scaled ff warmup window policy trace_spans =
   validate_flags ~budget ~verbose ~timeline ~trace ~metrics ~domains ~sample
     ~scaled ~ff ~warmup ~window;
-  if trace_spans <> None then Sdiq_obs.Telemetry.start ();
-  let write_spans () =
-    Option.iter
-      (fun file ->
-        match Sdiq_obs.Telemetry.drain () with
-        | None -> ()
-        | Some r ->
-          Sdiq_obs.Telemetry.write_chrome file r;
-          Fmt.pr "trace-spans: %s (%d spans, %d counters)@." file
-            (List.length r.Sdiq_obs.Telemetry.Span.spans)
-            (List.length r.Sdiq_obs.Telemetry.Span.counters))
-      trace_spans
-  in
-  (* Like an unknown benchmark or experiment id: a typo'd policy must
-     fail loudly before anything simulates. *)
+  let domains = Cli.domains cli domains in
   let sched =
-    match policy with
-    | None -> Sdiq_cpu.Sched.default
-    | Some s -> (
-      match Sdiq_cpu.Sched.of_string s with
-      | Ok sched -> sched
-      | Error msg ->
-        Fmt.epr "sdiq-simulate: %s@." msg;
-        exit 1)
+    Option.value (Cli.policy cli policy) ~default:Sdiq_cpu.Sched.default
   in
+  let bench =
+    Cli.bench cli
+      ~suite:
+        (if scaled then Sdiq_workloads.Suite.scaled
+         else Sdiq_workloads.Suite.all)
+      bench_name
+  in
+  let trace = Cli.output cli "trace" trace in
+  let metrics = Cli.output cli "metrics" metrics in
+  let write_spans = Cli.trace_spans cli trace_spans in
   let budget = Option.value budget ~default:100_000 in
-  let suite =
-    if scaled then Sdiq_workloads.Suite.scaled ()
-    else Sdiq_workloads.Suite.all ()
-  in
-  (match
-     List.find_opt
-       (fun (b : Sdiq_workloads.Bench.t) ->
-         b.Sdiq_workloads.Bench.name = bench_name)
-       suite
-   with
-  | None ->
-    Fmt.epr "unknown benchmark %S; available: %s@." bench_name
-      (String.concat ", " (Sdiq_workloads.Suite.names ()));
-    exit 1
-  | Some bench when sample ->
+  if sample then begin
     let dflt = Sdiq_harness.Sampling.default in
     run_sampled bench technique ~sched ~check
       ~config:
@@ -353,10 +312,8 @@ let run bench_name technique budget verbose timeline trace metrics domains
           window_len =
             Option.value window ~default:dflt.Sdiq_harness.Sampling.window_len;
         }
-  | Some bench ->
-    (* Opened before the main run, so an unwritable path fails at once. *)
-    let output flag = Option.map (fun f -> (f, open_out_flag flag f)) in
-    let trace = output "trace" trace and metrics = output "metrics" metrics in
+  end
+  else begin
     let checker =
       if check then Some Sdiq_check.Checker.fresh_hook else None
     in
@@ -407,7 +364,8 @@ let run bench_name technique budget verbose timeline trace metrics domains
       print_string (Sdiq_harness.Timeline.to_csv t)
     end;
     Option.iter (write_trace bench technique ~sched ~budget) trace;
-    Option.iter (write_metrics bench technique ~sched ~budget) metrics);
+    Option.iter (write_metrics bench technique ~sched ~budget) metrics
+  end;
   write_spans ()
 
 let cmd =

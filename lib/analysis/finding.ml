@@ -48,34 +48,19 @@ let pp ppf t =
     t.blocks t.message
 
 (* Hand-rolled JSON: the schema is flat and the repo carries no JSON
-   dependency. Strings escape the two characters that can occur in
-   messages (quotes and backslashes) plus control characters. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+   dependency. *)
 let to_json ?(extra = []) t =
+  let esc = Sdiq_util.Json.escape in
   Fmt.str
     "{%s\"severity\":\"%s\",\"pass\":\"%s\",\"proc\":\"%s\",\"addr\":%s,\"blocks\":[%a],\"message\":\"%s\"}"
     (String.concat ""
        (List.map
-          (fun (k, v) -> Fmt.str "\"%s\":\"%s\"," (json_escape k) (json_escape v))
+          (fun (k, v) -> Fmt.str "\"%s\":\"%s\"," (esc k) (esc v))
           extra))
-    (severity_name t.severity) (json_escape t.pass) (json_escape t.proc)
+    (severity_name t.severity) (esc t.pass) (esc t.proc)
     (match t.addr with Some a -> string_of_int a | None -> "null")
     Fmt.(list ~sep:(any ",") int)
-    t.blocks (json_escape t.message)
+    t.blocks (esc t.message)
 
 let list_to_json ?extra l =
   Fmt.str "[@[<v>%a@]]"

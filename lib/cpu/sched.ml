@@ -64,11 +64,15 @@ let of_string s =
     match String.index_opt s ':' with
     | Some i when String.sub s 0 i = "nskip" -> (
       let arg = String.sub s (i + 1) (String.length s - i - 1) in
+      (* Canonical decimal only, so every accepted string is the [name]
+         it parses to: "04", "+4", "0x4" and "4_" are rejected. *)
       match int_of_string_opt arg with
-      | Some n when n > 0 -> Ok (Nskip n)
-      | Some n ->
-        Error (Printf.sprintf "nskip scan bound must be positive (got %d)" n)
-      | None -> Error (Printf.sprintf "nskip bound %S is not an integer" arg))
+      | Some n when string_of_int n = arg ->
+        if n > 0 then Ok (Nskip n)
+        else
+          Error (Printf.sprintf "nskip scan bound must be positive (got %d)" n)
+      | _ ->
+        Error (Printf.sprintf "nskip bound %S is not canonical decimal" arg))
     | _ ->
       Error
         (Printf.sprintf "unknown policy %S (valid: %s)" s

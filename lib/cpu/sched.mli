@@ -44,7 +44,8 @@ val key : t -> string
 (** The shapes [of_string] accepts, for CLI error messages. *)
 val valid_names : string list
 
-(** Parse ["NAME[:N]"]; the error message names the valid policies. *)
+(** Parse ["NAME[:N]"], [N] in canonical decimal: [Ok t] exactly when
+    [name t = s]. The error message names the valid policies. *)
 val of_string : string -> (t, string) result
 
 (** Slots the select scan may examine per cycle on an active ring of

@@ -9,22 +9,6 @@
 
 open Sdiq_isa
 
-(* JSON string escaping for the few instruction-text fields. *)
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let bool b = if b then "true" else "false"
 
 let fetch_outcome_fields = function
@@ -42,7 +26,7 @@ let fetch_outcome_fields = function
 
 let dyn_fields (d : Exec.dyn) =
   Printf.sprintf {|,"sn":%d,"pc":%d,"op":"%s"|} d.Exec.sn d.Exec.pc
-    (escape (Instr.to_string d.Exec.instr))
+    (Sdiq_util.Json.escape (Instr.to_string d.Exec.instr))
 
 let wp_field wp = if wp then {|,"wp":true|} else ""
 

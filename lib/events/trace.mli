@@ -7,6 +7,3 @@
     itself (incremented on each [Cycle_end]); the caller flushes or
     closes the channel when the run completes. *)
 val sink : out_channel -> Event.t -> unit
-
-(** JSON string escaping used for instruction-text fields. *)
-val escape : string -> string

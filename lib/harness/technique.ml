@@ -32,6 +32,14 @@ let name = function
   | Abella -> "abella"
   | Tightened -> "tightened"
 
+let of_string s =
+  match List.find_opt (fun t -> name t = s) extended with
+  | Some t -> Ok t
+  | None ->
+    Error
+      (Printf.sprintf "unknown technique %S (valid: %s)" s
+         (String.concat ", " (List.map name extended)))
+
 (* The binary actually loaded into the machine. *)
 let prepare t (prog : Prog.t) : Prog.t =
   match t with

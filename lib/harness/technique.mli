@@ -19,6 +19,10 @@ val all : t list
 val extended : t list
 val name : t -> string
 
+(** The inverse of {!name} over {!extended}: [Ok t] exactly when
+    [name t = s]; the error names every valid technique. *)
+val of_string : string -> (t, string) result
+
 (** The binary actually loaded into the machine. *)
 val prepare : t -> Sdiq_isa.Prog.t -> Sdiq_isa.Prog.t
 

@@ -103,19 +103,9 @@ let of_json j =
     in
     Ok { schema; time; git; kind; digest; domains; pairs; wall_s; energy }
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then (
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-
-let append ~file r =
-  mkdir_p (Filename.dirname file);
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 file
-  in
+let output oc r =
   output_string oc (to_json r);
-  output_char oc '\n';
-  close_out oc
+  output_char oc '\n'
 
 let load ~file =
   if not (Sys.file_exists file) then Ok []

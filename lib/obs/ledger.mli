@@ -56,9 +56,9 @@ val make :
 val to_json : record -> string
 val of_json : Sdiq_util.Json.t -> (record, string) result
 
-(** Append one record (one line) to [file], creating the file and its
-    parent directory as needed. *)
-val append : file:string -> record -> unit
+(** Write one record as one JSONL line to [oc] (a ledger file opened
+    for appending). *)
+val output : out_channel -> record -> unit
 
 (** Every record of the ledger, oldest first. [Error] on an unreadable
     file (a directory, no permission) or a malformed line, with a

@@ -49,10 +49,13 @@ let to_chrome_json (r : Span.result) =
   Buffer.add_string b "]}";
   Buffer.contents b
 
+let output_chrome oc r =
+  output_string oc (to_chrome_json r);
+  output_char oc '\n'
+
 let write_chrome file r =
   let oc = open_out file in
-  output_string oc (to_chrome_json r);
-  output_char oc '\n';
+  output_chrome oc r;
   close_out oc
 
 let seconds_of_span (s : Span.span) =

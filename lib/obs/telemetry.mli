@@ -42,5 +42,8 @@ val to_chrome_json : Span.result -> string
     [campaign_pairs], [campaign_wall_seconds] and [campaign_pairs_per_sec]. *)
 val to_metrics : ?pairs:int -> ?wall_s:float -> Span.result -> Metrics.t
 
-(** [write_chrome file r]: {!to_chrome_json} to [file]. *)
+(** {!to_chrome_json} and a newline to [oc]. *)
+val output_chrome : out_channel -> Span.result -> unit
+
+(** [write_chrome file r]: {!output_chrome} to [file]. *)
 val write_chrome : string -> Span.result -> unit

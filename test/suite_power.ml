@@ -121,9 +121,107 @@ let test_savings_end_to_end_positive () =
   Alcotest.(check bool) "savings below 100%" true
     (s.Report.iq_dynamic_saving_pct < 100.)
 
+(* Each IQ energy view priced by hand: a zero record with one counter
+   set must cost exactly that counter times its [Params] weight in every
+   view that charges it, and nothing in a view that must ignore it (e.g.
+   [technique] ignores [iq_wakeups_nonempty]). The loose orderings above
+   pass even when a term is dropped or charged to the wrong counter. *)
+let test_iq_views_priced_by_hand () =
+  let p = Params.default and cfg = Config.default in
+  let banks = float_of_int (Config.iq_banks cfg) in
+  let none = (0., 0., 0.) and all w = (w, w, w) in
+  (* counter, setter, per-unit (naive, gated, technique) dynamic and
+     static weights *)
+  let counters =
+    [
+      ( "iq_wakeups_naive",
+        (fun s v -> s.Stats.iq_wakeups_naive <- v),
+        (p.Params.e_wakeup, 0., 0.),
+        none );
+      ( "iq_wakeups_nonempty",
+        (fun s v -> s.Stats.iq_wakeups_nonempty <- v),
+        (0., p.Params.e_wakeup, 0.),
+        none );
+      ( "iq_wakeups_gated",
+        (fun s v -> s.Stats.iq_wakeups_gated <- v),
+        (0., 0., p.Params.e_wakeup),
+        none );
+      ( "iq_dispatch_cam_writes",
+        (fun s v -> s.Stats.iq_dispatch_cam_writes <- v),
+        all p.Params.e_cam_write,
+        none );
+      ( "iq_dispatch_ram_writes",
+        (fun s v -> s.Stats.iq_dispatch_ram_writes <- v),
+        all p.Params.e_ram_write,
+        none );
+      ( "iq_issue_reads",
+        (fun s v -> s.Stats.iq_issue_reads <- v),
+        all p.Params.e_ram_read,
+        none );
+      ( "iq_selects",
+        (fun s v -> s.Stats.iq_selects <- v),
+        all p.Params.e_select,
+        none );
+      ( "iq_scan_entries",
+        (fun s v -> s.Stats.iq_scan_entries <- v),
+        all p.Params.e_scan_entry,
+        none );
+      ( "squashed",
+        (fun s v -> s.Stats.squashed <- v),
+        all p.Params.e_squash_entry,
+        none );
+      (* naive and gated keep every bank powered on every cycle *)
+      ( "cycles",
+        (fun s v -> s.Stats.cycles <- v),
+        ( banks *. p.Params.e_iq_bank_cycle,
+          banks *. p.Params.e_iq_bank_cycle,
+          0. ),
+        ( banks *. p.Params.iq_leak_bank_cycle,
+          banks *. p.Params.iq_leak_bank_cycle,
+          0. ) );
+      ( "iq_banks_on_sum",
+        (fun s v -> s.Stats.iq_banks_on_sum <- v),
+        (0., 0., p.Params.e_iq_bank_cycle),
+        (0., 0., p.Params.iq_leak_bank_cycle) );
+      (* counted, but priced by no IQ view *)
+      ( "iq_occupancy_sum",
+        (fun s v -> s.Stats.iq_occupancy_sum <- v),
+        none,
+        none );
+      ("iq_broadcasts", (fun s v -> s.Stats.iq_broadcasts <- v), none, none);
+      ( "iq_wakeups_suppressed",
+        (fun s v -> s.Stats.iq_wakeups_suppressed <- v),
+        none,
+        none );
+      ("squashes", (fun s v -> s.Stats.squashes <- v), none, none);
+      ("dispatched", (fun s v -> s.Stats.dispatched <- v), none, none);
+      ("committed", (fun s v -> s.Stats.committed <- v), none, none);
+    ]
+  in
+  List.iteri
+    (fun i (name, set, (dn, dg, dt), (sn, sg, st)) ->
+      let v = 1009 + (37 * i) in
+      let s = Stats.create () in
+      set s v;
+      let x = float_of_int v in
+      let check view (e : Iq_power.energy) dynamic static_ =
+        Alcotest.(check (float 1e-9))
+          (Printf.sprintf "%s = %d: %s dynamic" name v view)
+          (x *. dynamic) e.Iq_power.dynamic;
+        Alcotest.(check (float 1e-9))
+          (Printf.sprintf "%s = %d: %s static" name v view)
+          (x *. static_) e.Iq_power.static_
+      in
+      check "naive" (Iq_power.naive p cfg s) dn sn;
+      check "gated" (Iq_power.gated p cfg s) dg sg;
+      check "technique" (Iq_power.technique p s) dt st)
+    counters
+
 let suite =
   [
     Alcotest.test_case "energy ordering" `Quick test_energy_ordering;
+    Alcotest.test_case "IQ views priced by hand, one counter at a time"
+      `Quick test_iq_views_priced_by_hand;
     Alcotest.test_case "static proportional to banks" `Quick
       test_static_proportional_to_banks;
     Alcotest.test_case "identical runs: zero deltas" `Quick

@@ -591,9 +591,88 @@ let prop_runner_memo_stable_across_parallel =
       let after = Sdiq_harness.Runner.run r "gzip" tech in
       before == repeat && before == after)
 
+(* --- hand-rolled parsers ------------------------------------------------- *)
+
+(* Strings near a parser's accepted set: a printed name, a name with a
+   suffix, "nskip:" with a decorated number, or arbitrary bytes. *)
+let near_names names =
+  let open QCheck.Gen in
+  let num =
+    oneof
+      [
+        map string_of_int (int_range (-3) 100);
+        string_size ~gen:(oneofl [ '0'; '4'; 'x'; '_'; '+'; '-'; ' ' ])
+          (int_range 0 4);
+      ]
+  in
+  QCheck.make ~print:(Printf.sprintf "%S")
+    (oneof
+       [
+         oneofl names;
+         map2 ( ^ ) (oneofl names) (string_size ~gen:char (int_range 1 3));
+         map (( ^ ) "nskip:") num;
+         string_size ~gen:char (int_range 0 16);
+       ])
+
+(* [of_string s = Ok t] implies [name t = s], every printed name in
+   [names] parses, and nothing raises. *)
+let prop_parses_only_names ~what ~names of_string name =
+  QCheck.Test.make ~count:1000
+    ~name:(what ^ ".of_string accepts exactly what " ^ what ^ ".name prints")
+    (near_names names)
+    (fun s ->
+      match of_string s with
+      | Ok t -> name t = s
+      | Error _ -> not (List.mem s names))
+
+let prop_sched_of_string_canonical =
+  prop_parses_only_names ~what:"Sched"
+    ~names:[ "oldest_first"; "load_delay"; "nskip:4"; "nskip:80" ]
+    Sdiq_cpu.Sched.of_string Sdiq_cpu.Sched.name
+
+let prop_technique_of_string_canonical =
+  let module T = Sdiq_harness.Technique in
+  prop_parses_only_names ~what:"Technique"
+    ~names:(List.map T.name T.extended)
+    T.of_string T.name
+
+(* Waiver files built from the tokens the parser branches on, plus
+   arbitrary bytes: [parse] answers Ok or Error and never raises, and an
+   accepted entry has a reason and a line number inside the file. *)
+let prop_waiver_parse_total =
+  let open QCheck.Gen in
+  let token =
+    oneofl
+      [ "*"; "#"; "improved/soundness"; "main"; "12"; "0x1f"; "-3"; "1_0";
+        "99999999999999999999"; "reason"; " "; "\t"; "\n"; "" ]
+  in
+  let content =
+    oneof
+      [
+        map (String.concat " ") (list_size (int_range 0 12) token);
+        string_size ~gen:char (int_range 0 40);
+      ]
+  in
+  QCheck.Test.make ~count:1000 ~name:"Waiver.parse never raises"
+    (QCheck.make ~print:(Printf.sprintf "%S") content)
+    (fun s ->
+      match Sdiq_analysis.Waiver.parse s with
+      | Error _ -> true
+      | Ok ws ->
+        let lines = List.length (String.split_on_char '\n' s) in
+        List.for_all
+          (fun (w : Sdiq_analysis.Waiver.t) ->
+            w.Sdiq_analysis.Waiver.reason <> ""
+            && w.Sdiq_analysis.Waiver.line >= 1
+            && w.Sdiq_analysis.Waiver.line <= lines)
+          ws)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_sched_of_string_canonical;
+      prop_technique_of_string_canonical;
+      prop_waiver_parse_total;
       prop_runner_memo_stable_across_parallel;
       prop_interval_widen_sound;
       prop_interval_hull_monotone;

@@ -45,6 +45,10 @@ let test_of_string_rejects () =
   ignore (expect_error "nskip:0");
   ignore (expect_error "nskip:-3");
   ignore (expect_error "nskip:eight");
+  (* int_of_string's other spellings of 4 are not [name]'s *)
+  List.iter
+    (fun s -> ignore (expect_error s))
+    [ "nskip:0x4"; "nskip:4_"; "nskip:+4"; "nskip:04"; "nskip: 4" ];
   ignore (expect_error "")
 
 let test_scan_bound () =

@@ -241,8 +241,12 @@ let test_ledger_file_round_trip () =
   let file = Filename.temp_file "sdiq-ledger" ".jsonl" in
   let a = sample_record ()
   and b = sample_record ~energy:[ ("noop", 8.5) ] () in
-  Obs.Ledger.append ~file a;
-  Obs.Ledger.append ~file b;
+  let append r =
+    Out_channel.with_open_gen [ Open_append; Open_creat; Open_wronly ] 0o644
+      file (fun oc -> Obs.Ledger.output oc r)
+  in
+  append a;
+  append b;
   (match Obs.Ledger.load ~file with
   | Error e -> Alcotest.fail e
   | Ok records ->
