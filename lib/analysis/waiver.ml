@@ -31,11 +31,16 @@ let parse content : (t list, string) result =
             let addr =
               if addr = "*" then Ok None
               else
+                (* Canonical decimal only, so a stale waiver is reported
+                   in the text it was written in: "0x1f", "1_0", "+31"
+                   and "031" are rejected. *)
                 match int_of_string_opt addr with
-                | Some a -> Ok (Some a)
-                | None ->
+                | Some a when string_of_int a = addr -> Ok (Some a)
+                | _ ->
                   Error
-                    (Fmt.str "line %d: address must be an integer or '*', got %S"
+                    (Fmt.str
+                       "line %d: address must be a decimal integer or '*', \
+                        got %S"
                        lineno addr)
             in
             (match addr with

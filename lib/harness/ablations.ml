@@ -16,67 +16,116 @@ type study = {
   rows : row list;
 }
 
+(* One simulation a study reads, named by the settings the studies vary;
+   every other setting is [Config.default] and [Options.default]. [mode]
+   is [None] for the unannotated baseline, whose [slack] and
+   [load_hit_extra] stay at their defaults. Two studies that read the
+   same [sim] share one run. *)
+type sim = {
+  mode : Sdiq_core.Annotate.mode option;
+  iq_size : int;
+  iq_bank_size : int;
+  slack : int;
+  load_hit_extra : int;
+}
+
+(* The default technique run: the analysis delivered as tags on the
+   Table 1 machine. *)
+let tagged =
+  let config = Sdiq_cpu.Config.default and opts = Sdiq_core.Options.default in
+  {
+    mode = Some Sdiq_core.Annotate.Tagged;
+    iq_size = config.Sdiq_cpu.Config.iq_size;
+    iq_bank_size = config.Sdiq_cpu.Config.iq_bank_size;
+    slack = opts.Sdiq_core.Options.slack;
+    load_hit_extra = opts.Sdiq_core.Options.load_hit_extra;
+  }
+
+let baseline = { tagged with mode = None }
+
+let config s =
+  { Sdiq_cpu.Config.default with
+    Sdiq_cpu.Config.iq_size = s.iq_size;
+    iq_bank_size = s.iq_bank_size }
+
+let simulate ~budget (bench : Bench.t) s =
+  let config = config s in
+  match s.mode with
+  | None ->
+    Sdiq_cpu.Pipeline.run ~max_insns:budget
+      (Technique.build ~config Technique.Baseline bench)
+  | Some mode ->
+    let opts =
+      { Sdiq_core.Options.default with
+        Sdiq_core.Options.iq_size = s.iq_size;
+        slack = s.slack;
+        load_hit_extra = s.load_hit_extra }
+    in
+    let prog, _ = Sdiq_core.Annotate.apply ~opts mode bench.Bench.prog in
+    Sdiq_cpu.Pipeline.simulate ~config
+      ~policy:(Sdiq_cpu.Policy.software ())
+      ~init:bench.Bench.init ~max_insns:budget prog
+
+(* One table cell: its column label, the simulations it reads and its
+   value from their statistics. *)
+type cell = {
+  label : string;
+  reads : sim list;
+  value : (sim -> Sdiq_cpu.Stats.t) -> float;
+}
+
+(* A study before it runs: its header (no rows yet) and, per benchmark,
+   its rows as (suffix to the benchmark's name, cells). *)
+type spec = study * (string * cell list) list
+
 let ipc_loss base tech =
   let b = Sdiq_cpu.Stats.ipc base and t = Sdiq_cpu.Stats.ipc tech in
   if b = 0. then 0. else (b -. t) /. b *. 100.
 
-let run_annotated ?(config = Sdiq_cpu.Config.default) ~opts ~mode ~budget
-    (bench : Bench.t) =
-  let prog, _ = Sdiq_core.Annotate.apply ~opts mode bench.Bench.prog in
-  Sdiq_cpu.Pipeline.simulate ~config
-    ~policy:(Sdiq_cpu.Policy.software ())
-    ~init:bench.Bench.init ~max_insns:budget prog
-
-let run_baseline ?config ~budget (bench : Bench.t) =
-  Sdiq_cpu.Pipeline.run ~max_insns:budget
-    (Technique.build ?config Technique.Baseline bench)
-
-(* A study before it runs: its header (no rows yet) and the rows one
-   benchmark contributes. Each benchmark's rows are independent
-   simulations, so [all] can run every (study, benchmark) cell on a
-   pool. *)
-type spec = study * (Bench.t -> row list)
-
-let run ((header, rows_of) : spec) benches =
-  { header with rows = List.concat_map rows_of benches }
+let loss_vs_baseline label tech =
+  {
+    label;
+    reads = [ baseline; tech ];
+    value = (fun stats -> ipc_loss (stats baseline) (stats tech));
+  }
 
 (* 1. Delivery mechanism: the same analysis values as NOOPs vs as tags —
    the pure stream cost of the special NOOPs (Section 5.3's motivation). *)
-let delivery_spec ?(budget = 50_000) () : spec =
+let delivery_spec : spec =
   ( {
       id = "ablation-delivery";
       caption = "IPC loss by annotation delivery mechanism";
       unit_ = "% IPC loss";
       rows = [];
     },
-    fun b ->
-      let base = run_baseline ~budget b in
-      let noop =
-        run_annotated ~opts:Sdiq_core.Options.default
-          ~mode:Sdiq_core.Annotate.Noop ~budget b
-      in
-      let tag =
-        run_annotated ~opts:Sdiq_core.Options.default
-          ~mode:Sdiq_core.Annotate.Tagged ~budget b
-      in
-      [
-        {
-          bench = b.Bench.name;
-          points =
-            [ ("noop", ipc_loss base noop); ("tagged", ipc_loss base tag) ];
-        };
-      ] )
+    [
+      ( "",
+        [
+          loss_vs_baseline "noop"
+            { tagged with mode = Some Sdiq_core.Annotate.Noop };
+          loss_vs_baseline "tagged" tagged;
+        ] );
+    ] )
 
 (* 2. Bank granularity: gating leverage of 4/8/16-entry banks. *)
-let bank_granularity_spec ?(budget = 50_000) () : spec =
-  let off config (stats : Sdiq_cpu.Stats.t) =
-    let nb = Sdiq_cpu.Config.iq_banks config in
-    if stats.Sdiq_cpu.Stats.cycles = 0 then 0.
-    else
-      100.
-      *. (1.
-          -. float_of_int stats.Sdiq_cpu.Stats.iq_banks_on_sum
-             /. (float_of_int nb *. float_of_int stats.Sdiq_cpu.Stats.cycles))
+let bank_granularity_spec : spec =
+  let point bank_size =
+    let sim = { tagged with iq_bank_size = bank_size } in
+    {
+      label = Printf.sprintf "%d/bank" bank_size;
+      reads = [ sim ];
+      value =
+        (fun stats ->
+          let stats = stats sim in
+          let nb = Sdiq_cpu.Config.iq_banks (config sim) in
+          if stats.Sdiq_cpu.Stats.cycles = 0 then 0.
+          else
+            100.
+            *. (1.
+                -. float_of_int stats.Sdiq_cpu.Stats.iq_banks_on_sum
+                   /. (float_of_int nb
+                      *. float_of_int stats.Sdiq_cpu.Stats.cycles)));
+    }
   in
   ( {
       id = "ablation-banks";
@@ -84,145 +133,144 @@ let bank_granularity_spec ?(budget = 50_000) () : spec =
       unit_ = "% bank-cycles off";
       rows = [];
     },
-    fun b ->
-      let point bank_size =
-        let config =
-          { Sdiq_cpu.Config.default with
-            Sdiq_cpu.Config.iq_bank_size = bank_size }
-        in
-        let stats =
-          run_annotated ~config ~opts:Sdiq_core.Options.default
-            ~mode:Sdiq_core.Annotate.Tagged ~budget b
-        in
-        (Printf.sprintf "%d/bank" bank_size, off config stats)
-      in
-      [ { bench = b.Bench.name; points = [ point 4; point 8; point 16 ] } ] )
+    [ ("", [ point 4; point 8; point 16 ]) ] )
 
 (* 3. Analysis conservatism: slack entries per region. *)
-let slack_spec ?(budget = 50_000) ?(values = [ 0; 4; 8; 16 ]) () : spec =
+let slack_spec ?(values = [ 0; 4; 8; 16 ]) () : spec =
   ( {
       id = "ablation-slack";
       caption = "IPC loss vs analysis slack (extra entries per region)";
       unit_ = "% IPC loss";
       rows = [];
     },
-    fun b ->
-      let base = run_baseline ~budget b in
-      let point s =
-        let opts =
-          { Sdiq_core.Options.default with Sdiq_core.Options.slack = s }
-        in
-        ( Printf.sprintf "slack %d" s,
-          ipc_loss base
-            (run_annotated ~opts ~mode:Sdiq_core.Annotate.Tagged ~budget b) )
-      in
-      [ { bench = b.Bench.name; points = List.map point values } ] )
+    [
+      ( "",
+        List.map
+          (fun s ->
+            loss_vs_baseline (Printf.sprintf "slack %d" s)
+              { tagged with slack = s })
+          values );
+    ] )
 
 (* 4. The compiler's assumed load latency: how much the paper's
    "all accesses hit" assumption (Section 4.2) costs. *)
-let load_latency_spec ?(budget = 50_000) ?(values = [ 2; 5; 10 ]) () : spec =
+let load_latency_spec ?(values = [ 2; 5; 10 ]) () : spec =
   ( {
       id = "ablation-load-latency";
       caption = "IPC loss vs the compiler's assumed load latency";
       unit_ = "% IPC loss";
       rows = [];
     },
-    fun b ->
-      let base = run_baseline ~budget b in
-      let point extra =
-        let opts =
-          { Sdiq_core.Options.default with
-            Sdiq_core.Options.load_hit_extra = extra }
-        in
-        ( Printf.sprintf "load+%d" extra,
-          ipc_loss base
-            (run_annotated ~opts ~mode:Sdiq_core.Annotate.Tagged ~budget b) )
-      in
-      [ { bench = b.Bench.name; points = List.map point values } ] )
+    [
+      ( "",
+        List.map
+          (fun extra ->
+            loss_vs_baseline (Printf.sprintf "load+%d" extra)
+              { tagged with load_hit_extra = extra })
+          values );
+    ] )
 
 (* 5. Physical queue size: does the software technique keep its advantage
    on smaller queues? Baseline and technique at 48/64/80 entries. *)
-let queue_size_spec ?(budget = 50_000) ?(sizes = [ 48; 64; 80 ]) () : spec =
+let queue_size_spec ?(sizes = [ 48; 64; 80 ]) () : spec =
   ( {
       id = "ablation-queue-size";
       caption = "baseline vs technique across physical queue sizes";
       unit_ = "(mixed)";
       rows = [];
     },
-    fun b ->
-      List.map
-        (fun size ->
-          let config =
-            { Sdiq_cpu.Config.default with Sdiq_cpu.Config.iq_size = size }
-          in
-          let base = run_baseline ~config ~budget b in
-          let opts =
-            { Sdiq_core.Options.default with Sdiq_core.Options.iq_size = size }
-          in
-          let tech =
-            run_annotated ~config ~opts ~mode:Sdiq_core.Annotate.Tagged
-              ~budget b
-          in
-          {
-            bench = Printf.sprintf "%s@%d" b.Bench.name size;
-            points =
-              [
-                ("base IPC", Sdiq_cpu.Stats.ipc base);
-                ("tech IPC", Sdiq_cpu.Stats.ipc tech);
-                ( "occ -%",
-                  let bo = Sdiq_cpu.Stats.avg_iq_occupancy base in
+    List.map
+      (fun size ->
+        let base = { baseline with iq_size = size }
+        and tech = { tagged with iq_size = size } in
+        let ipc sim stats = Sdiq_cpu.Stats.ipc (stats sim) in
+        ( Printf.sprintf "@%d" size,
+          [
+            { label = "base IPC"; reads = [ base ]; value = ipc base };
+            { label = "tech IPC"; reads = [ tech ]; value = ipc tech };
+            {
+              label = "occ -%";
+              reads = [ base; tech ];
+              value =
+                (fun stats ->
+                  let bo = Sdiq_cpu.Stats.avg_iq_occupancy (stats base) in
                   if bo = 0. then 0.
                   else
-                    (bo -. Sdiq_cpu.Stats.avg_iq_occupancy tech) /. bo *. 100.
-                );
-              ];
-          })
-        sizes )
+                    (bo -. Sdiq_cpu.Stats.avg_iq_occupancy (stats tech))
+                    /. bo *. 100.);
+            };
+          ] ))
+      sizes )
 
-let delivery ?budget benches = run (delivery_spec ?budget ()) benches
+(* Run the studies on [benches]: every distinct (benchmark, simulation)
+   the studies read is one pool task, run once however many cells read
+   it. The results come back in input order, so the tables are identical
+   for any domain count. *)
+let run ?(budget = 50_000) ?domains benches (specs : spec list) =
+  let benches = Array.of_list benches in
+  let sims =
+    List.concat_map
+      (fun (_, rows) ->
+        List.concat_map
+          (fun (_, cells) -> List.concat_map (fun c -> c.reads) cells)
+          rows)
+      specs
+    |> List.sort_uniq compare |> Array.of_list
+  in
+  let ns = Array.length sims in
+  let stats =
+    Sdiq_util.Pool.map_array
+      (Sdiq_util.Pool.create ?domains ())
+      ~f:(fun i -> simulate ~budget benches.(i / ns) sims.(i mod ns))
+      (Array.init (Array.length benches * ns) Fun.id)
+  in
+  let index sim =
+    let rec find i = if sims.(i) = sim then i else find (i + 1) in
+    find 0
+  in
+  List.map
+    (fun (header, rows) ->
+      let rows_of b (bench : Bench.t) =
+        List.map
+          (fun (suffix, cells) ->
+            let stats sim = stats.((b * ns) + index sim) in
+            {
+              bench = bench.Bench.name ^ suffix;
+              points = List.map (fun c -> (c.label, c.value stats)) cells;
+            })
+          rows
+      in
+      { header with
+        rows = List.concat (List.mapi rows_of (Array.to_list benches)) })
+    specs
+
+let one ?budget benches spec = List.hd (run ?budget ~domains:1 benches [ spec ])
+
+let delivery ?budget benches = one ?budget benches delivery_spec
 
 let bank_granularity ?budget benches =
-  run (bank_granularity_spec ?budget ()) benches
+  one ?budget benches bank_granularity_spec
 
-let slack ?budget ?values benches = run (slack_spec ?budget ?values ()) benches
+let slack ?budget ?values benches = one ?budget benches (slack_spec ?values ())
 
 let load_latency ?budget ?values benches =
-  run (load_latency_spec ?budget ?values ()) benches
+  one ?budget benches (load_latency_spec ?values ())
 
 let queue_size ?budget ?sizes benches =
-  run (queue_size_spec ?budget ?sizes ()) benches
+  one ?budget benches (queue_size_spec ?sizes ())
 
 let default_benches () =
   [ W_gzip.build (); W_gap.build (); W_vortex.build () ]
 
-(* Every (study, benchmark) cell runs as one pool task; the results come
-   back in input order, so the tables are identical for any domain
-   count. *)
 let all ?budget ?domains () : study list =
-  let benches = Array.of_list (default_benches ()) in
-  let n = Array.length benches in
-  let specs =
+  run ?budget ?domains (default_benches ())
     [
-      delivery_spec ?budget ();
-      bank_granularity_spec ?budget ();
-      slack_spec ?budget ();
-      load_latency_spec ?budget ();
-      queue_size_spec ?budget ();
+      delivery_spec;
+      bank_granularity_spec;
+      slack_spec ();
+      load_latency_spec ();
+      queue_size_spec ();
     ]
-  in
-  let cells =
-    Sdiq_util.Pool.map_array
-      (Sdiq_util.Pool.create ?domains ())
-      ~f:(fun i ->
-        let _, rows_of = List.nth specs (i / n) in
-        rows_of benches.(i mod n))
-      (Array.init (List.length specs * n) Fun.id)
-  in
-  List.mapi
-    (fun s (header, _) ->
-      let rows = List.init n (fun b -> cells.((s * n) + b)) in
-      { header with rows = List.concat rows })
-    specs
 
 let pp_study ppf s =
   Fmt.pf ppf "== %s: %s [%s] ==@." s.id s.caption s.unit_;

@@ -26,9 +26,11 @@ val queue_size :
 (** The three benchmarks the studies default to. *)
 val default_benches : unit -> Sdiq_workloads.Bench.t list
 
-(** Every study on the default benchmarks. Each (study, benchmark) cell
-    runs on a {!Sdiq_util.Pool} of [domains] (default: the recommended
-    count); the result is identical for every domain count. *)
+(** Every study on the default benchmarks. Each distinct (benchmark,
+    simulation) the studies read runs once, as one task on a
+    {!Sdiq_util.Pool} of [domains] (default: the recommended count), and
+    every study reads its rows from those runs; the result is identical
+    for every domain count. *)
 val all : ?budget:int -> ?domains:int -> unit -> study list
 
 val pp_study : Format.formatter -> study -> unit

@@ -531,6 +531,29 @@ let qcheck_generated_programs_audit_clean =
           (List.hd (List.sort Finding.compare fs))
       else true)
 
+(* A waiver address is canonical decimal: each spelling below is an
+   integer to [int_of_string], and each is rejected with its line
+   number. *)
+let test_waiver_rejects_non_canonical_address () =
+  let module Waiver = Sdiq_analysis.Waiver in
+  (match Waiver.parse "noop/soundness * 31 acknowledged" with
+  | Ok [ w ] ->
+    Alcotest.(check (option int)) "31 accepted" (Some 31) w.Waiver.addr
+  | _ -> Alcotest.fail "31 should parse");
+  List.iter
+    (fun addr ->
+      match
+        Waiver.parse
+          (Printf.sprintf "# header\nnoop/soundness * %s acknowledged" addr)
+      with
+      | Ok _ -> Alcotest.failf "%S accepted" addr
+      | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S rejected on line 2: %s" addr e)
+          true
+          (String.starts_with ~prefix:"line 2:" e))
+    [ "0x1f"; "1_0"; "+31"; "031" ]
+
 let suite =
   [
     Alcotest.test_case "forward must-defined on diamond" `Quick
@@ -572,5 +595,7 @@ let suite =
       test_interval_fixpoint_allocation_light;
     Alcotest.test_case "tighten: apply and audit share one table" `Quick
       test_tighten_shares_one_table;
+    Alcotest.test_case "waiver: non-canonical address" `Quick
+      test_waiver_rejects_non_canonical_address;
     QCheck_alcotest.to_alcotest qcheck_generated_programs_audit_clean;
   ]

@@ -667,12 +667,44 @@ let prop_waiver_parse_total =
             && w.Sdiq_analysis.Waiver.line <= lines)
           ws)
 
+(* A waiver address is accepted iff it is the canonical decimal of the
+   integer it reads as, and the entry then holds that integer; otherwise
+   the error names line 1. *)
+let prop_waiver_address_canonical =
+  let open QCheck.Gen in
+  let addr =
+    oneof
+      [
+        map string_of_int int;
+        map (String.concat "")
+          (list_size (int_range 1 6)
+             (oneofl [ "0"; "1"; "3"; "9"; "-"; "+"; "_"; "x"; "o"; "b" ]));
+        oneofl [ "4611686018427387903"; "4611686018427387904"; "-0" ];
+      ]
+  in
+  QCheck.Test.make ~count:1000 ~name:"Waiver.parse address canonical"
+    (QCheck.make ~print:(Printf.sprintf "%S") addr)
+    (fun a ->
+      let canonical =
+        Option.map string_of_int (int_of_string_opt a) = Some a
+      in
+      match
+        Sdiq_analysis.Waiver.parse
+          (Printf.sprintf "noop/soundness * %s acknowledged" a)
+      with
+      | Ok [ w ] ->
+        canonical
+        && Option.map string_of_int w.Sdiq_analysis.Waiver.addr = Some a
+      | Ok _ -> false
+      | Error e -> (not canonical) && String.starts_with ~prefix:"line 1:" e)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_sched_of_string_canonical;
       prop_technique_of_string_canonical;
       prop_waiver_parse_total;
+      prop_waiver_address_canonical;
       prop_runner_memo_stable_across_parallel;
       prop_interval_widen_sound;
       prop_interval_hull_monotone;
