@@ -49,18 +49,16 @@ let trace_policy name policy prog =
   Fmt.pr "--- %s ---@." name;
   Fmt.pr "%8s %8s %10s %12s@." "cycle" "IQ occ" "banks on" "active/limit";
   let next_sample = ref 0 in
-  while not (Sdiq_cpu.Pipeline.drained t) do
-    Sdiq_cpu.Pipeline.step_cycle t;
-    if t.Sdiq_cpu.Pipeline.cycle >= !next_sample then begin
-      next_sample := !next_sample + 500;
-      Fmt.pr "%8d %8d %10d %12d@." t.Sdiq_cpu.Pipeline.cycle
-        (Sdiq_cpu.Iq.occupancy t.Sdiq_cpu.Pipeline.iq)
-        (Sdiq_cpu.Iq.banks_on t.Sdiq_cpu.Pipeline.iq)
-        (Sdiq_cpu.Policy.current_limit t.Sdiq_cpu.Pipeline.policy
-           t.Sdiq_cpu.Pipeline.iq)
-    end
-  done;
-  let s = t.Sdiq_cpu.Pipeline.stats in
+  Sdiq_cpu.Pipeline.on_cycle_end t (fun t ->
+      let module D = Sdiq_cpu.Pipeline.Debug in
+      if D.cycle t >= !next_sample then begin
+        next_sample := !next_sample + 500;
+        Fmt.pr "%8d %8d %10d %12d@." (D.cycle t)
+          (Sdiq_cpu.Iq.occupancy (D.iq t))
+          (Sdiq_cpu.Iq.banks_on (D.iq t))
+          (Sdiq_cpu.Policy.current_limit (D.policy t) (D.iq t))
+      end);
+  let s = Sdiq_cpu.Pipeline.run t in
   Fmt.pr "finished: %d cycles, IPC %.2f, avg occupancy %.1f, avg banks %.2f@.@."
     s.Sdiq_cpu.Stats.cycles (Sdiq_cpu.Stats.ipc s)
     (Sdiq_cpu.Stats.avg_iq_occupancy s)

@@ -18,10 +18,13 @@
    occupancy and activity differ.
 
    Each frontend rule has one implementation, which every path calls:
-   [Exec.datapath] computes values (oracle and wrong path),
-   [predict_train] is the correct path's predictor step (detailed fetch
-   and fast-forward), and [l1_access] is the cache walk (load issue,
-   store commit, instruction fetch and fast-forward).
+   [fetch_stage]'s group loop is the fetch-group rule (correct and wrong
+   path, differing only in the instruction source), [emit_fetch]
+   classifies every fetched instruction, [Exec.datapath] computes values
+   (oracle and wrong path), [predict_train] is the correct path's
+   predictor step (detailed fetch and fast-forward), and [l1_access] is
+   the cache walk (load issue, store commit, instruction fetch and
+   fast-forward).
 
    Cycle phase order (matters, and matches the paper's Figure 1 timing):
      commit → writeback (wakeup) → issue/select → dispatch → fetch
@@ -225,44 +228,32 @@ let emit_annotation_noop t ~pc ~value =
     emit t (Ev.Annotation { pc; value; delivery = Ev.Noop_slot })
   else Stats.annotation_noop t.stats
 
-let emit_fetch_seq t dyn =
+(* One emitter for every fetched instruction, either path: the opcode
+   picks the outcome. A wrong-path fetch counts as fetch activity but
+   never as a branch, mispredict or BTB bubble — the predictor is
+   consulted, not trained, off the correct path, so those rates stay
+   correct-path-only (wrong-path fetch passes [false] for both flags).
+   The no-sink arms are [Stats.absorb]'s for the same event. *)
+let emit_fetch t (dyn : Exec.dyn) ~wp ~mispredicted ~btb_bubble =
   if t.bus_on then
-    emit t (Ev.Fetch { dyn; outcome = Ev.Sequential; wp = false })
-  else Stats.fetch_seq t.stats
-
-(* A wrong-path fetch counts as fetch activity but never as a branch,
-   mispredict or BTB bubble — the predictor is consulted, not trained,
-   off the correct path, so those rates stay correct-path-only. *)
-let emit_fetch_wp t dyn ~outcome =
-  if t.bus_on then emit t (Ev.Fetch { dyn; outcome; wp = true })
-  else Stats.fetch_wp t.stats
-
-let emit_fetch_cond t dyn ~taken ~mispredicted ~btb_bubble =
-  if t.bus_on then
-    emit t
-      (Ev.Fetch
-         {
-           dyn;
-           outcome = Ev.Cond_branch { taken; mispredicted; btb_bubble };
-           wp = false;
-         })
-  else Stats.fetch_branch t.stats ~mispredicted ~btb_bubble
-
-let emit_fetch_jump t dyn ~btb_bubble =
-  if t.bus_on then
-    emit t (Ev.Fetch { dyn; outcome = Ev.Jump { btb_bubble }; wp = false })
-  else Stats.fetch_jump t.stats ~btb_bubble
-
-let emit_fetch_call t dyn ~btb_bubble =
-  if t.bus_on then
-    emit t (Ev.Fetch { dyn; outcome = Ev.Call { btb_bubble }; wp = false })
-  else Stats.fetch_jump t.stats ~btb_bubble
-
-let emit_fetch_ret t dyn ~mispredicted =
-  if t.bus_on then
-    emit t
-      (Ev.Fetch { dyn; outcome = Ev.Return { mispredicted }; wp = false })
-  else Stats.fetch_branch t.stats ~mispredicted ~btb_bubble:false
+    let outcome =
+      match dyn.Exec.instr.Instr.op with
+      | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge ->
+        Ev.Cond_branch { taken = dyn.Exec.taken; mispredicted; btb_bubble }
+      | Opcode.Jmp -> Ev.Jump { btb_bubble }
+      | Opcode.Call -> Ev.Call { btb_bubble }
+      | Opcode.Ret -> Ev.Return { mispredicted }
+      | _ -> Ev.Sequential
+    in
+    emit t (Ev.Fetch { dyn; outcome; wp })
+  else if wp then Stats.fetch_wp t.stats
+  else
+    match dyn.Exec.instr.Instr.op with
+    | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge ->
+      Stats.fetch_branch t.stats ~mispredicted ~btb_bubble
+    | Opcode.Ret -> Stats.fetch_branch t.stats ~mispredicted ~btb_bubble:false
+    | Opcode.Jmp | Opcode.Call -> Stats.fetch_jump t.stats ~btb_bubble
+    | _ -> Stats.fetch_seq t.stats
 
 (* --- sink registration --------------------------------------------------- *)
 
@@ -846,14 +837,6 @@ let issue_stage t =
 
 (* --- dispatch ---------------------------------------------------------- *)
 
-type dispatch_stop =
-  | Keep_going
-  | Stop_policy
-  | Stop_iq_full
-  | Stop_rob_full
-  | Stop_no_reg
-  | Stop_lsq_full
-
 (* Rename one source: the physical tag and readiness packed into
    [(tag lsl 1) lor ready]; -1 when the operand is absent (no register,
    or the hardwired zero). *)
@@ -889,7 +872,9 @@ let rename_dest_codes t (i : Instr.t) =
       (((2 * p) + 2) lsl 20) lor ((2 * old) + 2)
     end
 
-let dispatch_one t (dyn : Exec.dyn) ~wp : dispatch_stop =
+(* Dispatch one instruction: [None] when it entered the window, else the
+   stall that stopped it. *)
+let dispatch_one t (dyn : Exec.dyn) ~wp : Ev.stall_reason option =
   let i = dyn.Exec.instr in
   (* A tag (the "Extension" encoding) opens a new region for this very
      instruction, costing nothing. Trace-only event: a stalled dispatch
@@ -904,10 +889,10 @@ let dispatch_one t (dyn : Exec.dyn) ~wp : dispatch_stop =
         (Ev.Annotation { pc = dyn.Exec.pc; value = v; delivery = Ev.Tag });
     Policy.on_annotation t.policy t.iq ~pc:dyn.Exec.pc ~value:v
   | Some _ | None -> ());
-  if Rob.is_full t.rob then Stop_rob_full
+  if Rob.is_full t.rob then Some Ev.Rob_full
   else if not (Policy.allows t.policy t.iq) then
-    if Iq.is_full t.iq then Stop_iq_full else Stop_policy
-  else if Instr.is_mem i && Lsq.is_full t.lsq then Stop_lsq_full
+    if Iq.is_full t.iq then Some Ev.Iq_full else Some Ev.Policy_limit
+  else if Instr.is_mem i && Lsq.is_full t.lsq then Some Ev.Lsq_full
   else begin
     (* Sources must be renamed before the destination gets a fresh
        register, or an instruction like [addi r2, r2, 1] would wait on
@@ -918,7 +903,7 @@ let dispatch_one t (dyn : Exec.dyn) ~wp : dispatch_stop =
     let b = if c1 >= 0 then c2 else -1 in
     let nsrc = (if a >= 0 then 1 else 0) + (if b >= 0 then 1 else 0) in
     let packed = rename_dest_codes t i in
-    if packed < 0 then Stop_no_reg
+    if packed < 0 then Some Ev.No_reg
     else begin
       (* Track, per physical tag, whether the current producer is a load
          (unpredictable latency). Written here, at the producer's
@@ -988,7 +973,7 @@ let dispatch_one t (dyn : Exec.dyn) ~wp : dispatch_stop =
       emit_dispatch t dyn ~kind ~iq_slot:slot ~rob_idx
         ~cam_writes:(if nsrc < 2 then nsrc else 2)
         ~wp;
-      Keep_going
+      None
     end
   end
 
@@ -1000,7 +985,7 @@ let fq_pop t =
 
 let dispatch_stage t =
   let slots = ref t.cfg.Config.dispatch_width in
-  let stop = ref Keep_going in
+  let stop = ref None in
   let go = ref true in
   while
     !go && !slots > 0 && t.fq_count > 0 && t.fq_ready.(t.fq_head) <= t.cycle
@@ -1027,27 +1012,21 @@ let dispatch_stage t =
       decr slots
     | _ -> (
       match dispatch_one t dyn ~wp with
-      | Keep_going ->
+      | None ->
         fq_pop t;
         decr slots
       | s ->
         stop := s;
         go := false)
   done;
-  (match !stop with
-  | Keep_going -> ()
-  | Stop_policy -> emit_dispatch_stall t Ev.Policy_limit
-  | Stop_iq_full -> emit_dispatch_stall t Ev.Iq_full
-  | Stop_rob_full -> emit_dispatch_stall t Ev.Rob_full
-  | Stop_no_reg -> emit_dispatch_stall t Ev.No_reg
-  | Stop_lsq_full -> emit_dispatch_stall t Ev.Lsq_full);
+  (match !stop with Some reason -> emit_dispatch_stall t reason | None -> ());
   (* "Throttled" feeds the adaptive policy's pressure signal: a stall on a
      physically shrunken ring counts as pressure just like an explicit
      policy refusal. *)
   match !stop with
-  | Stop_policy -> true
-  | Stop_iq_full -> Iq.active_size t.iq < Iq.size t.iq
-  | Keep_going | Stop_rob_full | Stop_no_reg | Stop_lsq_full -> false
+  | Some Ev.Policy_limit -> true
+  | Some Ev.Iq_full -> Iq.active_size t.iq < Iq.size t.iq
+  | _ -> false
 
 (* --- fetch ------------------------------------------------------------- *)
 
@@ -1092,8 +1071,7 @@ let predict_train t (dyn : Exec.dyn) =
 (* Probe the instruction-side memory hierarchy for the fetch group at
    [start_pc]: ITLB first, then IL1 (with L2 refill). [Some delay]
    stalls fetch; the TLB installs on its miss, so the penalty is paid
-   once per missing page. Shared by the correct- and wrong-path fetch
-   stages — wrong-path misses pollute and prefetch for real. *)
+   once per missing page. Probed once per fetch group, on either path. *)
 let ifetch_stall t start_pc =
   if not (Tlb.access t.itlb (start_pc * 4)) then begin
     emit_tlb_miss t Ev.Itlb (start_pc * 4);
@@ -1120,11 +1098,15 @@ let ifetch_stall t start_pc =
    Executes the wrong-path instruction at [t.wp_pc]. [None] when the
    wrong path has nowhere to go — a predicted-taken transfer with no BTB
    target, a return off an empty RAS, a Halt, or running off the program
-   — in which case nothing is mutated and wrong-path fetch idles until
-   the mispredicted branch resolves. *)
+   — in which case the path ends ([wp_pc] becomes -1, nothing else is
+   mutated) and wrong-path fetch idles until the mispredicted branch
+   resolves. *)
 let wp_step t : Exec.dyn option =
   let pc = t.wp_pc in
-  if pc < 0 || pc >= Prog.length t.prog then None
+  if pc < 0 || pc >= Prog.length t.prog then begin
+    t.wp_pc <- -1;
+    None
+  end
   else begin
     let i = t.prog.Prog.code.(pc) in
     (* Control decision first: a stalling opcode must leave no trace
@@ -1149,7 +1131,10 @@ let wp_step t : Exec.dyn option =
         tgt
       | _ -> Branch_pred.btb_lookup_tgt t.bpred pc
     in
-    if next_pc < 0 then None
+    if next_pc < 0 then begin
+      t.wp_pc <- -1;
+      None
+    end
     else begin
       Exec.datapath t.wp_exec i;
       let sn = t.wp_next_sn in
@@ -1182,57 +1167,6 @@ let enter_wp_mode t (dyn : Exec.dyn) ~target =
   Exec.fork t.wp_exec;
   t.wp_ras_top <- Branch_pred.ras_save t.bpred t.wp_ras
 
-(* Wrong-path fetch: [fetch_stage]'s mirror, driven by [wp_step] instead
-   of the oracle. A wrong-path mispredict (per the shadow executor's own
-   predictions there are none to detect — it *defines* the path) cannot
-   occur; fetch simply ends where the predicted path runs out. *)
-let wp_fetch_stage t =
-  if (not t.wp_mode) || t.wp_pc < 0 then ()
-  else begin
-    let start_pc = t.wp_pc in
-    match ifetch_stall t start_pc with
-    | Some lat -> t.fetch_resume_at <- t.cycle + lat
-    | None ->
-      let group_hi =
-        (((line_of t start_pc + 1) * t.cfg.Config.il1_line) + 3) / 4
-      in
-      let fetched = ref 0 in
-      let continue = ref true in
-      while
-        !continue
-        && !fetched < t.cfg.Config.fetch_width
-        && t.fq_count < t.cfg.Config.fetch_queue_size
-      do
-        if t.wp_pc >= group_hi || t.wp_pc < 0 then continue := false
-        else
-          match wp_step t with
-          | None ->
-            t.wp_pc <- -1;
-            continue := false
-          | Some dyn ->
-            fq_push t dyn;
-            incr fetched;
-            (* Any taken transfer ends the fetch group, as on the
-               correct path. *)
-            if dyn.Exec.taken then continue := false;
-            let outcome =
-              match dyn.Exec.instr.Instr.op with
-              | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge ->
-                Ev.Cond_branch
-                  {
-                    taken = dyn.Exec.taken;
-                    mispredicted = false;
-                    btb_bubble = false;
-                  }
-              | Opcode.Jmp -> Ev.Jump { btb_bubble = false }
-              | Opcode.Call -> Ev.Call { btb_bubble = false }
-              | Opcode.Ret -> Ev.Return { mispredicted = false }
-              | _ -> Ev.Sequential
-            in
-            emit_fetch_wp t dyn ~outcome
-      done
-  end
-
 (* A taken transfer whose guessed target [guess] is wrong costs a BTB
    redirect bubble. *)
 let btb_bubble t guess (dyn : Exec.dyn) =
@@ -1250,90 +1184,96 @@ let after_mispredict t dyn ~target =
   if t.cfg.Config.speculative_fetch then enter_wp_mode t dyn ~target
   else emit_squash t dyn ~squashed:0
 
+(* The correct path's source: the oracle's next instruction. A [Halt]
+   is executed but never fetched; it, or running off the program, halts
+   fetch. *)
+let oracle_step t =
+  match Exec.step t.exec with
+  | None | Some { Exec.instr = { Instr.op = Opcode.Halt; _ }; _ } ->
+    t.halted <- true;
+    None
+  | some -> some
+
+(* Control flow of a fetched correct-path instruction: consult the
+   predictor against the oracle, emit its one [Fetch] event, and on a
+   mispredict park the correct-path frontend at [blocked_sn]. A
+   mispredicted conditional follows the BTB's pre-update idea of a
+   target (or falls through); a mispredicted return follows the popped
+   RAS address, a pop that is architecturally right and part of the
+   pre-episode snapshot. Returns whether the group may go on past
+   [dyn]: a predicted-taken branch ends it (the caller ends it on any
+   taken transfer). *)
+let fetch_control t (dyn : Exec.dyn) =
+  let guess = predict_train t dyn in
+  let cond = Opcode.is_cond_branch dyn.Exec.instr.Instr.op in
+  let mispredicted =
+    if cond then t.pred_taken <> dyn.Exec.taken
+    else dyn.Exec.instr.Instr.op = Opcode.Ret && guess <> dyn.Exec.next_pc
+  in
+  if mispredicted then begin
+    t.blocked_sn <- dyn.Exec.sn;
+    emit_fetch t dyn ~wp:false ~mispredicted ~btb_bubble:false;
+    after_mispredict t dyn ~target:guess
+  end
+  else
+    emit_fetch t dyn ~wp:false ~mispredicted
+      ~btb_bubble:(dyn.Exec.taken && btb_bubble t guess dyn);
+  not (cond && t.pred_taken)
+
+(* One fetch group per cycle, for both paths, from a source picked once
+   per group: the shadow executor ([wp_step]) while a mispredict is
+   unresolved, else the oracle ([oracle_step]). The group rule is the
+   same on both: one IL1 line, at most [fetch_width] instructions, room
+   in the fetch queue, and any taken transfer ends the group. Wrong-path
+   misses in the ITLB and IL1 pollute and prefetch for real. A
+   wrong-path mispredict cannot occur (the shadow executor's predictions
+   *define* the path); wrong-path fetch ends where the predicted path
+   runs out, and idles while there is none (a blocking frontend, or an
+   episode with no predicted target). *)
 let fetch_stage t =
   if t.halted || t.fetch_hold || t.cycle < t.fetch_resume_at then ()
-  else if t.blocked_sn >= 0 then
-    (* An unresolved mispredict: the correct-path frontend is parked,
-       but a speculative episode keeps fetching the predicted path. *)
-    wp_fetch_stage t
   else begin
-    let start_pc = t.exec.Exec.pc in
-    if start_pc < 0 || start_pc >= Prog.length t.prog then t.halted <- true
-    else begin
+    let wp = t.blocked_sn >= 0 in
+    let start_pc = if wp then t.wp_pc else t.exec.Exec.pc in
+    if wp && ((not t.wp_mode) || start_pc < 0) then ()
+    else if (not wp) && (start_pc < 0 || start_pc >= Prog.length t.prog) then
+      t.halted <- true
+    else
       match ifetch_stall t start_pc with
       | Some lat ->
         (* ITLB or instruction-cache miss: stall fetch for the refill. *)
         t.fetch_resume_at <- t.cycle + lat
       | None ->
-      (* First pc past the fetch group's cache line: inside the loop pc
-         only ever increments (every redirecting op clears [continue]),
-         so one bound check replaces a per-instruction division. *)
-      let group_hi =
-        (((line_of t start_pc + 1) * t.cfg.Config.il1_line) + 3) / 4
-      in
-      let fetched = ref 0 in
-      let continue = ref true in
-      while
-        !continue && !fetched < t.cfg.Config.fetch_width
-        && t.fq_count < t.cfg.Config.fetch_queue_size
-        && not t.halted
-      do
-        let pc = t.exec.Exec.pc in
-        if pc >= group_hi then continue := false
-        else
-          match Exec.step t.exec with
-          | None ->
-            t.halted <- true;
+        (* First pc past the group's cache line: inside the loop pc only
+           ever increments (every redirecting op ends the group), so one
+           bound check replaces a per-instruction division. *)
+        let group_hi =
+          (((line_of t start_pc + 1) * t.cfg.Config.il1_line) + 3) / 4
+        in
+        let fetched = ref 0 in
+        let continue = ref true in
+        while
+          !continue
+          && !fetched < t.cfg.Config.fetch_width
+          && t.fq_count < t.cfg.Config.fetch_queue_size
+        do
+          if (if wp then t.wp_pc else t.exec.Exec.pc) >= group_hi then
             continue := false
-          | Some dyn ->
-            let i = dyn.Exec.instr in
-            (match i.Instr.op with
-            | Opcode.Halt ->
-              t.halted <- true;
-              continue := false
-            | _ ->
-              begin
+          else
+            match if wp then wp_step t else oracle_step t with
+            | None -> continue := false
+            | Some dyn ->
               fq_push t dyn;
               incr fetched;
-              (* Control flow: consult the predictor against the oracle,
-                 then emit one [Fetch] event capturing the outcome. *)
-              (match i.Instr.op with
-              | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge ->
-                let guess = predict_train t dyn in
-                (* A taken or predicted-taken branch ends the group. *)
-                continue := not (t.pred_taken || dyn.Exec.taken);
-                if t.pred_taken <> dyn.Exec.taken then begin
-                  t.blocked_sn <- dyn.Exec.sn;
-                  emit_fetch_cond t dyn ~taken:dyn.Exec.taken
-                    ~mispredicted:true ~btb_bubble:false;
-                  (* Not-taken falls through; taken follows the BTB's
-                     pre-update idea of a target. *)
-                  after_mispredict t dyn ~target:guess
+              let goes_on =
+                if wp then begin
+                  emit_fetch t dyn ~wp ~mispredicted:false ~btb_bubble:false;
+                  true
                 end
-                else
-                  emit_fetch_cond t dyn ~taken:dyn.Exec.taken
-                    ~mispredicted:false
-                    ~btb_bubble:(dyn.Exec.taken && btb_bubble t guess dyn)
-              | Opcode.Jmp | Opcode.Call as op ->
-                let btb_bubble = btb_bubble t (predict_train t dyn) dyn in
-                continue := false;
-                if op = Opcode.Jmp then emit_fetch_jump t dyn ~btb_bubble
-                else emit_fetch_call t dyn ~btb_bubble
-              | Opcode.Ret ->
-                (* The popped address is the predicted path; the pop
-                   itself is architecturally right and is part of the
-                   pre-episode snapshot. An empty stack (-1) predicts
-                   nothing, so wrong-path fetch idles. *)
-                let ra = predict_train t dyn in
-                let mispredicted = ra <> dyn.Exec.next_pc in
-                if mispredicted then t.blocked_sn <- dyn.Exec.sn;
-                continue := false;
-                emit_fetch_ret t dyn ~mispredicted;
-                if mispredicted then after_mispredict t dyn ~target:ra
-              | _ -> emit_fetch_seq t dyn)
-              end)
-      done
-    end
+                else fetch_control t dyn
+              in
+              continue := goes_on && not dyn.Exec.taken
+        done
   end
 
 (* --- end of cycle ------------------------------------------------------- *)

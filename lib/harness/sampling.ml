@@ -90,23 +90,15 @@ let estimate xs ys =
   end
 
 (* Detailed simulation until [insns] more instructions commit (or the
-   machine drains). *)
+   machine drains), with a generous progress guard: a phase this short
+   cannot legitimately need 1000 cycles per instruction. *)
 let run_detailed (p : Pipeline.t) insns =
-  let target = p.Pipeline.stats.Stats.committed + insns in
-  (* Generous progress guard: a phase this short cannot legitimately
-     need 1000 cycles per instruction. *)
-  let deadline = p.Pipeline.cycle + (insns * 1000) + 1_000_000 in
-  while
-    (not (Pipeline.drained p))
-    && p.Pipeline.stats.Stats.committed < target
-  do
-    if p.Pipeline.cycle >= deadline then
-      raise
-        (Pipeline.Simulation_limit
-           (Printf.sprintf "Sampling: no progress toward %d commits at \
-                            cycle %d" target p.Pipeline.cycle));
-    Pipeline.step_cycle p
-  done
+  ignore
+    (Pipeline.run
+       ~max_insns:(p.Pipeline.stats.Stats.committed + insns)
+       ~max_cycles:(p.Pipeline.cycle + (insns * 1000) + 1_000_000)
+       p
+      : Stats.t)
 
 (* Technique-view IQ energy (dynamic + static) of a stats delta. *)
 let window_energy params (delta : Stats.t) =

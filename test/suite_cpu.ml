@@ -378,6 +378,19 @@ let test_policy_abella_grows_under_pressure () =
   done;
   Alcotest.(check bool) "grew" true (Policy.current_limit p q > 16)
 
+(* The adaptive limit is exclusive: dispatch may fill the queue to
+   [limit - 1] entries and take one more, never a [limit + 1]-th. The
+   ring stays at 80 slots, so only the policy can refuse. *)
+let test_policy_abella_limit_is_exclusive () =
+  let q = Iq.create ~size:80 ~bank_size:8 ~tags:224 in
+  let p = Policy.abella ~max_limit:16 () in
+  for i = 0 to 14 do
+    ignore (Iq.dispatch q ~rob_idx:i ~ops:[])
+  done;
+  Alcotest.(check bool) "allows at limit - 1" true (Policy.allows p q);
+  ignore (Iq.dispatch q ~rob_idx:15 ~ops:[]);
+  Alcotest.(check bool) "refuses at limit" false (Policy.allows p q)
+
 (* --- pipeline --- *)
 
 let assemble build =
@@ -900,6 +913,8 @@ let suite =
       test_policy_abella_shrinks_when_idle;
     Alcotest.test_case "abella grows under pressure" `Quick
       test_policy_abella_grows_under_pressure;
+    Alcotest.test_case "abella limit is exclusive" `Quick
+      test_policy_abella_limit_is_exclusive;
     Alcotest.test_case "pipeline independent ipc" `Quick
       test_pipeline_independent_ipc;
     Alcotest.test_case "pipeline chain ipc" `Quick test_pipeline_chain_ipc;

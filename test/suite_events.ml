@@ -320,6 +320,74 @@ let test_abella_emits_resize_and_gating () =
   Alcotest.(check bool) "abella run emits bank_ungated events" true
     (Counts.get c (kind_index "bank_ungated") > 0)
 
+(* --- the fetch-group rule ------------------------------------------------ *)
+
+(* Both paths fetch through one group loop, so every cycle's [Fetch]
+   events must obey one rule: at most [fetch_width] of them, one IL1
+   line, one path, consecutive pcs, and only the last may be a taken
+   transfer. Every outcome names its opcode's class; a wrong-path one
+   never reports a mispredict or BTB bubble (the predictor is read, not
+   trained, off the correct path). *)
+let check_fetch_groups bench =
+  let open Sdiq_isa in
+  let cfg = Sdiq_cpu.Config.default in
+  let group = ref [] and wp_groups = ref 0 and groups = ref 0 in
+  let check_cycle () =
+    let evs = List.rev !group in
+    group := [];
+    match evs with
+    | [] -> ()
+    | ((d0 : Exec.dyn), _, wp0) :: _ ->
+      incr groups;
+      if wp0 then incr wp_groups;
+      let line (d : Exec.dyn) = d.pc * 4 / cfg.Sdiq_cpu.Config.il1_line in
+      let n = List.length evs in
+      if n > cfg.Sdiq_cpu.Config.fetch_width then
+        Alcotest.failf "%d fetches in one cycle at pc %d" n d0.pc;
+      List.iteri
+        (fun k ((d : Exec.dyn), outcome, wp) ->
+          if wp <> wp0 then Alcotest.failf "mixed paths at pc %d" d.pc;
+          if line d <> line d0 then
+            Alcotest.failf "group at pc %d crosses its line at pc %d" d0.pc
+              d.pc;
+          if d.pc <> d0.pc + k then
+            Alcotest.failf "group at pc %d: pc %d at position %d" d0.pc d.pc k;
+          if d.taken && k < n - 1 then
+            Alcotest.failf "taken transfer at pc %d does not end its group"
+              d.pc;
+          let cls_ok =
+            match d.instr.Instr.op, outcome with
+            | ( (Opcode.Beq | Bne | Blt | Bge),
+                Event.Cond_branch { taken; mispredicted; btb_bubble } ) ->
+              taken = d.taken && not (wp && (mispredicted || btb_bubble))
+            | Jmp, Event.Jump { btb_bubble } | Call, Event.Call { btb_bubble }
+              ->
+              not (wp && btb_bubble)
+            | Ret, Event.Return { mispredicted } -> not (wp && mispredicted)
+            | (Beq | Bne | Blt | Bge | Jmp | Call | Ret), _ -> false
+            | _, _ -> outcome = Event.Sequential
+          in
+          if not cls_ok then
+            Alcotest.failf "%s fetch outcome at pc %d does not match its opcode"
+              (if wp then "wrong-path" else "correct-path")
+              d.pc)
+        evs
+  in
+  ignore
+    (run_with ~budget:20_000 bench Technique.Noop ~attach:(fun p ->
+         Pipeline.subscribe ~name:"fetch-groups" p (function
+           | Event.Fetch { dyn; outcome; wp } ->
+             group := (dyn, outcome, wp) :: !group
+           | Event.Cycle_end _ -> check_cycle ()
+           | _ -> ()))
+      : Stats.t);
+  Alcotest.(check bool) "some cycle fetched" true (!groups > 0);
+  Alcotest.(check bool) "some wrong-path group" true (!wp_groups > 0)
+
+let test_fetch_groups_obey_rule () =
+  check_fetch_groups (gzip ());
+  check_fetch_groups (mcf ())
+
 let suite =
   [
     Alcotest.test_case "bus inactive until subscribed" `Quick
@@ -345,4 +413,6 @@ let suite =
       test_meter_matches_post_hoc;
     Alcotest.test_case "abella emits resize and gating events" `Quick
       test_abella_emits_resize_and_gating;
+    Alcotest.test_case "fetch groups obey the group rule on both paths"
+      `Quick test_fetch_groups_obey_rule;
   ]
