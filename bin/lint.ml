@@ -137,14 +137,12 @@ module Json = Sdiq_util.Json
 let int_field ev key = Option.bind (Json.member key ev) Json.to_int
 let str_field ev key = Option.bind (Json.member key ev) Json.to_str
 
-(* Audit [path] against the binary prepared exactly as the simulator
-   harness prepares it for [mode]. Returns the number of errors. *)
+(* Audit [path] against [mode]'s binary, made by the call the simulator
+   harness makes (Technique.prepare is [Driver.apply_mode] on the
+   technique's recipe). Returns the number of errors. *)
 let audit_trace ~(bench : Sdiq_workloads.Bench.t) ~(mode : Driver.mode) path =
-  let prog = bench.Sdiq_workloads.Bench.prog in
   let prepared, _anns =
-    Driver.apply_mode
-      ~tripcounts:(Sdiq_analysis.Tripcount.of_program prog)
-      mode prog
+    Driver.apply_mode mode bench.Sdiq_workloads.Bench.prog
   in
   let errors = ref 0 in
   let error fmt =

@@ -89,14 +89,6 @@ let trace_spans_arg =
   Arg.(
     value & opt (some string) None & info [ "trace-spans" ] ~docv:"FILE" ~doc)
 
-let domains_arg =
-  let doc =
-    "Domains for the runner's campaign pool (default: the hardware's \
-     recommended domain count); must be at least 1. Detailed runs only: \
-     rejected with $(b,--sample) (a sampled pair runs on one domain)."
-  in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-
 let check_arg =
   let doc =
     "Audit every cycle with the invariant checker (dispatch window, \
@@ -115,7 +107,7 @@ let sample_arg =
      budget: fast-forward between detailed windows, report estimates \
      with 95% confidence intervals (see DESIGN.md §13). Exact-run flags \
      ($(b,--budget), $(b,--verbose), $(b,--timeline), $(b,--trace), \
-     $(b,--metrics), $(b,--domains)) are rejected, not ignored; with \
+     $(b,--metrics)) are rejected, not ignored; with \
      $(b,--check) the invariant checker audits every detailed cycle of \
      every window. Combines with $(b,--policy)."
   in
@@ -179,7 +171,7 @@ let write_metrics bench technique ~sched ~budget (file, oc) =
   let p = Sdiq_harness.Technique.build ~sched technique bench in
   let map =
     Sdiq_obs.Region.build
-      (Sdiq_harness.Technique.delivery technique)
+      (Sdiq_harness.Technique.recipe technique)
       bench.Sdiq_workloads.Bench.prog
   in
   let prof = Sdiq_obs.Profiler.attach map p in
@@ -240,8 +232,8 @@ let run_sampled bench technique ~sched ~check ~config =
 
 (* Flag interactions are validated up front: a combination that would
    silently drop one of the flags is an error, not a guess. *)
-let validate_flags ~budget ~verbose ~timeline ~trace ~metrics ~domains
-    ~sample ~scaled ~ff ~warmup ~window =
+let validate_flags ~budget ~verbose ~timeline ~trace ~metrics ~sample ~scaled
+    ~ff ~warmup ~window =
   let errors = ref [] in
   let err fmt = Fmt.kstr (fun m -> errors := m :: !errors) fmt in
   if sample then begin
@@ -255,7 +247,6 @@ let validate_flags ~budget ~verbose ~timeline ~trace ~metrics ~domains
     reject "timeline" timeline;
     reject "trace" (trace <> None);
     reject "metrics" (metrics <> None);
-    reject "domains" (domains <> None);
     Option.iter
       (fun n -> if n < 0 then err "--ff must be non-negative (got %d)" n)
       ff;
@@ -281,11 +272,10 @@ let validate_flags ~budget ~verbose ~timeline ~trace ~metrics ~domains
   end;
   Cli.errors cli (List.rev !errors)
 
-let run bench_name technique budget verbose timeline trace metrics domains
-    check sample scaled ff warmup window policy trace_spans =
-  validate_flags ~budget ~verbose ~timeline ~trace ~metrics ~domains ~sample
-    ~scaled ~ff ~warmup ~window;
-  let domains = Cli.domains cli domains in
+let run bench_name technique budget verbose timeline trace metrics check
+    sample scaled ff warmup window policy trace_spans =
+  validate_flags ~budget ~verbose ~timeline ~trace ~metrics ~sample ~scaled
+    ~ff ~warmup ~window;
   let sched =
     Option.value (Cli.policy cli policy) ~default:Sdiq_cpu.Sched.default
   in
@@ -318,8 +308,7 @@ let run bench_name technique budget verbose timeline trace metrics domains
       if check then Some Sdiq_check.Checker.fresh_hook else None
     in
     let runner =
-      Sdiq_harness.Runner.create ~budget ~benches:[ bench ] ~sched ?domains
-        ?checker ()
+      Sdiq_harness.Runner.create ~budget ~benches:[ bench ] ~sched ?checker ()
     in
     if verbose then begin
       let anns =
@@ -374,7 +363,7 @@ let cmd =
     (Cmd.info "sdiq-simulate" ~doc)
     Term.(
       const run $ bench_arg $ technique_arg $ budget_arg $ verbose_arg
-      $ timeline_arg $ trace_arg $ metrics_arg $ domains_arg $ check_arg
+      $ timeline_arg $ trace_arg $ metrics_arg $ check_arg
       $ sample_arg $ scaled_arg $ ff_arg $ warmup_arg $ window_arg
       $ policy_arg $ trace_spans_arg)
 

@@ -1,11 +1,11 @@
 (* Tightening audit over the benchmark suite.
 
-   For every benchmark: derive the tightened annotations, deliver them
-   (tag mode — the instruction stream is untouched), re-audit the
-   result with the trip-count-refined soundness pass plus the delivery
-   and wrong-path lints, and build the occupancy/energy certificate of
-   the delivered binary. Exits non-zero on any error finding, so CI can
-   gate on it. Dynamic validation (trace identity, grid energy,
+   For every benchmark: audit the tightened recipe (Driver.audit_mode:
+   the trip-count-refined soundness pass plus the delivery and
+   wrong-path lints on the binary Driver.apply_mode delivers, in tag
+   mode, so the instruction stream is untouched), and build the
+   occupancy/energy certificate of that binary. Exits non-zero on any
+   error finding, so CI can gate on it. Dynamic validation (trace identity, grid energy,
    certificate-vs-measured) lives in the test suite; this tool is the
    fast static gate. *)
 
@@ -13,27 +13,24 @@ module Driver = Sdiq_analysis.Driver
 module Finding = Sdiq_analysis.Finding
 module Tighten = Sdiq_analysis.Tighten
 module Certificate = Sdiq_analysis.Certificate
+open Cmdliner
 
-let () =
-  let quiet = Array.exists (( = ) "--quiet") Sys.argv in
-  let mode =
-    match Driver.mode_named "tightened" with
-    | Some m -> m
-    | None -> failwith "tightened mode not registered"
-  in
+let cli = Cli.tool "tighten"
+
+let quiet_arg =
+  let doc = "Print only the benchmarks with error findings, and the verdict." in
+  Arg.(value & flag & info [ "quiet" ] ~doc)
+
+let run quiet =
+  let mode = Option.get (Driver.mode_named "tightened") in
   let config = Sdiq_cpu.Config.default in
   let total_errors = ref 0 in
   List.iter
     (fun (bench : Sdiq_workloads.Bench.t) ->
       let prog = bench.Sdiq_workloads.Bench.prog in
       let tripcounts = Sdiq_analysis.Tripcount.of_program prog in
-      let annotated, anns = Driver.apply_mode ~tripcounts mode prog in
-      let findings =
-        Driver.audit_annotations ~tripcounts mode prog anns
-        @ Sdiq_analysis.Lint.delivery ~mode:mode.Driver.delivery
-            ~original:prog ~annotated anns
-        @ Sdiq_analysis.Speclint.check annotated
-      in
+      let findings = Driver.audit_mode ~tripcounts mode prog in
+      let annotated, _ = Driver.apply_mode ~tripcounts mode prog in
       let cert = Certificate.build config annotated in
       let anchors, narrowed, reduction = Tighten.narrowing ~tripcounts prog in
       total_errors := !total_errors + Finding.errors findings;
@@ -63,3 +60,12 @@ let () =
     exit 1
   end
   else Fmt.pr "tighten-audit: clean@."
+
+let cmd =
+  let doc =
+    "audit the tightened annotations of every benchmark and certify the \
+     delivered binaries"
+  in
+  Cmd.v (Cmd.info ("sdiq-" ^ cli.Cli.name) ~doc) Term.(const run $ quiet_arg)
+
+let () = exit (Cmd.eval cmd)

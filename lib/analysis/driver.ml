@@ -1,7 +1,8 @@
-(* Pass orchestration: mirror the harness's annotation pipeline for
-   each configuration (Annotate.apply, or Tighten.apply for the
-   tightened mode), then audit the annotation list, the emitted binary
-   and its wrong-path anchor hygiene. *)
+(* The one table of annotated-binary recipes, and the one call that
+   builds a recipe's binary: the simulator harness, the region map, lint
+   and the tightening audit all prepare through [apply_mode], then this
+   module audits the annotation list, the emitted binary and its
+   wrong-path anchor hygiene. *)
 
 module Annotate = Sdiq_core.Annotate
 module Options = Sdiq_core.Options
@@ -43,7 +44,11 @@ let modes =
 
 let mode_named name = List.find_opt (fun m -> m.name = name) modes
 
-let apply_mode ~tripcounts mode prog =
+(* The caller's trip-count table, or a fresh one. *)
+let table prog = function Some t -> t | None -> Tripcount.of_program prog
+
+let apply_mode ?tripcounts mode prog =
+  let tripcounts = table prog tripcounts in
   if mode.tightened then
     Tighten.apply ~opts:mode.opts ~tripcounts mode.delivery prog
   else Annotate.apply ~opts:mode.opts mode.delivery prog
@@ -60,8 +65,8 @@ let tag_pass mode fs =
 
 (* One trip-count table per audit: the tightener and its audit read the
    same one (it is lazy, so the other modes never build it). *)
-let audit_mode mode (prog : Sdiq_isa.Prog.t) : Finding.t list =
-  let tripcounts = Tripcount.of_program prog in
+let audit_mode ?tripcounts mode (prog : Sdiq_isa.Prog.t) : Finding.t list =
+  let tripcounts = table prog tripcounts in
   let annotated, annotations = apply_mode ~tripcounts mode prog in
   tag_pass mode
     (audit_annotations ~tripcounts mode prog annotations

@@ -3,8 +3,8 @@
     wrong-path anchor hygiene) and runs the mode-independent lints and
     the register-pressure check. *)
 
-(** One of the paper's three annotation configurations, or the
-    [tightened] optimizer configuration. *)
+(** An annotated-binary recipe: one of the paper's three annotation
+    configurations, or the [tightened] optimizer configuration. *)
 type mode = {
   name : string;
       (** ["noop"], ["extension"], ["improved"] or ["tightened"] *)
@@ -14,16 +14,21 @@ type mode = {
                          baseline analysis *)
 }
 
+(** The only table of annotated recipes. *)
 val modes : mode list
+
 val mode_named : string -> mode option
 
-(** Analyse and deliver exactly as the simulator harness would for this
-    mode. [tripcounts] (read by the tightened mode only; the table is
-    lazy, so other modes never build it) is the {!Tripcount.of_program}
-    table to read; give {!audit_annotations} the same one and the
-    interval analysis runs once for both. *)
+(** The only way to make an annotated binary: analyse (or tighten) and
+    deliver by the recipe. The simulator harness, the region map, lint
+    and the tightening audit all call it, so each sees the same binary
+    as long as this stays deterministic. [tripcounts] (read by the
+    tightened mode only; the table is lazy, so other modes never build
+    it) defaults to a fresh {!Tripcount.of_program} table; give
+    {!audit_annotations} the same one and the interval analysis runs
+    once for both. *)
 val apply_mode :
-  tripcounts:(Sdiq_isa.Prog.proc -> (int, int) Hashtbl.t) ->
+  ?tripcounts:(Sdiq_isa.Prog.proc -> (int, int) Hashtbl.t) ->
   mode ->
   Sdiq_isa.Prog.t ->
   Sdiq_isa.Prog.t * Sdiq_core.Procedure.annotation list
@@ -38,10 +43,14 @@ val audit_annotations :
   Finding.t list
 
 (** Soundness audit plus delivery-integrity and wrong-path lints for
-    one mode: the program is analysed and annotated exactly as the
-    simulator harness would, then both artefacts are audited, against
-    one shared trip-count table. *)
-val audit_mode : mode -> Sdiq_isa.Prog.t -> Finding.t list
+    one mode: the program is prepared by {!apply_mode}, then both
+    artefacts are audited against one shared trip-count table
+    ([tripcounts], as for {!apply_mode}). *)
+val audit_mode :
+  ?tripcounts:(Sdiq_isa.Prog.proc -> (int, int) Hashtbl.t) ->
+  mode ->
+  Sdiq_isa.Prog.t ->
+  Finding.t list
 
 (** Mode-independent program lints and the register-pressure pass. *)
 val lint_program : ?rf_size:int -> Sdiq_isa.Prog.t -> Finding.t list

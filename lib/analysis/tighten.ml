@@ -18,7 +18,7 @@ module Procedure = Sdiq_core.Procedure
 module Annotate = Sdiq_core.Annotate
 
 (* Loop spans, keyed by the header's first address, so back edges keep
-   bypassing an inserted NOOP exactly as [Annotate.redirect_of]
+   bypassing an inserted NOOP exactly as [Annotate.deliver]
    expects. *)
 let spans_of cfg =
   let spans = Hashtbl.create 8 in
@@ -56,17 +56,10 @@ let annotations ?(opts = Options.default) ~tripcounts (prog : Prog.t) :
     prog.Prog.procs
   |> List.sort (fun (a : Procedure.annotation) b -> compare a.addr b.addr)
 
-let apply ?(opts = Options.default) ~tripcounts mode (prog : Prog.t) :
+let apply ?opts ~tripcounts mode (prog : Prog.t) :
     Prog.t * Procedure.annotation list =
-  let anns = annotations ~opts ~tripcounts prog in
-  let map = Annotate.annotation_map anns in
-  let annotated =
-    match mode with
-    | Annotate.Noop ->
-      Rewrite.insert_iqsets ~redirect:(Annotate.redirect_of anns) prog map
-    | Annotate.Tagged -> Rewrite.apply_tags prog map
-  in
-  (annotated, anns)
+  let anns = annotations ?opts ~tripcounts prog in
+  (Annotate.deliver mode anns prog, anns)
 
 let audit ?opts ~tripcounts (prog : Prog.t) anns : Finding.t list =
   Soundness.audit ?opts ~tripcounts_of:tripcounts prog anns

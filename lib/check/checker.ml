@@ -22,9 +22,8 @@
    arithmetic from that snapshot and demands equality, not bounds.
 
    Checks are O(machine size) per cycle (IQ slots + ROB entries + register
-   files); the `bench/main.exe` micro-suite measures the slowdown.
-   Violations are formatted only on failure — the passing path allocates
-   nothing. *)
+   files). Violations are formatted only on failure — the passing path
+   allocates nothing. *)
 
 open Sdiq_cpu
 

@@ -33,19 +33,20 @@ let redirect_of annotations ~src ~dst =
             | None -> false))
        annotations)
 
+(* The one NOOP-or-tag rewriter dispatch: deliver [annotations] into
+   [prog] by [mode]. *)
+let deliver mode annotations (prog : Prog.t) : Prog.t =
+  let ann = annotation_map annotations in
+  match mode with
+  | Noop -> Rewrite.insert_iqsets ~redirect:(redirect_of annotations) prog ann
+  | Tagged -> Rewrite.apply_tags prog ann
+
 (* [apply ~opts mode prog] analyses [prog] and returns the annotated
    program together with the annotations used. *)
 let apply ?(opts = Options.default) mode (prog : Prog.t) :
     Prog.t * Procedure.annotation list =
   let annotations = Procedure.analyze_program ~opts prog in
-  let ann = annotation_map annotations in
-  let annotated =
-    match mode with
-    | Noop ->
-      Rewrite.insert_iqsets ~redirect:(redirect_of annotations) prog ann
-    | Tagged -> Rewrite.apply_tags prog ann
-  in
-  (annotated, annotations)
+  (deliver mode annotations prog, annotations)
 
 (* Convenience wrappers matching the paper's three configurations. *)
 let noop prog = apply Noop prog

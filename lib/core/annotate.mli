@@ -12,9 +12,16 @@ type mode =
 (** Lookup function over an annotation list. *)
 val annotation_map : Procedure.annotation list -> int -> int option
 
-(** Should the branch [src -> dst] be redirected to an inserted NOOP?
-    False exactly for annotated loops' back edges. *)
-val redirect_of : Procedure.annotation list -> src:int -> dst:int -> bool
+(** Deliver an annotation list into a binary: [Noop] inserts an [Iqset]
+    before each annotated address (annotated loops' back edges keep
+    targeting the header, so the NOOP runs on loop entry only); [Tagged]
+    tags the annotated instruction. The only caller of the
+    {!Sdiq_isa.Rewrite} rewriters. *)
+val deliver :
+  mode ->
+  Procedure.annotation list ->
+  Sdiq_isa.Prog.t ->
+  Sdiq_isa.Prog.t
 
 (** Analyse and annotate; returns the annotated program and the
     annotations used. *)

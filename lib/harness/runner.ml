@@ -84,12 +84,13 @@ let create ?(config = Sdiq_cpu.Config.default) ?sched ?(budget = 100_000)
       regime "sim.sampled_pair" "campaign.run_all_sampled" (fun _ _ p ->
           Sampling.sample ~config:sample_config p);
     (* The region map's running binary is structurally equal to
-       [Technique.prepare]'s — both invoke the same deterministic
-       rewriter — so the map attributes the machine [build] made. *)
+       [Technique.prepare]'s — both make it by [Driver.apply_mode] on the
+       technique's recipe — so the map attributes the machine [build]
+       made. *)
     profiled =
       regime "sim.profile_pair" "campaign.profile_all" (fun bench tech p ->
           let map =
-            Sdiq_obs.Region.build (Technique.delivery tech) bench.Bench.prog
+            Sdiq_obs.Region.build (Technique.recipe tech) bench.Bench.prog
           in
           let prof = Sdiq_obs.Profiler.attach map p in
           let (_ : Sdiq_cpu.Stats.t) =

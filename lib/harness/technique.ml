@@ -40,18 +40,17 @@ let of_string s =
       (Printf.sprintf "unknown technique %S (valid: %s)" s
          (String.concat ", " (List.map name extended)))
 
+(* The annotated-binary recipe from [Driver]'s table: the one whose name
+   is the technique's; none for the unmodified binaries. *)
+let recipe = function
+  | Baseline | Abella -> None
+  | t -> Sdiq_analysis.Driver.mode_named (name t)
+
 (* The binary actually loaded into the machine. *)
 let prepare t (prog : Prog.t) : Prog.t =
-  match t with
-  | Baseline | Abella -> prog
-  | Noop -> fst (Sdiq_core.Annotate.noop prog)
-  | Extension -> fst (Sdiq_core.Annotate.extension prog)
-  | Improved -> fst (Sdiq_core.Annotate.improved prog)
-  | Tightened ->
-    fst
-      (Sdiq_analysis.Tighten.apply
-         ~tripcounts:(Sdiq_analysis.Tripcount.of_program prog)
-         Sdiq_core.Annotate.Tagged prog)
+  match recipe t with
+  | None -> prog
+  | Some m -> fst (Sdiq_analysis.Driver.apply_mode m prog)
 
 (* A fresh policy instance for one run. *)
 let policy t : Sdiq_cpu.Policy.t =
@@ -70,12 +69,3 @@ let build ?config ?sched t (bench : Sdiq_workloads.Bench.t) :
   let p = Sdiq_cpu.Pipeline.create ?config ~policy:(policy t) ?sched prog in
   bench.Sdiq_workloads.Bench.init p.Sdiq_cpu.Pipeline.exec;
   p
-
-(* The region-map delivery whose running binary matches [prepare]. *)
-let delivery t : Sdiq_obs.Region.delivery =
-  match t with
-  | Baseline | Abella -> Sdiq_obs.Region.Plain
-  | Noop -> Sdiq_obs.Region.Noop
-  | Extension -> Sdiq_obs.Region.Tagged { improved = false }
-  | Improved -> Sdiq_obs.Region.Tagged { improved = true }
-  | Tightened -> Sdiq_obs.Region.Tightened

@@ -23,7 +23,15 @@ val name : t -> string
     [name t = s]; the error names every valid technique. *)
 val of_string : string -> (t, string) result
 
-(** The binary actually loaded into the machine. *)
+(** The annotated-binary recipe: [Sdiq_analysis.Driver.mode_named]
+    of the technique's {!name}, [None] for [Baseline] and [Abella]
+    (unmodified binary). Give it to [Sdiq_obs.Region.build] to map the
+    binary {!prepare} builds. *)
+val recipe : t -> Sdiq_analysis.Driver.mode option
+
+(** The binary actually loaded into the machine:
+    [Sdiq_analysis.Driver.apply_mode] on the {!recipe}, or the program
+    itself without one. *)
 val prepare : t -> Sdiq_isa.Prog.t -> Sdiq_isa.Prog.t
 
 (** A fresh policy instance for one run. *)
@@ -41,9 +49,3 @@ val build :
   t ->
   Sdiq_workloads.Bench.t ->
   Sdiq_cpu.Pipeline.t
-
-(** The region-map delivery mode whose running binary is exactly what
-    {!prepare} builds ([Baseline] and [Abella] map to [Plain]: the
-    binary is unmodified but the analysis regions still decompose it
-    for attribution). *)
-val delivery : t -> Sdiq_obs.Region.delivery

@@ -211,8 +211,7 @@ let to_json t =
   let tot_iq, tot_rf = energy_of t total in
   obj
     [
-      Printf.sprintf {|"delivery":"%s"|}
-        (Region.delivery_name (Region.delivery t.map));
+      Printf.sprintf {|"delivery":"%s"|} (Region.recipe_name t.map);
       Printf.sprintf {|"regions":%s|} (arr (List.map json_of_row (rows t)));
       Printf.sprintf {|"totals":%s|}
         (obj

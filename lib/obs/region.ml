@@ -12,13 +12,7 @@
 
 open Sdiq_isa
 module Procedure = Sdiq_core.Procedure
-module Annotate = Sdiq_core.Annotate
-
-type delivery =
-  | Plain
-  | Noop
-  | Tagged of { improved : bool }
-  | Tightened
+module Driver = Sdiq_analysis.Driver
 
 type kind =
   | Startup
@@ -37,7 +31,7 @@ type info = {
 }
 
 type t = {
-  delivery : delivery;
+  recipe_name : string;
   running : Prog.t;
   infos : info array;
   addr_map : int array; (* running address -> region id *)
@@ -50,33 +44,15 @@ let kind_name = function
   | Block -> "block"
   | Loop -> "loop"
 
-let delivery_name = function
-  | Plain -> "plain"
-  | Noop -> "noop"
-  | Tagged { improved = false } -> "tagged"
-  | Tagged { improved = true } -> "tagged-improved"
-  | Tightened -> "tightened"
-
-let build delivery (original : Prog.t) : t =
-  let running, annotations, start_of =
-    match delivery with
-    | Plain ->
-      (original, Procedure.analyze_program original, fun (a : Procedure.annotation) -> a.Procedure.addr)
-    | Tagged { improved } ->
-      let running, anns =
-        if improved then Annotate.improved original
-        else Annotate.extension original
-      in
-      (running, anns, fun (a : Procedure.annotation) -> a.Procedure.addr)
-    | Tightened ->
-      let running, anns =
-        Sdiq_analysis.Tighten.apply
-          ~tripcounts:(Sdiq_analysis.Tripcount.of_program original)
-          Annotate.Tagged original
-      in
-      (running, anns, fun (a : Procedure.annotation) -> a.Procedure.addr)
-    | Noop -> (
-      let running, anns = Annotate.noop original in
+let build (recipe : Driver.mode option) (original : Prog.t) : t =
+  let running, annotations =
+    match recipe with
+    | None -> (original, Procedure.analyze_program original)
+    | Some m -> Driver.apply_mode m original
+  in
+  let start_of =
+    match recipe with
+    | Some { Driver.delivery = Sdiq_core.Annotate.Noop; _ } -> (
       match
         Sdiq_analysis.Lint.noop_address_map ~original ~annotated:running
       with
@@ -87,13 +63,12 @@ let build delivery (original : Prog.t) : t =
         invalid_arg
           "Region.build: annotated binary does not embed the original \
            instruction sequence"
-      | Some (new_of_orig, iqset_before) ->
-        ( running,
-          anns,
-          fun (a : Procedure.annotation) ->
-            match iqset_before.(a.Procedure.addr) with
-            | Some (j, _) -> j
-            | None -> new_of_orig.(a.Procedure.addr) ))
+      | Some (new_of_orig, iqset_before) -> (
+        fun (a : Procedure.annotation) ->
+          match iqset_before.(a.Procedure.addr) with
+          | Some (j, _) -> j
+          | None -> new_of_orig.(a.Procedure.addr)))
+    | _ -> fun (a : Procedure.annotation) -> a.Procedure.addr
   in
   let orig_entry name =
     match Prog.find_proc original name with
@@ -158,9 +133,12 @@ let build delivery (original : Prog.t) : t =
     done;
     addr_map.(addr) <- !cur
   done;
-  { delivery; running; infos; addr_map }
+  let recipe_name =
+    match recipe with Some m -> m.Driver.name | None -> "plain"
+  in
+  { recipe_name; running; infos; addr_map }
 
-let delivery t = t.delivery
+let recipe_name t = t.recipe_name
 let running_prog t = t.running
 let count t = Array.length t.infos
 

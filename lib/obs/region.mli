@@ -13,17 +13,6 @@
     unannotated binaries the addresses are unchanged. A committed
     instruction's [pc] therefore always resolves via {!of_addr}. *)
 
-(** How annotations reach (or don't reach) the running binary —
-    mirrors the harness's five techniques without depending on it:
-    [Plain] covers both [Baseline] and [Abella] (unmodified binary;
-    regions are still the analysis's regions, so attribution under the
-    non-resizing configurations uses the same decomposition). *)
-type delivery =
-  | Plain
-  | Noop
-  | Tagged of { improved : bool }
-  | Tightened  (** tag delivery of the {!Sdiq_analysis.Tighten} windows *)
-
 type kind =
   | Startup  (** synthetic: events before the first commit *)
   | Preamble  (** unannotated prefix of a procedure *)
@@ -42,13 +31,16 @@ type info = {
 
 type t
 
-(** Analyse [original], apply [delivery], and index the result. The
-    running binary built here is exactly what
-    [Sdiq_harness.Technique.prepare] builds for the matching
-    technique (both call the same deterministic rewriter). *)
-val build : delivery -> Sdiq_isa.Prog.t -> t
+(** [build recipe original]: prepare [original] by
+    {!Sdiq_analysis.Driver.apply_mode} (the call
+    [Sdiq_harness.Technique.prepare] makes, so the running binary is the
+    one the machine loads) and index the result. [None] (Baseline and
+    Abella) leaves the binary unmodified but still decomposes it into
+    the analysis's regions for attribution. *)
+val build : Sdiq_analysis.Driver.mode option -> Sdiq_isa.Prog.t -> t
 
-val delivery : t -> delivery
+(** The recipe's name, or ["plain"] for an unannotated binary. *)
+val recipe_name : t -> string
 
 (** The binary the map's addresses refer to — load this one. *)
 val running_prog : t -> Sdiq_isa.Prog.t
@@ -64,5 +56,4 @@ val infos : t -> info array
 val of_addr : t -> int -> int
 
 val kind_name : kind -> string
-val delivery_name : delivery -> string
 val pp_info : Format.formatter -> info -> unit

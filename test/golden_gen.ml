@@ -24,7 +24,7 @@ let () =
           let regions =
             Sdiq_obs.Region.count
               (Sdiq_obs.Region.build
-                 (Sdiq_harness.Technique.delivery tech)
+                 (Sdiq_harness.Technique.recipe tech)
                  bench.Sdiq_workloads.Bench.prog)
           in
           Printf.printf

@@ -57,7 +57,7 @@ let test_region_bounds_dominate_peaks () =
       let prog = bench.Sdiq_workloads.Bench.prog in
       List.iter
         (fun tech ->
-          let map = Sdiq_obs.Region.build (Technique.delivery tech) prog in
+          let map = Sdiq_obs.Region.build (Technique.recipe tech) prog in
           let running = Sdiq_obs.Region.running_prog map in
           let p =
             Sdiq_cpu.Pipeline.create ~policy:(Technique.policy tech) running

@@ -285,27 +285,30 @@ let test_trace_structure () =
     (count_lines_with file "\"delivery\":\"noop\"");
   Sys.remove file
 
-(* --- power meter sink --------------------------------------------------- *)
+(* --- the event stream as a power meter --------------------------------- *)
 
+(* A plain [Stats.absorb] sink folds the stream into the run's own
+   statistics, so pricing the fold reproduces the post-hoc energy
+   models float for float. *)
 let test_meter_matches_post_hoc () =
-  let bench = gzip () in
-  let meter = ref None in
+  let folded = Stats.create () in
   let stats =
-    run_with bench Technique.Noop ~attach:(fun p ->
-        meter := Some (Sdiq_power.Meter.attach p))
+    run_with (gzip ()) Technique.Noop ~attach:(fun p ->
+        Pipeline.subscribe ~name:"power-meter" p (Stats.absorb folded))
   in
-  let m = Option.get !meter in
-  let module Meter = Sdiq_power.Meter in
-  Alcotest.(check bool) "meter's fold == final stats" true
-    (Stats.equal (Meter.stats m) stats);
+  Alcotest.(check bool) "stream's fold == final stats" true
+    (Stats.equal folded stats);
   let params = Sdiq_power.Params.default in
   let cfg = Sdiq_cpu.Config.default in
   Alcotest.(check bool) "iq naive energy float-identical" true
-    (Meter.iq_naive m = Sdiq_power.Iq_power.naive params cfg stats);
+    (Sdiq_power.Iq_power.naive params cfg folded
+    = Sdiq_power.Iq_power.naive params cfg stats);
   Alcotest.(check bool) "iq technique energy float-identical" true
-    (Meter.iq_technique m = Sdiq_power.Iq_power.technique params stats);
+    (Sdiq_power.Iq_power.technique params folded
+    = Sdiq_power.Iq_power.technique params stats);
   Alcotest.(check bool) "int RF gated energy float-identical" true
-    (Meter.int_rf_gated m = Sdiq_power.Rf_power.int_gated params stats)
+    (Sdiq_power.Rf_power.int_gated params folded
+    = Sdiq_power.Rf_power.int_gated params stats)
 
 (* --- trace-only events on the adaptive policy --------------------------- *)
 

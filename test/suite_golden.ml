@@ -116,7 +116,7 @@ let test_golden () =
       let bench = Sdiq_harness.Runner.find_bench runner name in
       Alcotest.(check int) (where "regions") e.regions
         (Sdiq_obs.Region.count
-           (Sdiq_obs.Region.build (Technique.delivery tech)
+           (Sdiq_obs.Region.build (Technique.recipe tech)
               bench.Sdiq_workloads.Bench.prog)))
     golden
 

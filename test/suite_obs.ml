@@ -1,8 +1,9 @@
 (* The observability layer (lib/obs): histogram/series/metrics algebra,
    the static region map, and the profiler's conservation law — the
    per-region attribution buckets sum back to the pipeline's own
-   statistics exactly, and pricing the sum reproduces the power meter
-   float for float, on every benchmark x delivering technique. *)
+   statistics exactly, and pricing the sum reproduces the pricing of
+   the event stream's own fold float for float, on every benchmark x
+   delivering technique. *)
 
 module Hist = Sdiq_obs.Hist
 module Series = Sdiq_obs.Series
@@ -204,7 +205,7 @@ let gzip () = (List.hd (Sdiq_workloads.Suite.tiny ())).Bench.prog
 
 let test_region_map_noop () =
   let prog = gzip () in
-  let map = Region.build Region.Noop prog in
+  let map = Region.build (Technique.recipe Technique.Noop) prog in
   let infos = Region.infos map in
   Alcotest.(check bool) "startup region first" true
     (infos.(0).Region.kind = Region.Startup);
@@ -239,7 +240,7 @@ let test_region_map_matches_technique () =
       List.iter
         (fun tech ->
           let prog = bench.Bench.prog in
-          let map = Region.build (Technique.delivery tech) prog in
+          let map = Region.build (Technique.recipe tech) prog in
           Alcotest.(check bool)
             (Printf.sprintf "%s/%s: running binary equals prepare"
                bench.Bench.name (Technique.name tech))
@@ -263,38 +264,40 @@ let test_attribution_conservation () =
           let where what =
             bench.Bench.name ^ "/" ^ Technique.name tech ^ " " ^ what
           in
-          let map = Region.build (Technique.delivery tech) bench.Bench.prog in
+          let map = Region.build (Technique.recipe tech) bench.Bench.prog in
           let p =
             Pipeline.create
               ~policy:(Technique.policy tech)
               (Region.running_prog map)
           in
           let prof = Profiler.attach map p in
-          let meter = Sdiq_power.Meter.attach p in
+          let folded = Stats.create () in
+          Pipeline.subscribe ~name:"power-meter" p (Stats.absorb folded);
           bench.Bench.init p.Pipeline.exec;
           let stats = Pipeline.run ~max_insns:budget p in
           let total = Profiler.total_stats prof in
           (* integer conservation: the region buckets sum back to the
-             pipeline's own fold and to the meter's independent fold *)
+             pipeline's own fold and to a plain sink's independent fold
+             of the event stream *)
           Alcotest.(check bool)
             (where "region sum == pipeline stats")
             true (Stats.equal total stats);
           Alcotest.(check bool)
             (where "region sum == meter stats")
-            true
-            (Stats.equal total (Sdiq_power.Meter.stats meter));
+            true (Stats.equal total folded);
           (* float conservation: pricing the summed buckets reproduces
-             the meter's energies exactly *)
-          let e = Sdiq_power.Iq_power.technique Sdiq_power.Params.default total in
-          let m = Sdiq_power.Meter.iq_technique meter in
+             the pricing of the stream's fold exactly *)
+          let params = Sdiq_power.Params.default in
+          let e = Sdiq_power.Iq_power.technique params total in
+          let m = Sdiq_power.Iq_power.technique params folded in
           Alcotest.(check (float 0.))
             (where "iq dynamic energy")
             m.Sdiq_power.Iq_power.dynamic e.Sdiq_power.Iq_power.dynamic;
           Alcotest.(check (float 0.))
             (where "iq static energy")
             m.Sdiq_power.Iq_power.static_ e.Sdiq_power.Iq_power.static_;
-          let er = Sdiq_power.Rf_power.int_gated Sdiq_power.Params.default total in
-          let mr = Sdiq_power.Meter.int_rf_gated meter in
+          let er = Sdiq_power.Rf_power.int_gated params total in
+          let mr = Sdiq_power.Rf_power.int_gated params folded in
           Alcotest.(check (float 0.))
             (where "rf dynamic energy")
             mr.Sdiq_power.Rf_power.dynamic er.Sdiq_power.Rf_power.dynamic;
