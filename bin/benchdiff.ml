@@ -13,6 +13,8 @@
 open Cmdliner
 module Ledger = Sdiq_obs.Ledger
 
+let cli = Cli.tool "benchdiff"
+
 let ledger_arg =
   let doc = "Ledger file (JSONL, one record per run)." in
   Arg.(
@@ -40,10 +42,6 @@ let run ledger check_schema =
     List.iter (fun m -> Fmt.pr "benchdiff: %s@." m) v.Ledger.messages;
     exit (if v.Ledger.ok then 0 else 1)
 
-let cmd =
+let () =
   let doc = "regression gate over the telemetry run ledger" in
-  Cmd.v
-    (Cmd.info "sdiq-benchdiff" ~doc)
-    Term.(const run $ ledger_arg $ check_schema_arg)
-
-let () = exit (Cmd.eval cmd)
+  Cli.eval cli ~doc Term.(const run $ ledger_arg $ check_schema_arg)

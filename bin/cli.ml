@@ -1,9 +1,10 @@
-(* The command-line tools' shared front end: the one place that reports a
-   usage error, opens an output flag's file, checks --domains, parses
-   --policy and looks up a benchmark by name. The tools call it before
-   anything simulates, so a bad invocation prints one line naming the
-   flag on stderr, nothing on stdout, and exits with the tool's usage
-   status. *)
+(* The command-line tools' shared front end: the one place that runs a
+   command line, reports a usage error, opens an output flag's file,
+   checks --domains, parses --policy and looks up a benchmark by name.
+   The tools call it before anything simulates, so a bad invocation
+   (an unknown flag or a malformed value included) prints one line
+   naming the flag on stderr, nothing on stdout, and exits with the
+   tool's usage status. *)
 
 type t = { name : string; usage_status : int }
 
@@ -26,6 +27,41 @@ let fail t fmt =
       say t msg;
       exit t.usage_status)
     fmt
+
+(* cmdliner's parse-error report, on one line: the message lines before
+   its "Usage:" hint, without the "sdiq-<tool>: " prefix. *)
+let parse_error t report =
+  let prefix = "sdiq-" ^ t.name ^ ": " in
+  let strip line =
+    if String.starts_with ~prefix line then
+      String.sub line (String.length prefix)
+        (String.length line - String.length prefix)
+    else line
+  in
+  let rec message = function
+    | line :: rest when not (String.starts_with ~prefix:"Usage:" line) ->
+      String.trim (strip line) :: message rest
+    | _ -> []
+  in
+  String.concat " " (message (String.split_on_char '\n' report))
+
+(* Run a tool's command line: the one exit contract. A bad flag or
+   argument is a usage error like any other ([fail]: one line, the
+   tool's usage status); --help exits 0; an escaped exception exits
+   cmdliner's internal-error status with its report. *)
+let eval t ~doc term =
+  let report = Buffer.create 256 in
+  let err = Format.formatter_of_buffer report in
+  let cmd = Cmdliner.Cmd.v (Cmdliner.Cmd.info ("sdiq-" ^ t.name) ~doc) term in
+  let result = Cmdliner.Cmd.eval_value ~err cmd in
+  Format.pp_print_flush err ();
+  match result with
+  | Ok (`Ok () | `Help | `Version) -> exit 0
+  | Error (`Parse | `Term) ->
+    fail t "%s" (parse_error t (Buffer.contents report))
+  | Error `Exn ->
+    prerr_string (Buffer.contents report);
+    exit Cmdliner.Cmd.Exit.internal_error
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then (

@@ -383,15 +383,12 @@ let run bench_name mode dot quiet infos trace waivers_file json_file =
   end
   else Fmt.pr "lint: clean (no error-severity findings)@."
 
-let cmd =
+let () =
   let doc =
     "statically audit annotation soundness, delivery integrity, workload \
      hygiene and register pressure"
   in
-  Cmd.v
-    (Cmd.info "sdiq-lint" ~doc)
+  Cli.eval cli ~doc
     Term.(
       const run $ bench_arg $ mode_arg $ dot_arg $ quiet_arg $ infos_arg
       $ trace_arg $ waivers_arg $ json_arg)
-
-let () = exit (Cmd.eval cmd)

@@ -182,13 +182,10 @@ let run benches techniques budget domains top slack json csv policy
       Fmt.pr "openmetrics: %s@." file)
     openmetrics
 
-let cmd =
+let () =
   let doc = "region-level attribution profiles of simulated benchmarks" in
-  Cmd.v
-    (Cmd.info "sdiq-profile" ~doc)
+  Cli.eval cli ~doc
     Term.(
       const run $ benches_arg $ techniques_arg $ budget_arg $ domains_arg
       $ top_arg $ slack_arg $ json_arg $ csv_arg $ policy_arg
       $ openmetrics_arg)
-
-let () = exit (Cmd.eval cmd)

@@ -482,13 +482,10 @@ let run budget only domains markdown sample min_insns min_windows policy
   end);
   write_spans ()
 
-let cmd =
+let () =
   let doc = "regenerate the paper's tables and figures" in
-  Cmd.v
-    (Cmd.info "sdiq-report" ~doc)
+  Cli.eval cli ~doc
     Term.(
       const run $ budget_arg $ only_arg $ domains_arg $ markdown_arg
       $ sample_arg $ min_insns_arg $ min_windows_arg $ policy_arg
       $ policy_grid_arg $ ledger_arg $ trace_spans_arg)
-
-let () = exit (Cmd.eval cmd)

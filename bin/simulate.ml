@@ -166,13 +166,18 @@ let write_trace bench technique ~sched ~budget (file, oc) =
     stats.Sdiq_cpu.Stats.cycles stats.Sdiq_cpu.Stats.committed
 
 (* A dedicated profiled run: the region-attribution profiler and the
-   host self-profiler ride the bus of one fresh simulation. *)
+   host self-profiler ride the bus of one fresh simulation, which runs
+   the region map's binary. *)
 let write_metrics bench technique ~sched ~budget (file, oc) =
-  let p = Sdiq_harness.Technique.build ~sched technique bench in
   let map =
     Sdiq_obs.Region.build
       (Sdiq_harness.Technique.recipe technique)
       bench.Sdiq_workloads.Bench.prog
+  in
+  let p =
+    Sdiq_harness.Technique.build ~sched
+      ~prog:(Sdiq_obs.Region.running_prog map)
+      technique bench
   in
   let prof = Sdiq_obs.Profiler.attach map p in
   let host = Sdiq_obs.Hostprof.attach p in
@@ -357,14 +362,11 @@ let run bench_name technique budget verbose timeline trace metrics check
   end;
   write_spans ()
 
-let cmd =
+let () =
   let doc = "simulate one benchmark under one IQ-resizing technique" in
-  Cmd.v
-    (Cmd.info "sdiq-simulate" ~doc)
+  Cli.eval cli ~doc
     Term.(
       const run $ bench_arg $ technique_arg $ budget_arg $ verbose_arg
       $ timeline_arg $ trace_arg $ metrics_arg $ check_arg
       $ sample_arg $ scaled_arg $ ff_arg $ warmup_arg $ window_arg
       $ policy_arg $ trace_spans_arg)
-
-let () = exit (Cmd.eval cmd)

@@ -61,11 +61,9 @@ let run quiet =
   end
   else Fmt.pr "tighten-audit: clean@."
 
-let cmd =
+let () =
   let doc =
     "audit the tightened annotations of every benchmark and certify the \
      delivered binaries"
   in
-  Cmd.v (Cmd.info ("sdiq-" ^ cli.Cli.name) ~doc) Term.(const run $ quiet_arg)
-
-let () = exit (Cmd.eval cmd)
+  Cli.eval cli ~doc Term.(const run $ quiet_arg)

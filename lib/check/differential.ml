@@ -142,20 +142,12 @@ type arch_state = {
 }
 
 let arch_state (st : Exec.state) =
-  let dump tbl keep =
-    Hashtbl.fold (fun k v acc -> if keep v then (k, v) :: acc else acc) tbl []
-    |> List.sort compare
-  in
-  let dump_imem m =
-    let acc = ref [] in
-    Intmap.iter (fun k v -> if v <> 0 then acc := (k, v) :: !acc) m;
-    List.sort compare !acc
-  in
+  let imem, fmem = Exec.memory st in
   {
     iregs = Array.copy st.Exec.iregs;
     fregs = Array.copy st.Exec.fregs;
-    imem = dump_imem st.Exec.imem;
-    fmem = dump st.Exec.fmem (fun v -> v <> 0.);
+    imem = List.filter (fun (_, v) -> v <> 0) imem;
+    fmem = List.filter (fun (_, v) -> v <> 0.) fmem;
   }
 
 (* Polymorphic [compare], not [(<>)]: fdiv produces NaNs, and structural

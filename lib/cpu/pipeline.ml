@@ -438,9 +438,10 @@ let commit_one t idx =
   release_dest_code t (Rob.old_code t.rob idx);
   (* Memory instructions leave the LSQ in program order at commit. *)
   if Rob.lsq_slot t.rob idx >= 0 then Lsq.pop_head t.lsq ~rob_idx:idx;
-  (* The predictor trains at fetch (see [fetch_stage]): with no wrong-path
-     instructions, fetch order equals commit order, so updating there is
-     exact and avoids stale-history aliasing for in-flight branches. *)
+  (* The predictor trains at fetch (see [fetch_stage]), on correct-path
+     branches only: their fetch order equals commit order, so updating
+     there is exact and avoids stale-history aliasing for in-flight
+     branches. *)
   (* Stores write the data cache at commit; write misses allocate but do
      not stall the pipeline (a write buffer is assumed). *)
   if Instr.is_store i then begin

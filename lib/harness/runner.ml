@@ -5,8 +5,8 @@
    There are three execution regimes — a detailed run to an instruction
    budget, a SMARTS-sampled run of the whole program, and a profiled run
    with the region-attribution profiler on the bus — and one path drives
-   them all: [Technique.build] makes the machine, the runner's checker
-   factory (if any) rides its bus, and the regime's [step] runs it. Each
+   them all: the regime's [step] asks for the machine ([Technique.build],
+   with the runner's checker factory, if any, on its bus) and runs it. Each
    regime has its own memo table: a sampled run is a different
    execution and must never alias a detailed one, and a profiled pair is
    a dedicated simulation, so conservation tests compare two independent
@@ -40,9 +40,14 @@ type 'r regime = {
   pair_span : string; (* one simulation *)
   campaign_span : string; (* one campaign over the grid *)
   memo : (key, 'r) Hashtbl.t;
-  step : Bench.t -> Technique.t -> Sdiq_cpu.Pipeline.t -> 'r;
-      (* runs the built, initialised machine; pure given the runner's
-         config, so safe on any domain *)
+  step :
+    Bench.t ->
+    Technique.t ->
+    (?prog:Sdiq_isa.Prog.t -> unit -> Sdiq_cpu.Pipeline.t) ->
+    'r;
+      (* gets the built, initialised machine ([?prog]: an already
+         prepared binary) and runs it; pure given the runner's config,
+         so safe on any domain *)
 }
 
 type t = {
@@ -75,23 +80,24 @@ let create ?(config = Sdiq_cpu.Config.default) ?sched ?(budget = 100_000)
     pool = Sdiq_util.Pool.create ?domains ();
     checker;
     detailed =
-      regime "sim.pair" "campaign.run_all" (fun _ _ p ->
-          Sdiq_cpu.Pipeline.run ~max_insns:budget p);
+      regime "sim.pair" "campaign.run_all" (fun _ _ machine ->
+          Sdiq_cpu.Pipeline.run ~max_insns:budget (machine ()));
     (* The checker hook fires on every detailed cycle, warmup and
        measured alike, so a checkered sampled campaign audits every
        detailed window. *)
     sampled =
-      regime "sim.sampled_pair" "campaign.run_all_sampled" (fun _ _ p ->
-          Sampling.sample ~config:sample_config p);
-    (* The region map's running binary is structurally equal to
-       [Technique.prepare]'s — both make it by [Driver.apply_mode] on the
-       technique's recipe — so the map attributes the machine [build]
-       made. *)
+      regime "sim.sampled_pair" "campaign.run_all_sampled" (fun _ _ machine ->
+          Sampling.sample ~config:sample_config (machine ()));
+    (* The machine runs the region map's own binary, so the technique's
+       recipe is applied once and the map attributes the very program
+       that runs. *)
     profiled =
-      regime "sim.profile_pair" "campaign.profile_all" (fun bench tech p ->
+      regime "sim.profile_pair" "campaign.profile_all"
+        (fun bench tech machine ->
           let map =
             Sdiq_obs.Region.build (Technique.recipe tech) bench.Bench.prog
           in
+          let p = machine ~prog:(Sdiq_obs.Region.running_prog map) () in
           let prof = Sdiq_obs.Profiler.attach map p in
           let (_ : Sdiq_cpu.Stats.t) =
             Sdiq_cpu.Pipeline.run ~max_insns:budget p
@@ -118,12 +124,15 @@ let simulate_pair t rg ~sched name technique =
     ~attrs:[ ("bench", name); ("technique", Technique.name technique) ]
   @@ fun () ->
   let bench = find_bench t name in
-  let p = Technique.build ~config:t.config ~sched technique bench in
-  Option.iter
-    (fun mk ->
-      Sdiq_cpu.Pipeline.on_cycle_end ~name:"campaign-checker" p (mk ()))
-    t.checker;
-  rg.step bench technique p
+  let machine ?prog () =
+    let p = Technique.build ~config:t.config ~sched ?prog technique bench in
+    Option.iter
+      (fun mk ->
+        Sdiq_cpu.Pipeline.on_cycle_end ~name:"campaign-checker" p (mk ()))
+      t.checker;
+    p
+  in
+  rg.step bench technique machine
 
 (* The memo probe, counted on the span log. *)
 let cached rg key =

@@ -60,12 +60,16 @@ let policy t : Sdiq_cpu.Policy.t =
   | Abella -> Sdiq_cpu.Policy.abella ()
 
 (* The one way to build a (benchmark, technique) machine: prepare the
-   binary, take a fresh policy, create the pipeline and load the
-   benchmark's initial memory. Callers then attach their sinks and pick
-   the execution regime. *)
-let build ?config ?sched t (bench : Sdiq_workloads.Bench.t) :
+   binary (unless the caller already has it), take a fresh policy,
+   create the pipeline and load the benchmark's initial memory. Callers
+   then attach their sinks and pick the execution regime. *)
+let build ?config ?sched ?prog t (bench : Sdiq_workloads.Bench.t) :
     Sdiq_cpu.Pipeline.t =
-  let prog = prepare t bench.Sdiq_workloads.Bench.prog in
+  let prog =
+    match prog with
+    | Some p -> p
+    | None -> prepare t bench.Sdiq_workloads.Bench.prog
+  in
   let p = Sdiq_cpu.Pipeline.create ?config ~policy:(policy t) ?sched prog in
   bench.Sdiq_workloads.Bench.init p.Sdiq_cpu.Pipeline.exec;
   p

@@ -41,11 +41,15 @@ val policy : t -> Sdiq_cpu.Policy.t
     [Pipeline.create] it under a fresh {!policy}, and run the benchmark's
     [init] on the new machine's memory — the one way the harness and the
     CLIs build a (benchmark, technique) pipeline. [?config] and [?sched]
-    are passed to [Pipeline.create]. Attach sinks to the result, then
-    run it in whatever regime the caller wants. *)
+    are passed to [Pipeline.create]. [?prog] is the binary when the
+    caller has already prepared it (the profiled runner loads its region
+    map's binary); it must be [prepare tech]'s binary for the bench's
+    program. Attach sinks to the result, then run it in whatever regime
+    the caller wants. *)
 val build :
   ?config:Sdiq_cpu.Config.t ->
   ?sched:Sdiq_cpu.Sched.t ->
+  ?prog:Sdiq_isa.Prog.t ->
   t ->
   Sdiq_workloads.Bench.t ->
   Sdiq_cpu.Pipeline.t

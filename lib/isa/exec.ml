@@ -21,6 +21,54 @@ type dyn = {
   addr : int;     (* memory effective address, -1 for non-memory ops *)
 }
 
+(* A benchmark's initial memory, frozen: every machine of the benchmark
+   loads the one image and keeps its own stores in its overlay, so the
+   image is shared read-only and never written after [freeze].
+   Word-aligned int words live in 4 KiB pages of 1,024 slots, found
+   through a page table; any other key (an int word off the 4-byte
+   grid, an fp word) lives in a side table. A page slot of 0 reads as
+   unwritten memory. *)
+type image = {
+  page_of : Intmap.t; (* page number -> index into [pages] *)
+  pages : int array array;
+  loose : Intmap.t; (* int words off the 4-byte grid *)
+  floats : (int, float) Hashtbl.t;
+}
+
+let page_words = 1024
+let page_number addr = addr asr 12
+let page_slot addr = (addr lsr 2) land (page_words - 1)
+let page_addr page slot = (page lsl 12) lor (slot lsl 2)
+
+let no_image =
+  {
+    page_of = Intmap.create 1;
+    pages = [||];
+    loose = Intmap.create 1;
+    floats = Hashtbl.create 1;
+  }
+
+let image_peek im addr =
+  if addr land 3 = 0 then
+    let p = Intmap.find im.page_of (page_number addr) ~default:(-1) in
+    if p < 0 then 0
+    else Array.unsafe_get (Array.unsafe_get im.pages p) (page_slot addr)
+  else Intmap.find im.loose addr ~default:0
+
+let image_fpeek im addr =
+  if Hashtbl.length im.floats = 0 then 0.
+  else match Hashtbl.find_opt im.floats addr with Some v -> v | None -> 0.
+
+let iter_image im ~int ~float =
+  Intmap.iter
+    (fun page p ->
+      Array.iteri
+        (fun slot v -> if v <> 0 then int (page_addr page slot) v)
+        im.pages.(p))
+    im.page_of;
+  Intmap.iter int im.loose;
+  Hashtbl.iter float im.floats
+
 type state = {
   prog : Prog.t;
   iregs : int array;
@@ -30,6 +78,9 @@ type state = {
   base : state option;
       (* a shadow's backing state: [imem]/[fmem] are then a store
          overlay, and an address the overlay lacks reads [base]'s memory *)
+  mutable image : image;
+      (* below the overlay: what an address neither the overlay nor a
+         base holds reads; [no_image] until [load] *)
   mutable stack : int list; (* return addresses *)
   mutable pc : int;
   mutable steps : int;
@@ -41,8 +92,9 @@ type state = {
   mutable d_addr : int;
 }
 
-(* Memory tables start small and double as stores fill them: every
-   pipeline builds a state, and most runs touch little memory. *)
+(* The overlay starts small and doubles as stores fill it: a machine's
+   initial memory is its image, so the overlay holds only the run's own
+   stores. *)
 let make prog base =
   {
     prog;
@@ -51,6 +103,7 @@ let make prog base =
     imem = Intmap.create 64;
     fmem = Hashtbl.create 16;
     base;
+    image = no_image;
     stack = [];
     pc = prog.Prog.entry;
     steps = 0;
@@ -73,19 +126,78 @@ let fork t =
     Intmap.clear t.imem;
     if Hashtbl.length t.fmem > 0 then Hashtbl.reset t.fmem
 
+(* One read-through rule: the overlay, then a shadow's base, then the
+   image. *)
 let rec peek t addr =
-  match t.base with
-  | Some b when not (Intmap.mem t.imem addr) -> peek b addr
-  | _ -> Intmap.find t.imem addr ~default:0
+  let i = Intmap.find_slot t.imem addr in
+  if i >= 0 then Intmap.slot_value t.imem i
+  else
+    match t.base with
+    | Some b -> peek b addr
+    | None -> image_peek t.image addr
 
 let poke t addr v = Intmap.replace t.imem addr v
 
 let rec fpeek t addr =
   match Hashtbl.find_opt t.fmem addr with
   | Some v -> v
-  | None -> ( match t.base with Some b -> fpeek b addr | None -> 0.)
+  | None -> (
+    match t.base with
+    | Some b -> fpeek b addr
+    | None -> image_fpeek t.image addr)
 
 let fpoke t addr v = Hashtbl.replace t.fmem addr v
+
+(* Every address [t] can read a binding at, once each: the overlay's
+   bindings, then what lies below them and the overlay does not cover. *)
+let rec iter_memory t ~int ~float =
+  Intmap.iter int t.imem;
+  Hashtbl.iter float t.fmem;
+  let int a v = if not (Intmap.mem t.imem a) then int a v
+  and float a v = if not (Hashtbl.mem t.fmem a) then float a v in
+  match t.base with
+  | Some b -> iter_memory b ~int ~float
+  | None -> iter_image t.image ~int ~float
+
+let memory t =
+  let ints = ref [] and floats = ref [] in
+  iter_memory t
+    ~int:(fun a v -> ints := (a, v) :: !ints)
+    ~float:(fun a v -> floats := (a, v) :: !floats);
+  (List.sort compare !ints, List.sort compare !floats)
+
+let freeze t =
+  let page_of = Intmap.create 64 and loose = Intmap.create 16 in
+  let floats = Hashtbl.create 16 in
+  let pages = ref (Array.make 16 [||]) in
+  let page n =
+    let p = Intmap.find page_of n ~default:(-1) in
+    if p >= 0 then !pages.(p)
+    else begin
+      let p = Intmap.count page_of in
+      if p = Array.length !pages then
+        pages := Array.append !pages (Array.make p [||]);
+      let words = Array.make page_words 0 in
+      !pages.(p) <- words;
+      Intmap.replace page_of n p;
+      words
+    end
+  in
+  iter_memory t
+    ~int:(fun a v ->
+      if v <> 0 then
+        if a land 3 = 0 then (page (page_number a)).(page_slot a) <- v
+        else Intmap.replace loose a v)
+    ~float:(Hashtbl.replace floats);
+  { page_of; pages = Array.sub !pages 0 (Intmap.count page_of); loose; floats }
+
+let load t im =
+  if
+    Option.is_some t.base || t.image != no_image || t.steps > 0
+    || Intmap.count t.imem > 0
+    || Hashtbl.length t.fmem > 0
+  then invalid_arg "Exec.load: state is not pristine";
+  t.image <- im
 
 let ireg t r = if r = 0 then 0 else t.iregs.(r)
 let set_ireg t r v = if r <> 0 then t.iregs.(r) <- v

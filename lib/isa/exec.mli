@@ -20,7 +20,11 @@ type dyn = {
   addr : int;     (** memory effective address, -1 for non-memory ops *)
 }
 
-type state = {
+(** A benchmark's initial memory, frozen by {!freeze}: read-only, and
+    shared by every state that {!load}s it. *)
+type image
+
+type state = private {
   prog : Prog.t;
   iregs : int array;
   fregs : float array;
@@ -29,6 +33,9 @@ type state = {
   base : state option;
       (** a shadow's backing state: [imem]/[fmem] then hold only the
           shadow's own stores, and other addresses read [base]'s memory *)
+  mutable image : image;
+      (** what an address the overlay ([imem]/[fmem]) lacks reads, for a
+          state that is not a shadow; set only by {!load} *)
   mutable stack : int list;
   mutable pc : int;
   mutable steps : int;
@@ -51,13 +58,29 @@ val shadow : state -> state
     Raises [Invalid_argument] on a state that is not a shadow. *)
 val fork : state -> unit
 
-(** Integer memory access (word granularity; unwritten reads 0; a
-    shadow reads through to its base). *)
+(** Integer memory access (word granularity). A load reads the state's
+    own overlay, then a shadow's base, then the state's image; an
+    address none of them holds reads 0. Stores go to the overlay only. *)
 val peek : state -> int -> int
 
 val poke : state -> int -> int -> unit
 val fpeek : state -> int -> float
 val fpoke : state -> int -> float -> unit
+
+(** Every binding the state can read, sorted by address, int words then
+    fp words: the overlay's (stored zeros included), then those below it
+    (a shadow's base, or the image) that the overlay does not cover. An
+    image holds no int zero: such a word reads as unwritten memory. *)
+val memory : state -> (int * int) list * (int * float) list
+
+(** Freeze what [state] can read into an image: every address reads the
+    same from a state that {!load}s it as from [state]. *)
+val freeze : state -> image
+
+(** Put an image under a pristine state's overlay: one not yet stepped,
+    stored to or loaded, and not a shadow. Raises [Invalid_argument] on
+    any other state. *)
+val load : state -> image -> unit
 
 (** Every non-control effect of one instruction: ALU and FP results,
     loads and stores, and [d_addr] (the effective address, [-1] for a

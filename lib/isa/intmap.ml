@@ -47,7 +47,13 @@ let find t k ~default =
   if Bytes.unsafe_get t.used i = '\001' then Array.unsafe_get t.vals i
   else default
 
-let mem t k = Bytes.unsafe_get t.used (slot t k) = '\001'
+let find_slot t k =
+  let i = slot t k in
+  if Bytes.unsafe_get t.used i = '\001' then i else -1
+
+let mem t k = find_slot t k >= 0
+
+let slot_value t i = Array.unsafe_get t.vals i
 
 let rec replace t k v =
   let i = slot t k in

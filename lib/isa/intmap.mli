@@ -13,6 +13,14 @@ val find : t -> int -> default:int -> int
 (** Whether [k] is bound. *)
 val mem : t -> int -> bool
 
+(** The slot holding [k], or [-1] when [k] is unbound. With
+    {!slot_value}, one probe serves a caller that reads another table
+    on a miss. *)
+val find_slot : t -> int -> int
+
+(** The value in a slot {!find_slot} returned. *)
+val slot_value : t -> int -> int
+
 (** Bind [k] to [v], replacing any previous binding. *)
 val replace : t -> int -> int -> unit
 

@@ -15,11 +15,26 @@ type t = {
   init : Exec.state -> unit;
 }
 
+(* [init] loads one image, built by the first call: the initialiser
+   runs once per [t], on a scratch state, and every machine of the
+   benchmark shares what it wrote. The lock makes a first call on two
+   domains at once build it once ([Lazy] would raise [Undefined] on the
+   second domain). Nothing is built before the first call, so making the
+   suite stays cheap. *)
 let make ~name ~description ~build ~init =
   let b = Asm.create () in
   build b;
   let prog = Asm.assemble b ~entry:"main" in
+  let lock = Mutex.create () and image = ref None in
+  let frozen () =
+    match !image with
+    | Some im -> im
+    | None ->
+      let st = Exec.create prog in
+      init st;
+      let im = Exec.freeze st in
+      image := Some im;
+      im
+  in
+  let init st = Exec.load st (Mutex.protect lock frozen) in
   { name; description; prog; init }
-
-(* Convenience: a workload whose program was built elsewhere. *)
-let of_prog ~name ~description prog ~init = { name; description; prog; init }

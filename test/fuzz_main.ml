@@ -124,11 +124,6 @@ let () =
     ignore (Sdiq_cpu.Pipeline.run ~max_cycles:2_000_000 p : Sdiq_cpu.Stats.t);
     (Array.of_list (List.rev !commits), p.Sdiq_cpu.Pipeline.exec)
   in
-  let sorted_bindings iter tbl =
-    let acc = ref [] in
-    iter (fun k v -> acc := (k, v) :: !acc) tbl;
-    List.sort compare !acc
-  in
   (* [compare], not [<>]: random fp programs do produce NaN (inf - inf
      and friends), and structural float inequality would flag a pair of
      identical NaNs as a divergence. [compare nan nan = 0]. *)
@@ -138,26 +133,18 @@ let () =
       Some "int registers"
     else if differ a.Sdiq_isa.Exec.fregs b.Sdiq_isa.Exec.fregs then
       Some "fp registers"
-    else if
-      differ
-        (sorted_bindings
-           (fun f t -> Sdiq_isa.Intmap.iter f t)
-           a.Sdiq_isa.Exec.imem)
-        (sorted_bindings
-           (fun f t -> Sdiq_isa.Intmap.iter f t)
-           b.Sdiq_isa.Exec.imem)
-    then Some "int memory"
-    else if
-      differ
-        (sorted_bindings (fun f t -> Hashtbl.iter f t) a.Sdiq_isa.Exec.fmem)
-        (sorted_bindings (fun f t -> Hashtbl.iter f t) b.Sdiq_isa.Exec.fmem)
-    then Some "fp memory"
-    else if a.Sdiq_isa.Exec.pc <> b.Sdiq_isa.Exec.pc then Some "final pc"
-    else if a.Sdiq_isa.Exec.steps <> b.Sdiq_isa.Exec.steps then
-      Some "instruction count"
-    else if a.Sdiq_isa.Exec.halted <> b.Sdiq_isa.Exec.halted then
-      Some "halt flag"
-    else None
+    else
+      (* Every binding each state can read, stored zeros included. *)
+      let aint, afp = Sdiq_isa.Exec.memory a in
+      let bint, bfp = Sdiq_isa.Exec.memory b in
+      if differ aint bint then Some "int memory"
+      else if differ afp bfp then Some "fp memory"
+      else if a.Sdiq_isa.Exec.pc <> b.Sdiq_isa.Exec.pc then Some "final pc"
+      else if a.Sdiq_isa.Exec.steps <> b.Sdiq_isa.Exec.steps then
+        Some "instruction count"
+      else if a.Sdiq_isa.Exec.halted <> b.Sdiq_isa.Exec.halted then
+        Some "halt flag"
+      else None
   in
   let wp_failures = ref 0 in
   for i = 0 to n - 1 do

@@ -321,6 +321,107 @@ let test_fork_copies_registers_drops_overlay () =
     (Invalid_argument "Exec.fork: not a shadow state") (fun () ->
       Exec.fork base)
 
+(* --- the frozen initial-memory image ------------------------------------- *)
+
+type poke = Word of int * int | Fword of int * float
+
+(* Addresses anywhere (negative, huge, off the 4-byte grid), and some
+   packed onto few pages so that neighbouring slots are both written. *)
+let gen_addr =
+  QCheck.Gen.(
+    oneof
+      [
+        int;
+        int_range (-5000) 5000;
+        map (fun w -> 4 * w) (int_range (-3000) 3000);
+        map (fun w -> 0x10_0000 + (4 * w)) (int_range 0 2048);
+      ])
+
+let gen_poke =
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (fun a v -> Word (a, v)) gen_addr
+          (oneof [ return 0; small_signed_int; int ]);
+        map2 (fun a v -> Fword (a, v)) gen_addr
+          (oneof [ return 0.; return (-0.); float ]);
+      ])
+
+let print_poke = function
+  | Word (a, v) -> Printf.sprintf "poke %d %d" a v
+  | Fword (a, v) -> Printf.sprintf "fpoke %d %h" a v
+
+let apply_pokes st =
+  List.iter (function
+    | Word (a, v) -> Exec.poke st a v
+    | Fword (a, v) -> Exec.fpoke st a v)
+
+let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* The image holds exactly what the state could read, overlay over an
+   earlier image included: every poked address and its neighbours read
+   the same through [load (freeze st)] as through [st], and the memory
+   views agree up to int zeros (which read as unwritten memory). *)
+let prop_image_reads_like_its_state =
+  QCheck.Test.make ~count:300 ~name:"load (freeze st) reads like st"
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list print_poke) (list print_poke))
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 0 40) gen_poke)
+           (list_size (int_range 0 40) gen_poke)))
+    (fun (first, second) ->
+      let prog = one_proc_prog () in
+      let st0 = Exec.create prog in
+      apply_pokes st0 first;
+      let st = Exec.create prog in
+      Exec.load st (Exec.freeze st0);
+      apply_pokes st second;
+      let loaded = Exec.create prog in
+      Exec.load loaded (Exec.freeze st);
+      let reads_same a =
+        Exec.peek st a = Exec.peek loaded a
+        && same_float (Exec.fpeek st a) (Exec.fpeek loaded a)
+      in
+      let near = [ -4096; -8; -4; -1; 0; 1; 4; 8; 4096 ] in
+      let addr = function Word (a, _) | Fword (a, _) -> a in
+      let nonzero (ints, floats) =
+        (List.filter (fun (_, v) -> v <> 0) ints, floats)
+      in
+      List.for_all
+        (fun p -> List.for_all (fun d -> reads_same (addr p + d)) near)
+        (first @ second)
+      && compare (nonzero (Exec.memory st)) (Exec.memory loaded) = 0)
+
+let test_load_needs_pristine_state () =
+  let prog = one_proc_prog () in
+  let image =
+    let st = Exec.create prog in
+    Exec.poke st 8 1;
+    Exec.freeze st
+  in
+  let refuses what st =
+    Alcotest.check_raises what
+      (Invalid_argument "Exec.load: state is not pristine") (fun () ->
+        Exec.load st image)
+  in
+  let fresh () = Exec.create prog in
+  let stored = fresh () in
+  Exec.poke stored 4 0;
+  refuses "after an int store" stored;
+  let fstored = fresh () in
+  Exec.fpoke fstored 4 0.;
+  refuses "after an fp store" fstored;
+  let stepped = fresh () in
+  ignore (Exec.step stepped : Exec.dyn option);
+  refuses "after a step" stepped;
+  let loaded = fresh () in
+  Exec.load loaded image;
+  refuses "when already loaded" loaded;
+  refuses "on a shadow" (Exec.shadow (fresh ()));
+  Alcotest.(check int) "the loaded state reads the image" 1
+    (Exec.peek loaded 8)
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arith;
@@ -343,4 +444,7 @@ let suite =
       test_shadow_loads_read_overlay_then_base;
     Alcotest.test_case "fork copies registers, drops overlay" `Quick
       test_fork_copies_registers_drops_overlay;
+    QCheck_alcotest.to_alcotest prop_image_reads_like_its_state;
+    Alcotest.test_case "load needs a pristine state" `Quick
+      test_load_needs_pristine_state;
   ]

@@ -249,6 +249,22 @@ let test_region_map_matches_technique () =
         Technique.extended)
     (Sdiq_workloads.Suite.tiny ())
 
+(* The profiled runner regime prepares each binary once: its machine
+   runs the very program the region map was built on. *)
+let test_profiled_machine_runs_map_binary () =
+  let bench = List.hd (Sdiq_workloads.Suite.tiny ()) in
+  let running = ref None in
+  let checker () p = running := Some p.Pipeline.prog in
+  let runner = Runner.create ~budget:500 ~benches:[ bench ] ~checker () in
+  List.iter
+    (fun tech ->
+      let prof = Runner.profile runner bench.Bench.name tech in
+      Alcotest.(check bool)
+        (Technique.name tech ^ ": machine program == running_prog map")
+        true
+        (Option.get !running == Region.running_prog (Profiler.map prof)))
+    Technique.extended
+
 (* --- conservation ------------------------------------------------------- *)
 
 let budget = 2_000
@@ -393,6 +409,8 @@ let suite =
     Alcotest.test_case "region map: noop delivery" `Quick test_region_map_noop;
     Alcotest.test_case "region map: running binary matches prepare" `Quick
       test_region_map_matches_technique;
+    Alcotest.test_case "profiled machine runs the map's binary" `Quick
+      test_profiled_machine_runs_map_binary;
     Alcotest.test_case "attribution conservation (all benches x deliveries)"
       `Quick test_attribution_conservation;
     Alcotest.test_case "slack report flags over-provisioned regions" `Quick

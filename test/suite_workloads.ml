@@ -134,6 +134,88 @@ let test_every_bench_analyzable () =
         (Exec.peek st 0) (Exec.peek st' 0))
     (Suite.tiny ())
 
+(* --- the shared initial-memory image ------------------------------------ *)
+
+module Technique = Sdiq_harness.Technique
+module Pipeline = Sdiq_cpu.Pipeline
+
+(* Machines of one benchmark share its image, never each other's stores:
+   stores on one machine, or on its wrong-path shadow, reach neither the
+   other machine, nor a machine built afterwards, nor the image. *)
+let test_machines_share_image_not_stores () =
+  let bench = find "gzip" in
+  let a = Technique.build Technique.Baseline bench in
+  let b = Technique.build Technique.Noop bench in
+  let addr, v =
+    List.find (fun (a, _) -> a land 3 = 0) (fst (Exec.memory a.Pipeline.exec))
+  in
+  let far = 0x7000_0000 in
+  Exec.poke a.Pipeline.exec addr (v + 1);
+  Exec.poke a.Pipeline.exec far 7;
+  Exec.fpoke a.Pipeline.exec far 2.5;
+  let shadow = b.Pipeline.wp_exec in
+  Exec.fork shadow;
+  Exec.poke shadow addr (v + 2);
+  Exec.poke shadow (far + 4) 9;
+  Alcotest.(check int) "a reads its store" (v + 1)
+    (Exec.peek a.Pipeline.exec addr);
+  Alcotest.(check int) "b's shadow reads its store" (v + 2)
+    (Exec.peek shadow addr);
+  Alcotest.(check int) "b's shadow reads through to b" 0
+    (Exec.peek shadow far);
+  let pristine name (st : Exec.state) =
+    Alcotest.(check int) (name ^ ": image word") v (Exec.peek st addr);
+    Alcotest.(check int) (name ^ ": unwritten word") 0 (Exec.peek st far);
+    Alcotest.(check int) (name ^ ": unwritten word 2") 0
+      (Exec.peek st (far + 4));
+    Alcotest.(check (float 0.)) (name ^ ": unwritten fp word") 0.
+      (Exec.fpeek st far)
+  in
+  pristine "b" b.Pipeline.exec;
+  let c = Technique.build Technique.Improved bench in
+  pristine "a third machine" c.Pipeline.exec;
+  let st = Exec.create bench.Bench.prog in
+  bench.Bench.init st;
+  pristine "the image" st;
+  Alcotest.(check bool) "b and a fresh load read the same memory" true
+    (Exec.memory b.Pipeline.exec = Exec.memory st)
+
+(* The first [init] of a benchmark, on two domains at once: both load
+   one image, and it holds what the initialiser writes on a plain
+   state. *)
+let test_first_init_on_two_domains () =
+  let raw st =
+    Sdiq_workloads.Gen.fill_random (Sdiq_util.Rng.create 7) st ~base:0x1000
+      ~len:50_000 ~max:1000;
+    Exec.poke st 0x1001 5;
+    Exec.fpoke st 0x2000 1.5
+  in
+  let bench =
+    Bench.make ~name:"race" ~description:"two first inits"
+      ~build:(fun b -> Asm.halt (Asm.proc b "main"))
+      ~init:raw
+  in
+  let ready = Atomic.make 0 in
+  let first_init () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    let st = Exec.create bench.Bench.prog in
+    bench.Bench.init st;
+    Exec.memory st
+  in
+  let d1 = Domain.spawn first_init and d2 = Domain.spawn first_init in
+  let m1 = Domain.join d1 and m2 = Domain.join d2 in
+  let expected =
+    let st = Exec.create bench.Bench.prog in
+    raw st;
+    let ints, floats = Exec.memory st in
+    (List.filter (fun (_, v) -> v <> 0) ints, floats)
+  in
+  Alcotest.(check bool) "both domains see equal memory" true (m1 = m2);
+  Alcotest.(check bool) "the initialiser's memory" true (m1 = expected)
+
 let suite =
   [
     Alcotest.test_case "suite matches the paper" `Quick test_suite_complete;
@@ -153,4 +235,8 @@ let suite =
       test_benchmarks_have_stores_and_loads;
     Alcotest.test_case "all analyzable, semantics preserved" `Quick
       test_every_bench_analyzable;
+    Alcotest.test_case "machines share the image, not stores" `Quick
+      test_machines_share_image_not_stores;
+    Alcotest.test_case "first init on two domains" `Quick
+      test_first_init_on_two_domains;
   ]
