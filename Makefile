@@ -5,7 +5,7 @@ REPORT  := _build/default/bin/report.exe
 FIGS    := fig6,fig7,fig8,fig9,fig10,fig11,fig12
 FUZZ_N  ?= 500
 
-.PHONY: all build test lint tighten-audit campaign fuzz check-campaign trace profile policy-grid telemetry perf-gate
+.PHONY: all build test lint surface tighten-audit campaign fuzz check-campaign trace profile policy-grid telemetry perf-gate
 
 all: build lint
 
@@ -22,6 +22,24 @@ test:
 lint:
 	dune build bin/lint.exe
 	dune exec bin/lint.exe -- --json _build/lint-findings.json
+
+# Dead-export guard: list every `val` in lib/**/*.mli whose name occurs as
+# a word in no .ml under lib, bin, bench, examples or test other than its
+# own module's; exit 1 if any is listed. A name used anywhere else counts
+# as a use, so the scan can miss a dead export but never flags a live one.
+surface:
+	@dead=$$(for mli in $$(find lib -name '*.mli' | sort); do \
+	  for v in $$(sed -n 's/^ *val \([a-z_][A-Za-z0-9_]*\).*/\1/p' $$mli | sort -u); do \
+	    grep -rlw --include='*.ml' -- "$$v" lib bin bench examples test \
+	      | grep -vqx "$${mli%i}" || echo "$$mli: $$v"; \
+	  done; \
+	done); \
+	if [ -n "$$dead" ]; then \
+	  echo "$$dead"; \
+	  echo "surface: exported but never called outside its module" >&2; \
+	  exit 1; \
+	fi; \
+	echo "surface: every exported value has a caller"
 
 # Tightening gate: re-derive every region's minimal sound window,
 # deliver it, re-audit with the trip-count-refined soundness pass plus

@@ -76,7 +76,9 @@ let build () =
 let () =
   let bench = build () in
   (* Show what the compiler decided for each region. *)
-  let _, anns = Sdiq_core.Annotate.noop bench.Sdiq_workloads.Bench.prog in
+  let _, anns =
+    Sdiq_core.Annotate.(apply Noop) bench.Sdiq_workloads.Bench.prog
+  in
   Fmt.pr "the analysis found %d regions:@." (List.length anns);
   List.iter
     (fun (a : Sdiq_core.Procedure.annotation) ->

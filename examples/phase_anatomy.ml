@@ -68,7 +68,7 @@ let () =
   let prog = program () in
   (* The compiler sees both phases statically and sizes each loop's
      region: print its verdicts. *)
-  let annotated, anns = Sdiq_core.Annotate.extension prog in
+  let annotated, anns = Sdiq_core.Annotate.(apply Tagged) prog in
   Fmt.pr "compiler's per-region verdicts:@.";
   List.iter
     (fun (a : Sdiq_core.Procedure.annotation) ->

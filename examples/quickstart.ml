@@ -39,7 +39,7 @@ let () =
   let prog = program () in
 
   (* 1. The compiler pass: analyse and insert special NOOPs. *)
-  let annotated, annotations = Sdiq_core.Annotate.noop prog in
+  let annotated, annotations = Sdiq_core.Annotate.(apply Noop) prog in
   Fmt.pr "compiler analysis produced %d annotations:@."
     (List.length annotations);
   List.iter
@@ -49,11 +49,10 @@ let () =
     annotations;
 
   (* 2. Simulate baseline and software-directed configurations. *)
-  let base = Sdiq_cpu.Pipeline.simulate prog in
+  let base = Sdiq_cpu.Pipeline.(run (create prog)) in
   let tech =
-    Sdiq_cpu.Pipeline.simulate
-      ~policy:(Sdiq_cpu.Policy.software ())
-      annotated
+    Sdiq_cpu.Pipeline.(
+      run (create ~policy:(Sdiq_cpu.Policy.software ()) annotated))
   in
   Fmt.pr "@.baseline:  %a@." Sdiq_cpu.Stats.pp base;
   Fmt.pr "@.directed:  %a@." Sdiq_cpu.Stats.pp tech;

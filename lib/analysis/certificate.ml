@@ -196,11 +196,16 @@ let occupancy_bound t ~start =
     (fun r -> if r.start = start then Some r.occ_bound else None)
     t.regions
 
+(* Static bound on [iq_wakeups_gated] given the measured broadcast
+   count. *)
 let wakeups_bound t ~broadcasts = 2 * t.occ_bound * broadcasts
 
+(* Static bound on [iq_banks_on_sum] given the measured cycle count. *)
 let bank_cycles_bound cfg t ~cycles =
   min (Config.iq_banks cfg) t.occ_bound * cycles
 
+(* Upper bound on the technique-view IQ energy (dynamic + static) of a
+   run with these measured statistics. *)
 let energy_bound (p : Params.t) cfg t (s : Stats.t) : float =
   let bank_cycles =
     float_of_int (bank_cycles_bound cfg t ~cycles:s.Stats.cycles)

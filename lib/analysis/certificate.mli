@@ -45,18 +45,6 @@ val build : Sdiq_cpu.Config.t -> Sdiq_isa.Prog.t -> t
     address opens one. *)
 val occupancy_bound : t -> start:int -> int option
 
-(** Static bound on [iq_wakeups_gated] given the measured broadcast
-    count. *)
-val wakeups_bound : t -> broadcasts:int -> int
-
-(** Static bound on [iq_banks_on_sum] given the measured cycle count. *)
-val bank_cycles_bound : Sdiq_cpu.Config.t -> t -> cycles:int -> int
-
-(** Upper bound on the technique-view IQ energy (dynamic + static) of
-    a run with these measured statistics. *)
-val energy_bound :
-  Sdiq_power.Params.t -> Sdiq_cpu.Config.t -> t -> Sdiq_cpu.Stats.t -> float
-
 (** Validate the certificate against a measured run: an [Error] finding
     for any measured counter or energy exceeding its certified bound,
     else one [Info] finding stating what was certified. *)

@@ -53,6 +53,8 @@ let apply_mode ?tripcounts mode prog =
     Tighten.apply ~opts:mode.opts ~tripcounts mode.delivery prog
   else Annotate.apply ~opts:mode.opts mode.delivery prog
 
+(* The annotation-list audit matching the mode: [Soundness.audit], or
+   the trip-count refined [Tighten.audit] for the tightened mode. *)
 let audit_annotations ~tripcounts mode prog annotations =
   if mode.tightened then
     Tighten.audit ~opts:mode.opts ~tripcounts prog annotations

@@ -25,22 +25,13 @@ val mode_named : string -> mode option
     as long as this stays deterministic. [tripcounts] (read by the
     tightened mode only; the table is lazy, so other modes never build
     it) defaults to a fresh {!Tripcount.of_program} table; give
-    {!audit_annotations} the same one and the interval analysis runs
+    {!audit_mode} the same one and the interval analysis runs
     once for both. *)
 val apply_mode :
   ?tripcounts:(Sdiq_isa.Prog.proc -> (int, int) Hashtbl.t) ->
   mode ->
   Sdiq_isa.Prog.t ->
   Sdiq_isa.Prog.t * Sdiq_core.Procedure.annotation list
-
-(** The annotation-list audit matching the mode: {!Soundness.audit}, or
-    {!Tighten.audit} (trip-count refined) for the tightened mode. *)
-val audit_annotations :
-  tripcounts:(Sdiq_isa.Prog.proc -> (int, int) Hashtbl.t) ->
-  mode ->
-  Sdiq_isa.Prog.t ->
-  Sdiq_core.Procedure.annotation list ->
-  Finding.t list
 
 (** Soundness audit plus delivery-integrity and wrong-path lints for
     one mode: the program is prepared by {!apply_mode}, then both

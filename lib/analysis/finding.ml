@@ -62,11 +62,6 @@ let to_json ?(extra = []) t =
     Fmt.(list ~sep:(any ",") int)
     t.blocks (esc t.message)
 
-let list_to_json ?extra l =
-  Fmt.str "[@[<v>%a@]]"
-    Fmt.(list ~sep:(any ",@,") (fun ppf f -> Fmt.string ppf (to_json ?extra f)))
-    l
-
 let pp_summary ppf l =
   Fmt.pf ppf "%d errors, %d warnings, %d infos" (errors l) (warnings l)
     (infos l)

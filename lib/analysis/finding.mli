@@ -29,8 +29,6 @@ val make :
   string ->
   t
 
-val severity_name : severity -> string
-
 (** Errors first, then warnings, then infos; ties by (proc, addr). *)
 val compare : t -> t -> int
 
@@ -46,9 +44,6 @@ val pp : Format.formatter -> t -> unit
 (** One finding as a flat JSON object (machine-readable lint output);
     [extra] key/value pairs are spliced in first (e.g. the benchmark). *)
 val to_json : ?extra:(string * string) list -> t -> string
-
-(** A JSON array of findings, one per line. *)
-val list_to_json : ?extra:(string * string) list -> t list -> string
 
 (** One line: "E errors, W warnings, I infos". *)
 val pp_summary : Format.formatter -> t list -> unit

@@ -28,7 +28,6 @@ let bot = Bot
 let top = Iv { lo = min_int; hi = max_int }
 let const n = Iv { lo = n; hi = n }
 let make lo hi = if lo > hi then Bot else Iv { lo; hi }
-let is_bot t = t = Bot
 
 let equal a b =
   match (a, b) with

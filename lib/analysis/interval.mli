@@ -33,7 +33,6 @@ val const : int -> t
 (** [make lo hi] normalises: [Bot] when [lo > hi]. *)
 val make : int -> int -> t
 
-val is_bot : t -> bool
 val equal : t -> t -> bool
 
 (** Partial order: [leq a b] iff [a] is contained in [b]. *)

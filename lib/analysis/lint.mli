@@ -35,12 +35,6 @@ val use_before_def :
   Sdiq_cfg.Cfg.t ->
   Finding.t list
 
-val dead_writes :
-  ?summaries:(int, Summary.t) Hashtbl.t ->
-  Sdiq_isa.Prog.proc ->
-  Sdiq_cfg.Cfg.t ->
-  Finding.t list
-
 (** All program lints over every non-library procedure; [summaries] is
     computed from [prog] when not supplied. *)
 val check_program :

@@ -15,6 +15,8 @@ type t = {
 
 let opaque_effect _ = Summary.opaque
 
+(* One instruction backwards: from the fact live after it to the fact
+   live before it. *)
 let step_instr ?(call_effect = opaque_effect) (i : Instr.t) live_after =
   if i.Instr.op = Opcode.Halt then
     (* Execution stops: nothing after a Halt can read anything, whatever

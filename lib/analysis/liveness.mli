@@ -27,11 +27,6 @@ val compute :
   Sdiq_cfg.Cfg.t ->
   t
 
-(** One instruction backwards: from the fact live after it to the fact
-    live before it. *)
-val step_instr :
-  ?call_effect:(int -> Summary.t) -> Sdiq_isa.Instr.t -> Regset.t -> Regset.t
-
 (** Fold over a block's instructions in reverse address order, handing
     each instruction the facts live before and after it, under the same
     call model the fixpoint used. *)

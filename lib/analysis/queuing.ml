@@ -102,13 +102,6 @@ let predict (cfg : Config.t) (s : Stats.t) =
       occupancy ~lambda ~service ~servers ~capacity:cfg.Config.iq_size;
   }
 
-(* |predicted - measured| / measured; infinite when nothing was
-   measured (an empty run has no meaningful occupancy). *)
-let relative_error t (s : Stats.t) =
-  let measured = Stats.avg_iq_occupancy s in
-  if measured <= 0. then infinity
-  else Float.abs (t.occupancy -. measured) /. measured
-
 let pp ppf t =
   Format.fprintf ppf
     "lambda %.3f/cyc, service %.1f cyc, m=%d, rho %.2f, P(wait) %.2f -> \

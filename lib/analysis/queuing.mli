@@ -33,16 +33,7 @@ val erlang_c : servers:int -> load:float -> float
 val occupancy :
   lambda:float -> service:float -> servers:int -> capacity:int -> float
 
-(** Mean slot residency estimated from the run's own latency mix: one
-    selection cycle for every instruction, plus the load-consumer
-    fraction weighted by this run's expected load latency (DL1 hit +
-    measured miss ratios priced at L2 and memory latency). *)
-val service_estimate : Sdiq_cpu.Config.t -> Sdiq_cpu.Stats.t -> float
-
 (** The model evaluated on one run's statistics. *)
 val predict : Sdiq_cpu.Config.t -> Sdiq_cpu.Stats.t -> t
-
-(** [|occupancy - measured| / measured]; [infinity] on an empty run. *)
-val relative_error : t -> Sdiq_cpu.Stats.t -> float
 
 val pp : Format.formatter -> t -> unit

@@ -47,7 +47,6 @@ let () =
 
 type t = {
   mutable cycles_checked : int;
-  mutable checks_run : int;
   (* previous per-cycle integrals, to verify this cycle's increments *)
   mutable prev_iq_banks_on_sum : int;
   mutable prev_int_rf_banks_on_sum : int;
@@ -71,7 +70,6 @@ type t = {
 let create () =
   {
     cycles_checked = 0;
-    checks_run = 0;
     prev_iq_banks_on_sum = 0;
     prev_int_rf_banks_on_sum = 0;
     prev_fp_rf_banks_on_sum = 0;
@@ -89,7 +87,6 @@ let create () =
   }
 
 let cycles_checked c = c.cycles_checked
-let checks_run c = c.checks_run
 
 let fail p ~invariant fmt =
   Printf.ksprintf
@@ -106,7 +103,7 @@ let fail p ~invariant fmt =
 
 (* --- issue-queue structure --------------------------------------------- *)
 
-let check_iq c p =
+let check_iq p =
   let iq = Pipeline.Debug.iq p in
   let active = iq.Iq.active_size in
   (* Gated-off banks (beyond the adaptive scheme's active ring) must hold
@@ -143,8 +140,7 @@ let check_iq c p =
   then
     fail p ~invariant:"iq-span"
       "new_span=%d disagrees with new_head=%d tail=%d (active=%d)" span
-      iq.Iq.new_head iq.Iq.tail active;
-  c.checks_run <- c.checks_run + 5
+      iq.Iq.new_head iq.Iq.tail active
 
 (* --- event-driven wakeup state ------------------------------------------ *)
 
@@ -156,7 +152,7 @@ let check_iq c p =
    accepts, each once at the position [ready_pos] records), and the
    waiter lists (every entry a waiting operand carrying the list's tag,
    and as many entries in all as there are waiting operands). *)
-let check_wakeup_state c p =
+let check_wakeup_state p =
   let iq = Pipeline.Debug.iq p in
   let present = ref 0 and waiting = ref 0 and pred_waiting = ref 0 in
   let nready = ref 0 in
@@ -231,12 +227,11 @@ let check_wakeup_state c p =
   if !listed <> !waiting then
     fail p ~invariant:"iq-wakeup-state"
       "waiter lists hold %d operands, %d operands are waiting" !listed
-      !waiting;
-  c.checks_run <- c.checks_run + 5
+      !waiting
 
 (* --- the paper's dispatch limit ---------------------------------------- *)
 
-let check_dispatch_window c p =
+let check_dispatch_window p =
   let iq = Pipeline.Debug.iq p in
   match Pipeline.Debug.policy p with
   | Policy.Software s ->
@@ -248,8 +243,7 @@ let check_dispatch_window c p =
       fail p ~invariant:"iq-dispatch-window"
         "region spans %d slots, exceeding the compiler's max_new_range %d \
          (cap %d)"
-        (Iq.new_region_span iq) s.Policy.max_new_range cap;
-    c.checks_run <- c.checks_run + 1
+        (Iq.new_region_span iq) s.Policy.max_new_range cap
   | Policy.Unlimited | Policy.Abella _ -> ()
 
 (* --- per-cycle power integrals ----------------------------------------- *)
@@ -304,8 +298,7 @@ let check_power_integrals c p =
   c.prev_iq_banks_on_sum <- stats.Stats.iq_banks_on_sum;
   c.prev_int_rf_banks_on_sum <- stats.Stats.int_rf_banks_on_sum;
   c.prev_fp_rf_banks_on_sum <- stats.Stats.fp_rf_banks_on_sum;
-  c.prev_int_rf_live_sum <- stats.Stats.int_rf_live_sum;
-  c.checks_run <- c.checks_run + 4
+  c.prev_int_rf_live_sum <- stats.Stats.int_rf_live_sum
 
 (* --- reorder buffer ----------------------------------------------------- *)
 
@@ -333,8 +326,7 @@ let check_rob c p =
         "oldest in-flight sn went backwards: %d after %d" !oldest
         c.prev_oldest_sn;
     c.prev_oldest_sn <- !oldest
-  end;
-  c.checks_run <- c.checks_run + 2
+  end
 
 (* --- physical register conservation ------------------------------------ *)
 
@@ -342,7 +334,7 @@ let check_rob c p =
    as the current mapping of an architectural register, or as the previous
    mapping held by one in-flight ROB entry for release at commit. Anything
    else is a leak (never freed) or a double mapping (freed twice). *)
-let check_rf_conservation c p =
+let check_rf_conservation p =
   let rob = Pipeline.Debug.rob p in
   let audit ~name (rf : Regfile.t) map select =
     let owner = Array.make rf.Regfile.size (-2) in
@@ -389,8 +381,7 @@ let check_rf_conservation c p =
   audit ~name:"int" (Pipeline.Debug.int_rf p) (Pipeline.Debug.int_map p)
     (function Rob.Int_dest q -> Some q | Rob.No_dest | Rob.Fp_dest _ -> None);
   audit ~name:"fp" (Pipeline.Debug.fp_rf p) (Pipeline.Debug.fp_map p)
-    (function Rob.Fp_dest q -> Some q | Rob.No_dest | Rob.Int_dest _ -> None);
-  c.checks_run <- c.checks_run + 4
+    (function Rob.Fp_dest q -> Some q | Rob.No_dest | Rob.Int_dest _ -> None)
 
 (* --- speculation: wrong-path confinement and squash completeness -------- *)
 
@@ -401,7 +392,7 @@ let check_rf_conservation c p =
    predicate "younger than the blocked branch": the squash walk stops at
    the first non-wp tail entry, so a mismarked entry either survives the
    squash or takes a correct-path instruction with it. *)
-let check_speculation c p =
+let check_speculation p =
   let rob = Pipeline.Debug.rob p in
   let wp_mode = Pipeline.Debug.wp_mode p in
   let blocked = Pipeline.Debug.blocked_sn p in
@@ -420,8 +411,7 @@ let check_speculation c p =
           fail p ~invariant:"wp-marking"
             "ROB entry %d has sn %d against blocked_sn %d but wp=%b" idx sn
             blocked wp
-      end);
-  c.checks_run <- c.checks_run + 1
+      end)
 
 (* --- IQ/ROB linkage ------------------------------------------------------ *)
 
@@ -431,7 +421,7 @@ let check_speculation c p =
    forgets to free an IQ slot (the entry's ROB line is popped, the CAM
    entry stays live) shows up here as a slot pointing at a dead entry —
    in hardware it would wake, issue, and write back a ghost. *)
-let check_iq_rob_linkage c p =
+let check_iq_rob_linkage p =
   let iq = Pipeline.Debug.iq p in
   let rob = Pipeline.Debug.rob p in
   for s = 0 to iq.Iq.active_size - 1 do
@@ -456,8 +446,7 @@ let check_iq_rob_linkage c p =
           fail p ~invariant:"iq-rob-linkage"
             "dispatched ROB entry %d does not own a live IQ slot (slot %d)"
             idx s
-      end);
-  c.checks_run <- c.checks_run + 2
+      end)
 
 (* --- load/store queue ---------------------------------------------------- *)
 
@@ -468,7 +457,7 @@ let check_iq_rob_linkage c p =
    entry and back, the kind and wp flags agree with the ROB, and the
    entry count matches both the queue's own field and the number of
    in-flight ROB entries holding LSQ slots. *)
-let check_lsq c p =
+let check_lsq p =
   let lsq = Pipeline.Debug.lsq p in
   let rob = Pipeline.Debug.rob p in
   let n = ref 0 in
@@ -508,8 +497,7 @@ let check_lsq c p =
   if !mem <> Lsq.count lsq then
     fail p ~invariant:"lsq-count"
       "%d in-flight ROB entries hold LSQ slots but the queue counts %d" !mem
-      (Lsq.count lsq);
-  c.checks_run <- c.checks_run + 5
+      (Lsq.count lsq)
 
 (* --- wakeup accounting -------------------------------------------------- *)
 
@@ -540,7 +528,7 @@ let operand_exposure (iq : Iq.t) =
    from a non-load-fed one — is precisely what [Iq.Raw.set_pred]
    sabotage does, and it must be caught here before the energy books
    credit a suppression the hardware could not have justified. *)
-let check_pred_soundness c p ~suppressing =
+let check_pred_soundness p ~suppressing =
   let iq = Pipeline.Debug.iq p in
   for s = 0 to iq.Iq.size - 1 do
     if Iq.slot_valid iq s then
@@ -571,8 +559,7 @@ let check_pred_soundness c p ~suppressing =
           end
         end
       done
-  done;
-  c.checks_run <- c.checks_run + 1
+  done
 
 let check_wakeups c p =
   let iq = Pipeline.Debug.iq p in
@@ -623,12 +610,11 @@ let check_wakeups c p =
   c.prev_nonempty <- iq.Iq.wakeups_nonempty;
   c.prev_gated <- iq.Iq.wakeups_gated;
   c.prev_suppressed <- iq.Iq.wakeups_suppressed;
-  check_pred_soundness c p ~suppressing;
+  check_pred_soundness p ~suppressing;
   let present, waiting, pred_waiting = operand_exposure iq in
   c.prev_present_ops <- present;
   c.prev_waiting_ops <- waiting;
-  c.prev_pred_waiting_ops <- pred_waiting;
-  c.checks_run <- c.checks_run + 4
+  c.prev_pred_waiting_ops <- pred_waiting
 
 (* --- select-scan accounting ---------------------------------------------- *)
 
@@ -648,8 +634,7 @@ let check_scan c p =
       "select scan examined %d slots this cycle; the policy admits at most \
        %d"
       d_scan bound;
-  c.prev_scan_entries <- stats.Stats.iq_scan_entries;
-  c.checks_run <- c.checks_run + 1
+  c.prev_scan_entries <- stats.Stats.iq_scan_entries
 
 (* --- entry point -------------------------------------------------------- *)
 
@@ -657,15 +642,15 @@ let check c p =
   (* Linkage first: a squash leak shows up as a stale slot pointing at a
      dead ROB entry, which can also strand [head]; auditing linkage
      before IQ structure makes the diagnosis name the root cause. *)
-  check_iq_rob_linkage c p;
-  check_iq c p;
-  check_wakeup_state c p;
-  check_dispatch_window c p;
+  check_iq_rob_linkage p;
+  check_iq p;
+  check_wakeup_state p;
+  check_dispatch_window p;
   check_power_integrals c p;
   check_rob c p;
-  check_rf_conservation c p;
-  check_speculation c p;
-  check_lsq c p;
+  check_rf_conservation p;
+  check_speculation p;
+  check_lsq p;
   check_wakeups c p;
   check_scan c p;
   c.cycles_checked <- c.cycles_checked + 1

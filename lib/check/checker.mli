@@ -58,6 +58,3 @@ val fresh_hook : unit -> Sdiq_cpu.Pipeline.t -> unit
 
 (** Cycles audited so far. *)
 val cycles_checked : t -> int
-
-(** Individual invariant checks evaluated so far. *)
-val checks_run : t -> int

@@ -165,6 +165,9 @@ let diff_arch_state ~(baseline : arch_state) (s : arch_state) =
 
 (* --- one technique ------------------------------------------------------- *)
 
+(* Prepare the binary, trace it on the oracle, run the pipeline with a
+   fresh invariant checker (unless [check:false]) and compare committed
+   traces. *)
 let run_one ?config ?init ~check ~max_cycles ~max_steps technique prog :
     report =
   let prepared = Technique.prepare technique prog in

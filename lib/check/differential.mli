@@ -56,19 +56,6 @@ val oracle_trace :
     if any. *)
 val diff_traces : event array -> Sdiq_isa.Exec.dyn array -> mismatch option
 
-(** Run one technique: prepare the binary, trace it on the oracle, run
-    the pipeline with a fresh invariant checker (unless [check:false])
-    and compare committed traces. *)
-val run_one :
-  ?config:Sdiq_cpu.Config.t ->
-  ?init:(Sdiq_isa.Exec.state -> unit) ->
-  check:bool ->
-  max_cycles:int ->
-  max_steps:int ->
-  Sdiq_harness.Technique.t ->
-  Sdiq_isa.Prog.t ->
-  report
-
 (** Run every technique (default {!Sdiq_harness.Technique.all}) with the
     invariant checker installed (default [check:true]), comparing each
     technique's final architectural state against the baseline
@@ -87,6 +74,5 @@ val run :
 val ok : report list -> bool
 
 val first_failure : report list -> report option
-val pp_event : Format.formatter -> event -> unit
 val pp_failure : prepared:Sdiq_isa.Prog.t -> Format.formatter -> failure -> unit
 val pp_report : Format.formatter -> report -> unit

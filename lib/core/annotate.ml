@@ -47,8 +47,3 @@ let apply ?(opts = Options.default) mode (prog : Prog.t) :
     Prog.t * Procedure.annotation list =
   let annotations = Procedure.analyze_program ~opts prog in
   (deliver mode annotations prog, annotations)
-
-(* Convenience wrappers matching the paper's three configurations. *)
-let noop prog = apply Noop prog
-let extension prog = apply Tagged prog
-let improved prog = apply ~opts:Options.improved Tagged prog

@@ -30,12 +30,3 @@ val apply :
   mode ->
   Sdiq_isa.Prog.t ->
   Sdiq_isa.Prog.t * Procedure.annotation list
-
-(** The paper's three configurations. *)
-val noop : Sdiq_isa.Prog.t -> Sdiq_isa.Prog.t * Procedure.annotation list
-
-val extension :
-  Sdiq_isa.Prog.t -> Sdiq_isa.Prog.t * Procedure.annotation list
-
-val improved :
-  Sdiq_isa.Prog.t -> Sdiq_isa.Prog.t * Procedure.annotation list

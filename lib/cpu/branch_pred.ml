@@ -179,9 +179,7 @@ let ras_pop_addr t =
    calls and returns push and pop the real stack (their predictions must
    see the speculative top), and the squash rewinds it to the snapshot
    taken when the mispredict was detected. The caller owns the buffer
-   ([ras_depth] entries) so episodes allocate nothing. *)
-let ras_depth t = t.ras_size
-
+   ([ras_size] entries) so episodes allocate nothing. *)
 let ras_save t buf =
   Array.blit t.ras 0 buf 0 t.ras_size;
   t.ras_top

@@ -28,10 +28,8 @@ val ras_pop_addr : t -> int
 
     The wrong-path frontend pushes and pops the real stack; a squash
     rewinds it to the snapshot taken at the mispredict. The caller owns
-    the snapshot buffer, sized {!ras_depth}, so episodes are
+    the snapshot buffer, sized [Config.ras_size], so episodes are
     allocation-free. *)
-
-val ras_depth : t -> int
 
 (** Blit the stack into [buf]; returns the top-of-stack index. *)
 val ras_save : t -> int array -> int

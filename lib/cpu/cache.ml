@@ -114,7 +114,3 @@ let access t addr =
   match probe t ~now:0 addr with
   | Hit -> true
   | Inflight _ | Miss -> false
-
-let miss_rate t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0. else float_of_int t.misses /. float_of_int total

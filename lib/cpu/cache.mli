@@ -28,5 +28,3 @@ val set_fill : t -> int -> int -> unit
 
 (** Untimed access: true on a settled hit; misses install instantly. *)
 val access : t -> int -> bool
-
-val miss_rate : t -> float

@@ -1453,12 +1453,6 @@ let fast_forward t ~insns =
   done;
   !n
 
-(* Convenience: build, initialise memory, run. *)
-let simulate ?config ?policy ?sched ?init ?max_insns ?max_cycles prog =
-  let t = create ?config ?policy ?sched prog in
-  (match init with Some f -> f t.exec | None -> ());
-  run ?max_insns ?max_cycles t
-
 (* --- read-only view ----------------------------------------------------- *)
 
 (* A stable accessor surface for observers (the invariant checker, tests):
@@ -1481,18 +1475,12 @@ module Debug = struct
   let halted t = t.halted
   let exec t = t.exec
   let stats t = t.stats
-  let fetch_queue_length t = t.fq_count
   let bus t = t.bus
   let lsq t = t.lsq
   let itlb t = t.itlb
   let dtlb t = t.dtlb
   let wp_mode t = t.wp_mode
   let blocked_sn t = t.blocked_sn
-
-  (* Test-only sabotage: the next squash leaves its first wrong-path IQ
-     entry live (rename and ROB still rolled back) — the stale-entry leak
-     the checker's IQ/ROB-linkage invariant must catch. *)
-  let set_sabotage_squash_leak t v = t.sabotage_squash_leak <- v
 
   (* One-line machine-state excerpt for diagnostics. *)
   let excerpt t =
@@ -1513,4 +1501,13 @@ module Debug = struct
       (Regfile.free_count t.fp_rf)
       t.fq_count t.stats.Stats.committed
       (if t.halted then " halted" else "")
+end
+
+(* --- test hooks ---------------------------------------------------------- *)
+
+module For_testing = struct
+  (* The next squash leaves its first wrong-path IQ entry live (rename
+     and ROB still rolled back) — the stale-entry leak the checker's
+     IQ/ROB-linkage invariant must catch. *)
+  let set_sabotage_squash_leak t v = t.sabotage_squash_leak <- v
 end

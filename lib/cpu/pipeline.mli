@@ -33,7 +33,10 @@
     [Cycle_end] is always the last event of its cycle; DESIGN.md §11
     specifies the full ordering contract. *)
 
-type t = {
+(** The machine. [private]: code outside this module may read the
+    fields but neither writes them nor builds the record; {!create}
+    makes one and the stages alone change it. *)
+type t = private {
   cfg : Config.t;
   prog : Sdiq_isa.Prog.t;
   exec : Sdiq_isa.Exec.state;
@@ -171,17 +174,6 @@ val drain : ?max_cycles:int -> t -> unit
     actually skipped (fewer than [insns] only at program halt). *)
 val fast_forward : t -> insns:int -> int
 
-(** Build, initialise memory via [init], run. *)
-val simulate :
-  ?config:Config.t ->
-  ?policy:Policy.t ->
-  ?sched:Sched.t ->
-  ?init:(Sdiq_isa.Exec.state -> unit) ->
-  ?max_insns:int ->
-  ?max_cycles:int ->
-  Sdiq_isa.Prog.t ->
-  Stats.t
-
 (** Read-only view of the machine for observers (invariant checkers,
     tests): stable accessors instead of record plumbing, and nothing
     that mutates the pipeline. *)
@@ -209,7 +201,6 @@ module Debug : sig
   val halted : t -> bool
   val exec : t -> Sdiq_isa.Exec.state
   val stats : t -> Stats.t
-  val fetch_queue_length : t -> int
   val bus : t -> Sdiq_events.Bus.t
   val lsq : t -> Lsq.t
   val itlb : t -> Tlb.t
@@ -217,11 +208,15 @@ module Debug : sig
   val wp_mode : t -> bool
   val blocked_sn : t -> int
 
-  (** Test-only sabotage: make the next squash leave its first
-      wrong-path IQ entry live (ROB and rename still rolled back), the
-      stale-entry corruption the checker must catch. *)
-  val set_sabotage_squash_leak : t -> bool -> unit
-
   (** One-line machine-state summary for diagnostics. *)
   val excerpt : t -> string
+end
+
+(** Hooks that break the machine on purpose, for tests of the invariant
+    checker; nothing else calls them. *)
+module For_testing : sig
+  (** Make the next squash leave its first wrong-path IQ entry live
+      (ROB and rename still rolled back), the stale-entry corruption the
+      checker must catch. *)
+  val set_sabotage_squash_leak : t -> bool -> unit
 end

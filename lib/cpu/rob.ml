@@ -100,7 +100,6 @@ let is_completed t idx = Bytes.unsafe_get t.states idx = '\002'
    typed view for observers. *)
 let dest_code t idx = Array.unsafe_get t.dest_codes idx
 let old_code t idx = Array.unsafe_get t.old_codes idx
-let dest_of t idx = decode_dest (dest_code t idx)
 let old_phys_of t idx = decode_dest (old_code t idx)
 
 let iq_slot t idx = Array.unsafe_get t.iq_slots idx

@@ -18,11 +18,6 @@ type dest =
   | Int_dest of int
   | Fp_dest of int
 
-(** Decode a destination packed into one int (0 none, [2p+1] int reg
-    [p], [2p+2] fp reg [p]) — the allocation-free form the hot path
-    stores. *)
-val decode_dest : int -> dest
-
 (** Placeholder dynamic instruction held by free slots. *)
 val dummy_dyn : Sdiq_isa.Exec.dyn
 
@@ -42,7 +37,6 @@ val is_completed : t -> int -> bool
 
 val dest_code : t -> int -> int
 val old_code : t -> int -> int
-val dest_of : t -> int -> dest
 val old_phys_of : t -> int -> dest
 
 val iq_slot : t -> int -> int
@@ -55,8 +49,9 @@ val set_blocked_fetch : t -> int -> bool -> unit
 (** Was this entry fetched down the wrong path? *)
 val is_wp : t -> int -> bool
 
-(** Allocate the tail entry with pre-encoded destination codes (see
-    {!decode_dest}); returns its index. Raises when full. *)
+(** Allocate the tail entry with pre-encoded destination codes (0 none,
+    [2p+1] int reg [p], [2p+2] fp reg [p]); returns its index. Raises
+    when full. *)
 val push_codes :
   t ->
   dyn:Sdiq_isa.Exec.dyn ->

@@ -136,7 +136,6 @@ val equal : t -> t -> bool
 val ipc : t -> float
 val avg_iq_occupancy : t -> float
 val avg_iq_banks_on : t -> float
-val avg_int_rf_banks_on : t -> float
 val avg_int_rf_live : t -> float
 val mispredict_rate : t -> float
 val pp : Format.formatter -> t -> unit

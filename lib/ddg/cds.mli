@@ -21,20 +21,9 @@ type schedule = {
   equations : equation list;
 }
 
-(** Longest-path start times for a candidate II; [None] when the system
-    has a positive cycle (II below the recurrence bound). *)
-val solve_starts : Ddg.t -> ii:int -> int array option
-
 (** Strongly connected components that form dependence cycles — the
     paper's cyclic dependence sets. *)
 val cds_sets : Ddg.t -> int list list
-
-(** Minimum II a single CDS forces. *)
-val component_mii : Ddg.t -> int list -> int
-
-(** Resource lower bound on II (issue width and FU counts). *)
-val resource_mii :
-  ?width:int -> ?fu_count:(Sdiq_isa.Fu.t -> int) -> Ddg.t -> int
 
 val schedule :
   ?width:int -> ?fu_count:(Sdiq_isa.Fu.t -> int) -> Ddg.t -> schedule

@@ -122,10 +122,6 @@ let build ?(carried = false) ?(latency = Instr.latency)
       last_writer;
   make instrs (List.rev !edges)
 
-(* DDG of one basic block. *)
-let of_block ?latency (cfg : Sdiq_cfg.Cfg.t) (b : Sdiq_cfg.Cfg.block) : t =
-  build ~carried:false ?latency (Array.of_list (Sdiq_cfg.Cfg.instrs cfg b))
-
 (* DDG of a loop body given as a flat instruction sequence (blocks of the
    loop region concatenated in program order), with carried edges. *)
 let of_loop_body ?latency instrs = build ~carried:true ?latency instrs

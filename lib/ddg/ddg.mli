@@ -40,13 +40,6 @@ val build :
   Sdiq_isa.Instr.t array ->
   t
 
-(** DDG of one basic block. *)
-val of_block :
-  ?latency:(Sdiq_isa.Instr.t -> int) ->
-  Sdiq_cfg.Cfg.t ->
-  Sdiq_cfg.Cfg.block ->
-  t
-
 (** DDG of a loop body (blocks concatenated in program order), with
     carried edges. *)
 val of_loop_body :

@@ -17,10 +17,6 @@ val equal : t -> t -> bool
 (** One line, every kind in index order: ["fetch=12 annotation=0 ..."]. *)
 val to_string : t -> string
 
-(** Every kind as [(name, count, percentage-of-total)], in the stable
-    {!Event.index} order. Percentages are 0 when the table is empty. *)
-val to_assoc : t -> (string * int * float) list
-
 (** Human-readable event mix: one kind per line in {!Event.index}
     order, zero-count kinds elided, with percentage of total. *)
 val pp : Format.formatter -> t -> unit

@@ -17,12 +17,12 @@ type study = {
 }
 
 (* One simulation a study reads, named by the settings the studies vary;
-   every other setting is [Config.default] and [Options.default]. [mode]
-   is [None] for the unannotated baseline, whose [slack] and
-   [load_hit_extra] stay at their defaults. Two studies that read the
-   same [sim] share one run. *)
+   every other setting is [Config.default] and the technique's recipe.
+   [tech] is [Baseline], [Noop] or [Extension]; the unannotated
+   baseline's [slack] and [load_hit_extra] stay at their defaults. Two
+   studies that read the same [sim] share one run. *)
 type sim = {
-  mode : Sdiq_core.Annotate.mode option;
+  tech : Technique.t;
   iq_size : int;
   iq_bank_size : int;
   slack : int;
@@ -34,37 +34,39 @@ type sim = {
 let tagged =
   let config = Sdiq_cpu.Config.default and opts = Sdiq_core.Options.default in
   {
-    mode = Some Sdiq_core.Annotate.Tagged;
+    tech = Technique.Extension;
     iq_size = config.Sdiq_cpu.Config.iq_size;
     iq_bank_size = config.Sdiq_cpu.Config.iq_bank_size;
     slack = opts.Sdiq_core.Options.slack;
     load_hit_extra = opts.Sdiq_core.Options.load_hit_extra;
   }
 
-let baseline = { tagged with mode = None }
+let baseline = { tagged with tech = Technique.Baseline }
 
 let config s =
   { Sdiq_cpu.Config.default with
     Sdiq_cpu.Config.iq_size = s.iq_size;
     iq_bank_size = s.iq_bank_size }
 
+(* The technique's machine, on a binary its recipe builds with the
+   analysis options this simulation varies. *)
 let simulate ~budget (bench : Bench.t) s =
-  let config = config s in
-  match s.mode with
-  | None ->
-    Sdiq_cpu.Pipeline.run ~max_insns:budget
-      (Technique.build ~config Technique.Baseline bench)
-  | Some mode ->
-    let opts =
-      { Sdiq_core.Options.default with
-        Sdiq_core.Options.iq_size = s.iq_size;
-        slack = s.slack;
-        load_hit_extra = s.load_hit_extra }
-    in
-    let prog, _ = Sdiq_core.Annotate.apply ~opts mode bench.Bench.prog in
-    Sdiq_cpu.Pipeline.simulate ~config
-      ~policy:(Sdiq_cpu.Policy.software ())
-      ~init:bench.Bench.init ~max_insns:budget prog
+  let prog =
+    Option.map
+      (fun (recipe : Sdiq_analysis.Driver.mode) ->
+        let opts =
+          { recipe.opts with
+            Sdiq_core.Options.iq_size = s.iq_size;
+            slack = s.slack;
+            load_hit_extra = s.load_hit_extra }
+        in
+        fst
+          (Sdiq_analysis.Driver.apply_mode { recipe with opts }
+             bench.Bench.prog))
+      (Technique.recipe s.tech)
+  in
+  Sdiq_cpu.Pipeline.run ~max_insns:budget
+    (Technique.build ~config:(config s) ?prog s.tech bench)
 
 (* One table cell: its column label, the simulations it reads and its
    value from their statistics. *)
@@ -101,8 +103,7 @@ let delivery_spec : spec =
     [
       ( "",
         [
-          loss_vs_baseline "noop"
-            { tagged with mode = Some Sdiq_core.Annotate.Noop };
+          loss_vs_baseline "noop" { tagged with tech = Technique.Noop };
           loss_vs_baseline "tagged" tagged;
         ] );
     ] )
@@ -172,7 +173,7 @@ let load_latency_spec ?(values = [ 2; 5; 10 ]) () : spec =
 
 (* 5. Physical queue size: does the software technique keep its advantage
    on smaller queues? Baseline and technique at 48/64/80 entries. *)
-let queue_size_spec ?(sizes = [ 48; 64; 80 ]) () : spec =
+let queue_size_spec : spec =
   ( {
       id = "ablation-queue-size";
       caption = "baseline vs technique across physical queue sizes";
@@ -200,7 +201,7 @@ let queue_size_spec ?(sizes = [ 48; 64; 80 ]) () : spec =
                     /. bo *. 100.);
             };
           ] ))
-      sizes )
+      [ 48; 64; 80 ] )
 
 (* Run the studies on [benches]: every distinct (benchmark, simulation)
    the studies read is one pool task, run once however many cells read
@@ -256,20 +257,15 @@ let slack ?budget ?values benches = one ?budget benches (slack_spec ?values ())
 let load_latency ?budget ?values benches =
   one ?budget benches (load_latency_spec ?values ())
 
-let queue_size ?budget ?sizes benches =
-  one ?budget benches (queue_size_spec ?sizes ())
-
-let default_benches () =
-  [ W_gzip.build (); W_gap.build (); W_vortex.build () ]
-
 let all ?budget ?domains () : study list =
-  run ?budget ?domains (default_benches ())
+  run ?budget ?domains
+    [ W_gzip.build (); W_gap.build (); W_vortex.build () ]
     [
       delivery_spec;
       bank_granularity_spec;
       slack_spec ();
       load_latency_spec ();
-      queue_size_spec ();
+      queue_size_spec;
     ]
 
 let pp_study ppf s =

@@ -20,13 +20,8 @@ val slack :
   ?budget:int -> ?values:int list -> Sdiq_workloads.Bench.t list -> study
 val load_latency :
   ?budget:int -> ?values:int list -> Sdiq_workloads.Bench.t list -> study
-val queue_size :
-  ?budget:int -> ?sizes:int list -> Sdiq_workloads.Bench.t list -> study
 
-(** The three benchmarks the studies default to. *)
-val default_benches : unit -> Sdiq_workloads.Bench.t list
-
-(** Every study on the default benchmarks. Each distinct (benchmark,
+(** Every study on gzip, gap and vortex. Each distinct (benchmark,
     simulation) the studies read runs once, as one task on a
     {!Sdiq_util.Pool} of [domains] (default: the recommended count), and
     every study reads its rows from those runs; the result is identical

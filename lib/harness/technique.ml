@@ -60,7 +60,7 @@ let policy t : Sdiq_cpu.Policy.t =
   | Abella -> Sdiq_cpu.Policy.abella ()
 
 (* The one way to build a (benchmark, technique) machine: prepare the
-   binary (unless the caller already has it), take a fresh policy,
+   binary (unless the caller gives the one to load), take a fresh policy,
    create the pipeline and load the benchmark's initial memory. Callers
    then attach their sinks and pick the execution regime. *)
 let build ?config ?sched ?prog t (bench : Sdiq_workloads.Bench.t) :

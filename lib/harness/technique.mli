@@ -39,13 +39,14 @@ val policy : t -> Sdiq_cpu.Policy.t
 
 (** [build tech bench]: {!prepare} the benchmark's binary,
     [Pipeline.create] it under a fresh {!policy}, and run the benchmark's
-    [init] on the new machine's memory — the one way the harness and the
-    CLIs build a (benchmark, technique) pipeline. [?config] and [?sched]
-    are passed to [Pipeline.create]. [?prog] is the binary when the
-    caller has already prepared it (the profiled runner loads its region
-    map's binary); it must be [prepare tech]'s binary for the bench's
-    program. Attach sinks to the result, then run it in whatever regime
-    the caller wants. *)
+    [init] on the new machine's memory — the one way the harness, the
+    ablation studies and the CLIs build a (benchmark, technique)
+    pipeline. [?config] and [?sched] are passed to [Pipeline.create].
+    [?prog] is the binary to load in place of {!prepare}'s, and the
+    technique then chooses only the policy: the profiled runner loads
+    its region map's binary, and the ablations load a recipe's binary
+    built with their own analysis options. Attach sinks to the result,
+    then run it in whatever regime the caller wants. *)
 val build :
   ?config:Sdiq_cpu.Config.t ->
   ?sched:Sdiq_cpu.Sched.t ->

@@ -22,10 +22,6 @@ let zero = Int 0
 
 let is_zero = function Int 0 -> true | Int _ | Fp _ -> false
 
-let is_int = function Int _ -> true | Fp _ -> false
-
-let is_fp = function Fp _ -> true | Int _ -> false
-
 let index = function Int i | Fp i -> i
 
 (* Dense index over the whole architectural register space: integer registers

@@ -20,8 +20,6 @@ val fp : int -> t
 val zero : t
 
 val is_zero : t -> bool
-val is_int : t -> bool
-val is_fp : t -> bool
 
 (** Index within the register's own class. *)
 val index : t -> int

@@ -53,19 +53,6 @@ let bucket_index kind v =
       min (go 1 v) (n - 1)
     end
 
-let bucket_label kind i =
-  let n = num_buckets kind in
-  match kind with
-  | Linear { width; _ } ->
-    if i = n - 1 then Printf.sprintf ">=%d" (i * width)
-    else if width = 1 then string_of_int i
-    else Printf.sprintf "%d-%d" (i * width) (((i + 1) * width) - 1)
-  | Log2 _ ->
-    if i = 0 then "0"
-    else if i = n - 1 then Printf.sprintf ">=%d" (1 lsl (i - 1))
-    else if i = 1 then "1"
-    else Printf.sprintf "%d-%d" (1 lsl (i - 1)) ((1 lsl i) - 1)
-
 let observe ?(n = 1) t v =
   if n < 0 then invalid_arg "Hist.observe: negative occurrence count";
   if n > 0 then begin

@@ -44,9 +44,6 @@ val buckets : t -> int array
 (** The bucket a value falls into under [kind]. *)
 val bucket_index : kind -> int -> int
 
-(** Human-readable value range of bucket [i], e.g. ["8-15"] or ["2-3"]. *)
-val bucket_label : kind -> int -> string
-
 (** Pure merge of two same-shaped histograms; raises
     [Invalid_argument] on a shape mismatch. *)
 val merge : t -> t -> t

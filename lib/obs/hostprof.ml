@@ -59,6 +59,9 @@ let cycles t = t.cycles
 let stage_seconds t =
   Array.to_list (Array.mapi (fun i name -> (name, t.stage_s.(i))) stage_names)
 
+(* Gc deltas since creation, as of the last sample point, plus
+   [top_heap_words]: a level (the largest major heap so far), not a
+   delta. *)
 let gc_report t =
   [
     ("minor_words", t.sampled.Gc.minor_words -. t.initial.Gc.minor_words);
@@ -90,10 +93,11 @@ let to_json t =
           (fun (k, v) -> Printf.sprintf {|"%s":%.1f|} k v)
           (gc_report t)))
 
-(* Fold the host profile into a metrics registry for the OpenMetrics
+(* The host profile as a metrics registry for the OpenMetrics
    exposition path: integer flows (events, cycles, collection counts)
    as counters, levels and wall-clock charges as gauges. *)
-let metrics_into t (m : Metrics.t) =
+let to_metrics t =
+  let m = Metrics.create () in
   Metrics.incr ~by:t.events m "host_events";
   Metrics.incr ~by:t.cycles m "host_cycles";
   List.iter
@@ -106,11 +110,7 @@ let metrics_into t (m : Metrics.t) =
       | "forced_major_collections" ->
         Metrics.incr ~by:(int_of_float v) m ("host_gc_" ^ k)
       | _ -> Metrics.set_gauge m ("host_gc_" ^ k) v)
-    (gc_report t)
-
-let to_metrics t =
-  let m = Metrics.create () in
-  metrics_into t m;
+    (gc_report t);
   m
 
 let pp ppf t =

@@ -26,19 +26,10 @@ val cycles : t -> int
     (fetch, dispatch, issue, writeback, commit, accounting). *)
 val stage_seconds : t -> (string * float) list
 
-(** Gc deltas since creation, as of the last sample point:
-    minor/major/promoted words, minor/major/forced-major collection
-    counts, plus [top_heap_words] — a level (the largest major heap so
-    far), not a delta. *)
-val gc_report : t -> (string * float) list
-
-(** Fold the profile into [m] for OpenMetrics exposition: [host_events],
-    [host_cycles] and the Gc collection counts as counters;
-    [host_stage_seconds_*], the Gc word deltas and [host_gc_top_heap_words]
-    as gauges. *)
-val metrics_into : t -> Metrics.t -> unit
-
-(** {!metrics_into} on a fresh registry. *)
+(** The profile as a fresh registry for OpenMetrics exposition:
+    [host_events], [host_cycles] and the Gc collection counts as
+    counters; [host_stage_seconds_*], the Gc word deltas and
+    [host_gc_top_heap_words] as gauges. *)
 val to_metrics : t -> Metrics.t
 
 val to_json : t -> string

@@ -108,7 +108,8 @@ let output oc r =
   output_char oc '\n'
 
 let load ~file =
-  if not (Sys.file_exists file) then Ok []
+  if not (Sys.file_exists file) then
+    Error (Printf.sprintf "%s: no such ledger" file)
   else
     match In_channel.with_open_text file In_channel.input_all with
     | exception Sys_error e ->

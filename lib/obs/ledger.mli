@@ -36,11 +36,9 @@ type record = {
 val config_digest :
   ?extra:string -> Sdiq_cpu.Config.t -> Sdiq_cpu.Sched.t -> string
 
-(** [git describe --always --dirty]; "unknown" when git is absent. *)
-val git_describe : unit -> string
-
 (** Build a record; [time] defaults to now (UTC), [git] to
-    {!git_describe}, [digest] to the default config/policy digest. *)
+    [git describe --always --dirty] ("unknown" when git is absent),
+    [digest] to the default config/policy digest. *)
 val make :
   ?time:string ->
   ?git:string ->
@@ -60,10 +58,11 @@ val of_json : Sdiq_util.Json.t -> (record, string) result
     for appending). *)
 val output : out_channel -> record -> unit
 
-(** Every record of the ledger, oldest first. [Error] on an unreadable
-    file (a directory, no permission) or a malformed line, with a
-    message naming the file and, for a bad line, its number. An absent
-    file is an empty ledger. Never raises. *)
+(** Every record of the ledger, oldest first. [Error] on an absent or
+    unreadable file (a directory, no permission) or a malformed line,
+    with a message naming the file and, for a bad line, its number: a
+    mistyped path must not read as an empty ledger, which the gate
+    passes. Never raises. *)
 val load : file:string -> (record list, string) result
 
 type verdict = { ok : bool; messages : string list }

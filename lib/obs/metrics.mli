@@ -30,20 +30,14 @@ val gauge : t -> string -> float option
     it exists with a different shape. *)
 val hist : t -> string -> Hist.kind -> Hist.t
 
-val find_hist : t -> string -> Hist.t option
-
 (** Find-or-create the series [name]; raises [Invalid_argument] if it
     exists with a different window. *)
 val series : t -> string -> window:int -> Series.t
-
-val find_series : t -> string -> Series.t option
 
 (** All entries of each kind, name-sorted. *)
 val counters : t -> (string * int) list
 
 val gauges : t -> (string * float) list
-val hists : t -> (string * Hist.t) list
-val all_series : t -> (string * Series.t) list
 
 (** Pure merge: union of names; counters sum, gauges max, histograms
     and series merge cell-wise. Raises [Invalid_argument] when a

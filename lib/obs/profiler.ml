@@ -92,7 +92,6 @@ let attach ?params ?window map p =
 
 let map t = t.map
 let metrics t = t.metrics
-let region_stats t i = t.regions.(i).stats
 let region_peak t i = t.regions.(i).peak
 
 let total_stats t =

@@ -49,9 +49,6 @@ val attach :
 val map : t -> Region.t
 val metrics : t -> Metrics.t
 
-(** Per-region statistics bucket (live; do not mutate). *)
-val region_stats : t -> int -> Sdiq_cpu.Stats.t
-
 (** Peak IQ occupancy observed while the region was current. *)
 val region_peak : t -> int -> int
 

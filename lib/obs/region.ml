@@ -153,12 +153,3 @@ let of_addr t addr =
   if addr < 0 || addr >= Array.length t.addr_map then
     invalid_arg (Printf.sprintf "Region.of_addr: address %d out of range" addr);
   t.addr_map.(addr)
-
-let pp_info ppf i =
-  Fmt.pf ppf "R%d %s%s@%d (%s%s)" i.id
-    (if i.proc = "" then "-" else i.proc)
-    (if i.orig_start >= 0 && i.orig_start <> i.start then
-       Fmt.str "[orig %d]" i.orig_start
-     else "")
-    i.start (kind_name i.kind)
-    (match i.granted with Some g -> Fmt.str ", granted %d" g | None -> "")

@@ -56,4 +56,3 @@ val infos : t -> info array
 val of_addr : t -> int -> int
 
 val kind_name : kind -> string
-val pp_info : Format.formatter -> info -> unit

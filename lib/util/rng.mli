@@ -12,9 +12,6 @@ val create : int -> t
 (** Independent copy: advancing the copy does not affect the original. *)
 val copy : t -> t
 
-(** Raw 64-bit output. *)
-val next_int64 : t -> int64
-
 (** Non-negative int, uniform over [0, 2^62). *)
 val next : t -> int
 

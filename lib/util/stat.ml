@@ -15,8 +15,6 @@ let add t x =
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x
 
-let add_int t x = add t (float_of_int x)
-
 let count t = t.n
 
 let sum t = t.sum

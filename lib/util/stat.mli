@@ -4,7 +4,6 @@ type t
 
 val create : unit -> t
 val add : t -> float -> unit
-val add_int : t -> int -> unit
 val count : t -> int
 val sum : t -> float
 val mean : t -> float

@@ -191,7 +191,7 @@ let test_checker_catches_sabotaged_squash () =
   let prog = Technique.prepare Technique.Baseline (sample_prog ()) in
   let p = Pipeline.create prog in
   ignore (Checker.attach p);
-  Pipeline.Debug.set_sabotage_squash_leak p true;
+  Pipeline.For_testing.set_sabotage_squash_leak p true;
   match Pipeline.run ~max_cycles:200_000 p with
   | _ -> Alcotest.fail "checker missed the leaked wrong-path IQ entry"
   | exception Checker.Invariant_violation v ->

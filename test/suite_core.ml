@@ -185,7 +185,7 @@ let run_result prog =
 
 let test_annotate_noop_preserves_semantics () =
   let prog = loop_program () in
-  let annotated, anns = Annotate.noop prog in
+  let annotated, anns = Annotate.apply Annotate.Noop prog in
   Alcotest.(check bool) "iqsets inserted" true (List.length anns > 0);
   Alcotest.(check int) "program result unchanged" (run_result prog)
     (run_result annotated);
@@ -196,7 +196,7 @@ let test_annotate_noop_preserves_semantics () =
 
 let test_annotate_tagged_preserves_program () =
   let prog = loop_program () in
-  let tagged, anns = Annotate.extension prog in
+  let tagged, anns = Annotate.apply Annotate.Tagged prog in
   Alcotest.(check int) "no instructions added" (Prog.length prog)
     (Prog.length tagged);
   Alcotest.(check int) "program result unchanged" (run_result prog)
@@ -208,8 +208,8 @@ let test_annotate_tagged_preserves_program () =
 
 let test_noop_and_tagged_values_agree () =
   let prog = loop_program () in
-  let _, anns_noop = Annotate.noop prog in
-  let _, anns_tag = Annotate.extension prog in
+  let _, anns_noop = Annotate.apply Annotate.Noop prog in
+  let _, anns_tag = Annotate.apply Annotate.Tagged prog in
   Alcotest.(check bool) "same analysis values" true (anns_noop = anns_tag)
 
 let test_improved_widen_only () =

@@ -131,7 +131,7 @@ let test_loop_header_annotation_has_span () =
 
 let test_back_edges_bypass_loop_noop () =
   let prog = nested_loop_with_call () in
-  let annotated, _ = Annotate.noop prog in
+  let annotated, _ = Annotate.apply Annotate.Noop prog in
   (* Count dynamic Iqset executions: with back-edge bypass, the inner
      header's NOOP runs once per outer iteration (10), not once per inner
      iteration (100). *)
@@ -216,7 +216,24 @@ let test_ablation_studies_generate () =
               Alcotest.(check bool) "finite" true (Float.is_finite v))
             row.Sdiq_harness.Ablations.points)
         s.Sdiq_harness.Ablations.rows)
-    studies
+    studies;
+  (* Each point runs its own analysis options: a study that ignored
+     them would read the same value at both ends of its sweep. On gap
+     the window size moves IPC (crafty's IPC does not move with it). *)
+  let gap = [ Sdiq_workloads.W_gap.build () ] in
+  let differ (s : Sdiq_harness.Ablations.study) a b =
+    let points = (List.hd s.Sdiq_harness.Ablations.rows).points in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %s and %s differ" s.id a b)
+      true
+      (List.assoc a points <> List.assoc b points)
+  in
+  differ
+    (Sdiq_harness.Ablations.slack ~budget:5_000 ~values:[ 0; 8 ] gap)
+    "slack 0" "slack 8";
+  differ
+    (Sdiq_harness.Ablations.load_latency ~budget:5_000 ~values:[ 2; 8 ] gap)
+    "load+2" "load+8"
 
 let test_ablation_bank_granularity_monotone () =
   let benches = [ Sdiq_workloads.W_crafty.build ~outer:3_000 () ] in

@@ -413,7 +413,7 @@ let test_pipeline_independent_ipc () =
         Asm.bne p (r 1) Reg.zero "loop";
         Asm.halt p)
   in
-  let stats = Pipeline.simulate prog in
+  let stats = Pipeline.run (Pipeline.create prog) in
   let ipc = Stats.ipc stats in
   Alcotest.(check bool) (Printf.sprintf "high ILP: ipc %.2f" ipc) true
     (ipc > 4.0)
@@ -429,7 +429,7 @@ let test_pipeline_chain_ipc () =
         Asm.bne p (r 1) Reg.zero "loop";
         Asm.halt p)
   in
-  let stats = Pipeline.simulate prog in
+  let stats = Pipeline.run (Pipeline.create prog) in
   let ipc = Stats.ipc stats in
   Alcotest.(check bool) (Printf.sprintf "serial: ipc %.2f" ipc) true
     (ipc > 1.2 && ipc < 2.6)
@@ -480,8 +480,8 @@ let test_pipeline_mispredict_penalty () =
         Asm.bne p (r 1) Reg.zero "loop";
         Asm.halt p)
   in
-  let s_pred = Pipeline.simulate (mk false) in
-  let s_rand = Pipeline.simulate (mk true) in
+  let s_pred = Pipeline.run (Pipeline.create (mk false)) in
+  let s_rand = Pipeline.run (Pipeline.create (mk true)) in
   Alcotest.(check bool) "random branch is slower" true
     (Stats.ipc s_rand < Stats.ipc s_pred);
   Alcotest.(check bool) "mispredicts recorded" true
@@ -503,8 +503,8 @@ let test_pipeline_cache_miss_slows () =
         Asm.bne p (r 1) Reg.zero "loop";
         Asm.halt p)
   in
-  let s_small = Pipeline.simulate (mk 1 2000) in
-  let s_big = Pipeline.simulate (mk 97 2000) in
+  let s_small = Pipeline.run (Pipeline.create (mk 1 2000)) in
+  let s_big = Pipeline.run (Pipeline.create (mk 97 2000)) in
   Alcotest.(check bool) "thrashing is slower" true
     (s_big.Stats.cycles > s_small.Stats.cycles);
   Alcotest.(check bool) "misses recorded" true
@@ -522,7 +522,7 @@ let test_pipeline_store_forwarding () =
         Asm.bne p (r 1) Reg.zero "loop";
         Asm.halt p)
   in
-  let stats = Pipeline.simulate prog in
+  let stats = Pipeline.run (Pipeline.create prog) in
   Alcotest.(check bool) "forwards happen" true
     (stats.Stats.store_forwards > 100)
 
@@ -562,7 +562,7 @@ let test_pipeline_software_policy_limits_occupancy () =
         Asm.store p Reg.zero (r 2) 3;
         Asm.halt p)
   in
-  let base = Pipeline.simulate (mk false) in
+  let base = Pipeline.run (Pipeline.create (mk false)) in
   let t = Pipeline.create ~policy:(Policy.software ()) (mk true) in
   let limited = Pipeline.run t in
   Alcotest.(check bool) "occupancy reduced" true
@@ -581,8 +581,8 @@ let test_pipeline_deterministic () =
         Asm.bne p (r 1) Reg.zero "loop";
         Asm.halt p)
   in
-  let a = Pipeline.simulate prog in
-  let b = Pipeline.simulate prog in
+  let a = Pipeline.run (Pipeline.create prog) in
+  let b = Pipeline.run (Pipeline.create prog) in
   Alcotest.(check int) "same cycles" a.Stats.cycles b.Stats.cycles;
   Alcotest.(check int) "same wakeups" a.Stats.iq_wakeups_gated
     b.Stats.iq_wakeups_gated

@@ -142,7 +142,7 @@ let test_btb_bubbles_counted () =
   Asm.bne p (r 1) Reg.zero "loop";
   Asm.halt p;
   let prog = Asm.assemble b ~entry:"main" in
-  let stats = Pipeline.simulate prog in
+  let stats = Pipeline.run (Pipeline.create prog) in
   Alcotest.(check bool) "the jump's first encounter bubbles" true
     (stats.Stats.btb_bubbles >= 1);
   Alcotest.(check bool) "but trained thereafter" true
@@ -163,7 +163,7 @@ let test_deep_recursion_exceeds_ras () =
   Asm.addi q (r 2) (r 2) 1;
   Asm.ret q;
   let prog = Asm.assemble b ~entry:"main" in
-  let stats = Pipeline.simulate prog in
+  let stats = Pipeline.run (Pipeline.create prog) in
   Alcotest.(check bool) "RAS overflow causes mispredicts" true
     (stats.Stats.mispredicts > 10)
 
@@ -181,7 +181,7 @@ let test_shallow_recursion_fits_ras () =
   Asm.addi q (r 2) (r 2) 1;
   Asm.ret q;
   let prog = Asm.assemble b ~entry:"main" in
-  let stats = Pipeline.simulate prog in
+  let stats = Pipeline.run (Pipeline.create prog) in
   Alcotest.(check bool) "depth 8 fits the 16-entry RAS" true
     (stats.Stats.mispredicts <= 2)
 
@@ -193,7 +193,7 @@ let test_decode_depth_delays_first_commit () =
     Asm.halt p;
     let prog = Asm.assemble b ~entry:"main" in
     let config = { Config.default with Config.decode_depth = depth } in
-    Pipeline.simulate ~config prog
+    Pipeline.run (Pipeline.create ~config prog)
   in
   let shallow = mk 1 and deep = mk 6 in
   Alcotest.(check bool) "deeper decode takes longer" true
@@ -217,7 +217,7 @@ let test_rob_full_stall_counted () =
   Asm.bne p (r 1) Reg.zero "loop";
   Asm.halt p;
   let prog = Asm.assemble b ~entry:"main" in
-  let stats = Pipeline.simulate prog in
+  let stats = Pipeline.run (Pipeline.create prog) in
   Alcotest.(check bool) "some structural stalls recorded" true
     (stats.Stats.dispatch_stall_rob_full + stats.Stats.dispatch_stall_no_reg
      + stats.Stats.dispatch_stall_iq_full
@@ -236,7 +236,9 @@ let test_policy_stall_attribution () =
   Asm.bne p (r 1) Reg.zero "loop";
   Asm.halt p;
   let prog = Asm.assemble b ~entry:"main" in
-  let stats = Pipeline.simulate ~policy:(Policy.software ()) prog in
+  let stats =
+    Pipeline.run (Pipeline.create ~policy:(Policy.software ()) prog)
+  in
   Alcotest.(check bool) "policy stalls dominate" true
     (stats.Stats.dispatch_stall_policy > stats.Stats.dispatch_stall_iq_full)
 
@@ -300,8 +302,8 @@ let test_iqset_tagged_equivalence_end_state () =
   Asm.store p Reg.zero (r 2) 0;
   Asm.halt p;
   let prog = Asm.assemble b ~entry:"main" in
-  let noop_prog, _ = Sdiq_core.Annotate.noop prog in
-  let tag_prog, _ = Sdiq_core.Annotate.extension prog in
+  let noop_prog, _ = Sdiq_core.Annotate.(apply Noop) prog in
+  let tag_prog, _ = Sdiq_core.Annotate.(apply Tagged) prog in
   let run pr =
     let t = Pipeline.create ~policy:(Policy.software ()) pr in
     let s = Pipeline.run t in

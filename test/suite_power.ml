@@ -91,8 +91,8 @@ let test_rf_gating_saves () =
 let test_simulation_counter_invariants () =
   let bench = Sdiq_workloads.W_gzip.build ~outer:2_000 () in
   let stats =
-    Sdiq_cpu.Pipeline.simulate ~init:bench.Sdiq_workloads.Bench.init
-      ~max_insns:10_000 bench.Sdiq_workloads.Bench.prog
+    Sdiq_cpu.Pipeline.run ~max_insns:10_000
+      (Sdiq_harness.Technique.build Sdiq_harness.Technique.Baseline bench)
   in
   Alcotest.(check bool) "gated <= nonempty" true
     (stats.Stats.iq_wakeups_gated <= stats.Stats.iq_wakeups_nonempty);

@@ -119,7 +119,7 @@ let prop_annotation_preserves_semantics =
   QCheck.Test.make ~count ~name:"noop annotation preserves semantics"
     arbitrary_prog (fun desc ->
       let prog = build_program desc in
-      let annotated, _ = Sdiq_core.Annotate.noop prog in
+      let annotated, _ = Sdiq_core.Annotate.(apply Noop) prog in
       let _, r1 = functional_result prog in
       let _, r2 = functional_result annotated in
       r1 = r2)
@@ -128,7 +128,7 @@ let prop_tagging_preserves_semantics =
   QCheck.Test.make ~count ~name:"tagging preserves semantics" arbitrary_prog
     (fun desc ->
       let prog = build_program desc in
-      let tagged, _ = Sdiq_core.Annotate.extension prog in
+      let tagged, _ = Sdiq_core.Annotate.(apply Tagged) prog in
       let _, r1 = functional_result prog in
       let _, r2 = functional_result tagged in
       r1 = r2)
@@ -145,7 +145,7 @@ let prop_software_policy_correct_and_live =
   QCheck.Test.make ~count ~name:"software policy: same result, no deadlock"
     arbitrary_prog (fun desc ->
       let prog = build_program desc in
-      let annotated, _ = Sdiq_core.Annotate.noop prog in
+      let annotated, _ = Sdiq_core.Annotate.(apply Noop) prog in
       let _, expected = functional_result prog in
       let _, got =
         pipeline_result ~policy:(Sdiq_cpu.Policy.software ()) annotated
@@ -186,7 +186,7 @@ let prop_software_reduces_or_preserves_wakeups =
     ~name:"software technique never increases gated wakeups materially"
     arbitrary_prog (fun desc ->
       let prog = build_program desc in
-      let annotated, _ = Sdiq_core.Annotate.extension prog in
+      let annotated, _ = Sdiq_core.Annotate.(apply Tagged) prog in
       let base, _ = pipeline_result prog in
       let tech, _ =
         pipeline_result ~policy:(Sdiq_cpu.Policy.software ()) annotated
@@ -200,7 +200,7 @@ let prop_strip_insert_roundtrip =
   QCheck.Test.make ~count ~name:"strip (insert_iqsets p) ~ p" arbitrary_prog
     (fun desc ->
       let prog = build_program desc in
-      let annotated, _ = Sdiq_core.Annotate.noop prog in
+      let annotated, _ = Sdiq_core.Annotate.(apply Noop) prog in
       let stripped = Rewrite.strip annotated in
       Prog.length stripped = Prog.length prog
       && Array.for_all2

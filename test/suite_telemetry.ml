@@ -254,9 +254,10 @@ let test_ledger_file_round_trip () =
       (records = [ a; b ]));
   Sys.remove file;
   match Obs.Ledger.load ~file with
-  | Ok [] -> ()
-  | Ok _ -> Alcotest.fail "absent file should load as empty"
-  | Error e -> Alcotest.fail e
+  | Ok _ -> Alcotest.fail "an absent file must not load"
+  | Error e ->
+    Alcotest.(check string) "absent file is an error"
+      (file ^ ": no such ledger") e
 
 let load_text text =
   let file = Filename.temp_file "sdiq-ledger" ".jsonl" in

@@ -8,8 +8,8 @@ let crafty () = Sdiq_workloads.W_crafty.build ~outer:3_000 ()
 
 let run_stats () =
   let b = crafty () in
-  Sdiq_cpu.Pipeline.simulate ~init:b.Sdiq_workloads.Bench.init
-    ~max_insns:8_000 b.Sdiq_workloads.Bench.prog
+  Sdiq_cpu.Pipeline.run ~max_insns:8_000
+    (Sdiq_harness.Technique.build Sdiq_harness.Technique.Baseline b)
 
 let test_breakdown_shares_sum_to_100 () =
   let stats = run_stats () in

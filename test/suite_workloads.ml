@@ -30,10 +30,9 @@ let test_all_assemble_and_run_functionally () =
         true (steps > 1_000))
     (Suite.tiny ())
 
-let simulate ?(policy = Sdiq_cpu.Policy.unlimited) ?(budget = 12_000)
-    (b : Bench.t) =
-  Sdiq_cpu.Pipeline.simulate ~policy ~init:b.Bench.init ~max_insns:budget
-    b.Bench.prog
+let simulate ?(budget = 12_000) (b : Bench.t) =
+  Sdiq_cpu.Pipeline.run ~max_insns:budget
+    (Sdiq_harness.Technique.build Sdiq_harness.Technique.Baseline b)
 
 let find name = Option.get (Suite.find name)
 
@@ -117,7 +116,7 @@ let test_benchmarks_have_stores_and_loads () =
 let test_every_bench_analyzable () =
   List.iter
     (fun (b : Bench.t) ->
-      let annotated, anns = Sdiq_core.Annotate.noop b.Bench.prog in
+      let annotated, anns = Sdiq_core.Annotate.(apply Noop) b.Bench.prog in
       Alcotest.(check bool)
         (b.Bench.name ^ " has annotations")
         true
