@@ -631,7 +631,7 @@ let writeback_stage t =
         if t.blocked_sn = dyn.Exec.sn then begin
           t.blocked_sn <- -1;
           t.fetch_resume_at <-
-            max t.fetch_resume_at
+            Int.max t.fetch_resume_at
               (t.cycle + 1 + t.cfg.Config.mispredict_redirect);
           (* Speculative episode: squash after the wakeup broadcast. *)
           if t.wp_mode then resolved := idx
@@ -762,7 +762,7 @@ let issue_stage t =
       for j = 0 to Array.length rel - 1 do
         if Array.unsafe_get rel j > t.cycle then incr busy
       done;
-      t.avail.(k) <- max 0 (t.fu_counts.(k) - !busy)
+      t.avail.(k) <- Int.max 0 (t.fu_counts.(k) - !busy)
     done;
   (* Collect the ready entries oldest-first into scratch, then try each.
      The scheduler policy bounds the select scan: oldest_first and
@@ -828,7 +828,7 @@ let issue_stage t =
               incr j
             done;
             rel.(!j) <- t.cycle + lat;
-            t.unpipe_busy_until <- max t.unpipe_busy_until (t.cycle + lat)
+            t.unpipe_busy_until <- Int.max t.unpipe_busy_until (t.cycle + lat)
           end;
           schedule_completion t rob_idx lat
         end

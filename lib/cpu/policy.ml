@@ -80,7 +80,7 @@ let allows t (iq : Iq.t) =
     match t with
     | Unlimited -> true
     | Software s ->
-      Iq.new_region_span iq < min s.max_new_range (Iq.size iq - 1)
+      Iq.new_region_span iq < Int.min s.max_new_range (Iq.size iq - 1)
     | Abella a -> Iq.occupancy iq < a.limit
 
 (* A compiler annotation arrived at dispatch: a new region starts and the
@@ -93,7 +93,7 @@ let on_annotation t (iq : Iq.t) ~pc ~value =
   | Software s ->
     if pc <> s.region_pc then begin
       Iq.start_new_region iq;
-      s.max_new_range <- max 1 value;
+      s.max_new_range <- Int.max 1 value;
       s.region_pc <- pc
     end
   | Unlimited | Abella _ -> ()
@@ -121,9 +121,9 @@ let end_cycle t (iq : Iq.t) ~resize_ok ~throttled =
       in
       let old = a.limit in
       if throttle_frac > a.grow_threshold then
-        a.limit <- min a.max_limit (a.limit + a.bank)
+        a.limit <- Int.min a.max_limit (a.limit + a.bank)
       else if avg_occ < float_of_int (a.limit - a.shrink_headroom) then
-        a.limit <- max a.min_limit (a.limit - a.bank);
+        a.limit <- Int.max a.min_limit (a.limit - a.bank);
       if a.limit <> old then a.resizes <- a.resizes + 1;
       a.cycle_in_window <- 0;
       a.occupancy_sum <- 0;

@@ -11,7 +11,6 @@
 
 type t = {
   entries : int;
-  page_size : int;          (* words per page; must be a power of two *)
   page_shift : int;
   tags : int array;         (* virtual page number, [empty] when free *)
   stamps : int array;       (* last-use clock for LRU *)
@@ -35,7 +34,6 @@ let create ~entries ~page_size =
   in
   {
     entries;
-    page_size;
     page_shift = shift;
     tags = Array.make entries empty;
     stamps = Array.make entries 0;

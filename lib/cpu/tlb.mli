@@ -11,10 +11,6 @@ type t
     free-entry marker). *)
 val create : entries:int -> page_size:int -> t
 
-(** Virtual page number of a word address (floored: negative addresses
-    have negative pages). *)
-val page_of : t -> int -> int
-
 (** Probe for the page holding [addr]; install over the LRU entry on a
     miss. Returns [true] on a hit. *)
 val access : t -> int -> bool

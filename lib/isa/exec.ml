@@ -21,66 +21,26 @@ type dyn = {
   addr : int;     (* memory effective address, -1 for non-memory ops *)
 }
 
-(* A benchmark's initial memory, frozen: every machine of the benchmark
-   loads the one image and keeps its own stores in its overlay, so the
-   image is shared read-only and never written after [freeze].
-   Word-aligned int words live in 4 KiB pages of 1,024 slots, found
-   through a page table; any other key (an int word off the 4-byte
-   grid, an fp word) lives in a side table. A page slot of 0 reads as
-   unwritten memory. *)
-type image = {
-  page_of : Intmap.t; (* page number -> index into [pages] *)
-  pages : int array array;
-  loose : Intmap.t; (* int words off the 4-byte grid *)
-  floats : (int, float) Hashtbl.t;
-}
+(* Memory is a stack of paged word stores ([Store]): a state's own
+   stores, a shadow's base below them, and at the bottom the image its
+   benchmark froze, which every machine of the benchmark shares
+   read-only. *)
+type store = Store.t
+type image = Store.t
 
-let page_words = 1024
-let page_number addr = addr asr 12
-let page_slot addr = (addr lsr 2) land (page_words - 1)
-let page_addr page slot = (page lsl 12) lor (slot lsl 2)
-
-let no_image =
-  {
-    page_of = Intmap.create 1;
-    pages = [||];
-    loose = Intmap.create 1;
-    floats = Hashtbl.create 1;
-  }
-
-let image_peek im addr =
-  if addr land 3 = 0 then
-    let p = Intmap.find im.page_of (page_number addr) ~default:(-1) in
-    if p < 0 then 0
-    else Array.unsafe_get (Array.unsafe_get im.pages p) (page_slot addr)
-  else Intmap.find im.loose addr ~default:0
-
-let image_fpeek im addr =
-  if Hashtbl.length im.floats = 0 then 0.
-  else match Hashtbl.find_opt im.floats addr with Some v -> v | None -> 0.
-
-let iter_image im ~int ~float =
-  Intmap.iter
-    (fun page p ->
-      Array.iteri
-        (fun slot v -> if v <> 0 then int (page_addr page slot) v)
-        im.pages.(p))
-    im.page_of;
-  Intmap.iter int im.loose;
-  Hashtbl.iter float im.floats
+(* What a state that was never [load]ed reads below its overlay:
+   nothing. Never written; [load] tells it apart by identity. *)
+let no_image = Store.create ()
 
 type state = {
   prog : Prog.t;
   iregs : int array;
   fregs : float array;
-  imem : Intmap.t; (* open addressing: allocation-free loads *)
-  fmem : (int, float) Hashtbl.t;
+  mem : store;
+      (* the state's own stores: an overlay over a shadow's [base], or
+         over [image] *)
   base : state option;
-      (* a shadow's backing state: [imem]/[fmem] are then a store
-         overlay, and an address the overlay lacks reads [base]'s memory *)
-  mutable image : image;
-      (* below the overlay: what an address neither the overlay nor a
-         base holds reads; [no_image] until [load] *)
+  mutable image : image; (* [no_image] until [load] *)
   mutable stack : int list; (* return addresses *)
   mutable pc : int;
   mutable steps : int;
@@ -92,16 +52,12 @@ type state = {
   mutable d_addr : int;
 }
 
-(* The overlay starts small and doubles as stores fill it: a machine's
-   initial memory is its image, so the overlay holds only the run's own
-   stores. *)
 let make prog base =
   {
     prog;
     iregs = Array.make Reg.num_int 0;
     fregs = Array.make Reg.num_fp 0.;
-    imem = Intmap.create 64;
-    fmem = Hashtbl.create 16;
+    mem = Store.create ();
     base;
     image = no_image;
     stack = [];
@@ -123,41 +79,40 @@ let fork t =
   | Some b ->
     Array.blit b.iregs 0 t.iregs 0 (Array.length t.iregs);
     Array.blit b.fregs 0 t.fregs 0 (Array.length t.fregs);
-    Intmap.clear t.imem;
-    if Hashtbl.length t.fmem > 0 then Hashtbl.reset t.fmem
+    Store.clear t.mem
+
+(* What an address no store holds reads. *)
+let unwritten zero _ = zero
 
 (* One read-through rule: the overlay, then a shadow's base, then the
-   image. *)
-let rec peek t addr =
-  let i = Intmap.find_slot t.imem addr in
-  if i >= 0 then Intmap.slot_value t.imem i
-  else
-    match t.base with
-    | Some b -> peek b addr
-    | None -> image_peek t.image addr
+   image, with one [Store] lookup at each level. *)
+let rec peek t addr = Store.find t.mem addr peek_below t
 
-let poke t addr v = Intmap.replace t.imem addr v
+and peek_below t addr =
+  match t.base with
+  | Some b -> peek b addr
+  | None -> Store.find t.image addr unwritten 0
 
-let rec fpeek t addr =
-  match Hashtbl.find_opt t.fmem addr with
-  | Some v -> v
-  | None -> (
-    match t.base with
-    | Some b -> fpeek b addr
-    | None -> image_fpeek t.image addr)
+let poke t addr v = Store.set t.mem addr v
 
-let fpoke t addr v = Hashtbl.replace t.fmem addr v
+let rec fpeek t addr = Store.find_float t.mem addr fpeek_below t
+
+and fpeek_below t addr =
+  match t.base with
+  | Some b -> fpeek b addr
+  | None -> Store.find_float t.image addr unwritten 0.
+
+let fpoke t addr v = Store.set_float t.mem addr v
 
 (* Every address [t] can read a binding at, once each: the overlay's
    bindings, then what lies below them and the overlay does not cover. *)
 let rec iter_memory t ~int ~float =
-  Intmap.iter int t.imem;
-  Hashtbl.iter float t.fmem;
-  let int a v = if not (Intmap.mem t.imem a) then int a v
-  and float a v = if not (Hashtbl.mem t.fmem a) then float a v in
+  Store.iter t.mem ~int ~float;
+  let int a v = if not (Store.mem t.mem a) then int a v
+  and float a v = if not (Store.mem_float t.mem a) then float a v in
   match t.base with
   | Some b -> iter_memory b ~int ~float
-  | None -> iter_image t.image ~int ~float
+  | None -> Store.iter t.image ~int ~float
 
 let memory t =
   let ints = ref [] and floats = ref [] in
@@ -166,36 +121,19 @@ let memory t =
     ~float:(fun a v -> floats := (a, v) :: !floats);
   (List.sort compare !ints, List.sort compare !floats)
 
+(* Always a fresh store, whatever [t] is: an int zero reads the same as
+   unwritten memory at the bottom of the stack, so it is left out. *)
 let freeze t =
-  let page_of = Intmap.create 64 and loose = Intmap.create 16 in
-  let floats = Hashtbl.create 16 in
-  let pages = ref (Array.make 16 [||]) in
-  let page n =
-    let p = Intmap.find page_of n ~default:(-1) in
-    if p >= 0 then !pages.(p)
-    else begin
-      let p = Intmap.count page_of in
-      if p = Array.length !pages then
-        pages := Array.append !pages (Array.make p [||]);
-      let words = Array.make page_words 0 in
-      !pages.(p) <- words;
-      Intmap.replace page_of n p;
-      words
-    end
-  in
+  let im = Store.create () in
   iter_memory t
-    ~int:(fun a v ->
-      if v <> 0 then
-        if a land 3 = 0 then (page (page_number a)).(page_slot a) <- v
-        else Intmap.replace loose a v)
-    ~float:(Hashtbl.replace floats);
-  { page_of; pages = Array.sub !pages 0 (Intmap.count page_of); loose; floats }
+    ~int:(fun a v -> if v <> 0 then Store.set im a v)
+    ~float:(Store.set_float im);
+  im
 
 let load t im =
   if
     Option.is_some t.base || t.image != no_image || t.steps > 0
-    || Intmap.count t.imem > 0
-    || Hashtbl.length t.fmem > 0
+    || not (Store.is_empty t.mem)
   then invalid_arg "Exec.load: state is not pristine";
   t.image <- im
 

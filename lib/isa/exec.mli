@@ -20,22 +20,24 @@ type dyn = {
   addr : int;     (** memory effective address, -1 for non-memory ops *)
 }
 
-(** A benchmark's initial memory, frozen by {!freeze}: read-only, and
-    shared by every state that {!load}s it. *)
+(** A state's own stores: a paged word store over what lies below. *)
+type store
+
+(** A benchmark's initial memory, frozen by {!freeze}: a paged word
+    store, read-only, and shared by every state that {!load}s it. *)
 type image
 
 type state = private {
   prog : Prog.t;
   iregs : int array;
   fregs : float array;
-  imem : Intmap.t;  (** integer memory (open addressing) *)
-  fmem : (int, float) Hashtbl.t;
+  mem : store;
+      (** the state's own stores (the overlay): a shadow's hold only the
+          shadow's stores, and other addresses read [base]'s memory *)
   base : state option;
-      (** a shadow's backing state: [imem]/[fmem] then hold only the
-          shadow's own stores, and other addresses read [base]'s memory *)
   mutable image : image;
-      (** what an address the overlay ([imem]/[fmem]) lacks reads, for a
-          state that is not a shadow; set only by {!load} *)
+      (** what an address the overlay lacks reads, for a state that is
+          not a shadow; set only by {!load} *)
   mutable stack : int list;
   mutable pc : int;
   mutable steps : int;

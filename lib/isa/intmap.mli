@@ -1,6 +1,8 @@
-(** Open-addressing int-keyed int map (the oracle's data memory):
+(** Open-addressing int-keyed int map (the data memory's page table
+    and side table, see {!Store}):
     power-of-two capacity, multiplicative hashing, linear probing,
-    allocation-free lookups, no single-key deletion. *)
+    allocation-free lookups, no single-key deletion. Any int but
+    [min_int] can be a key. *)
 
 type t
 
@@ -21,7 +23,8 @@ val find_slot : t -> int -> int
 (** The value in a slot {!find_slot} returned. *)
 val slot_value : t -> int -> int
 
-(** Bind [k] to [v], replacing any previous binding. *)
+(** Bind [k] to [v], replacing any previous binding. Raises
+    [Invalid_argument] when [k] is [min_int]. *)
 val replace : t -> int -> int -> unit
 
 (** Number of bindings. *)

@@ -16,8 +16,9 @@ type t = {
 }
 
 (* [init] loads one image, built by the first call: the initialiser
-   runs once per [t], on a scratch state, and every machine of the
-   benchmark shares what it wrote. The lock makes a first call on two
+   runs once per [t], into a scratch state's paged overlay, which
+   [Exec.freeze] copies into the image every machine of the benchmark
+   shares. The lock makes a first call on two
    domains at once build it once ([Lazy] would raise [Undefined] on the
    second domain). Nothing is built before the first call, so making the
    suite stays cheap. *)

@@ -393,6 +393,134 @@ let prop_image_reads_like_its_state =
         (first @ second)
       && compare (nonzero (Exec.memory st)) (Exec.memory loaded) = 0)
 
+(* The paged store against a [Hashtbl] model. A root state, a state
+   loaded from a frozen image and a shadow of the loaded state take
+   random stores, forks and reloads ([load (freeze src)] into a fresh
+   state, with a fresh shadow over it); after each step every address
+   of a small pool reads as the model says on all three. The pool
+   covers every word of pages on both sides of the 128-byte seams at
+   -128, 0 and 128 (negative addresses included), a far page, words
+   off the 4-byte grid and the ends of the address range, so stores
+   collide on pages, on slots of pages reused after a fork, and on
+   non-zero image words. *)
+type store_op =
+  | Poke of int * int * int (* state (0 root, 1 loaded, 2 shadow), addr, value *)
+  | Fpoke of int * int * float
+  | Fork
+  | Reload of int (* freeze this state into the loaded state's image *)
+
+let store_pool =
+  let pages = [ -2; -1; 0; 1; 0x2_0000 ] in
+  List.concat_map (fun p -> List.init 32 (fun k -> (p * 128) + (4 * k))) pages
+  @ [ -127; -3; -1; 1; 2; 3; 126; 127; 129; 0x10_0003 ]
+  @ [ min_int; min_int + 1; min_int + 4; max_int; max_int - 3 ]
+
+let gen_store_op =
+  let pool = Array.of_list store_pool in
+  QCheck.Gen.(
+    frequency
+      [
+        ( 8,
+          map3
+            (fun who a v -> Poke (who, a, v))
+            (int_bound 2) (oneofa pool)
+            (oneof [ return 0; return 0; int_range (-3) 3; int ]) );
+        ( 1,
+          map3
+            (fun who a v -> Fpoke (who, a, v))
+            (int_bound 2) (oneofa pool)
+            (oneofl [ 0.; -0.; 1.5 ]) );
+        (2, return Fork);
+        (1, map (fun who -> Reload who) (int_bound 2));
+      ])
+
+let print_store_op = function
+  | Poke (w, a, v) -> Printf.sprintf "poke@%d %d %d" w a v
+  | Fpoke (w, a, v) -> Printf.sprintf "fpoke@%d %d %h" w a v
+  | Fork -> "fork"
+  | Reload w -> Printf.sprintf "reload from %d" w
+
+let prop_store_matches_model =
+  QCheck.Test.make ~count:300 ~name:"paged store matches a Hashtbl model"
+    (QCheck.make
+       ~print:QCheck.Print.(list print_store_op)
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 80) gen_store_op))
+    (fun ops ->
+      let prog = one_proc_prog () in
+      (* Each state's own stores, int and fp. The loaded state reads its
+         image below them; the shadow reads the loaded state. *)
+      let fresh () = (Hashtbl.create 16, Hashtbl.create 4) in
+      let root_m = fresh () and image_m = ref (fresh ())
+      and loaded_m = ref (fresh ()) and shadow_m = ref (fresh ()) in
+      let root = Exec.create prog in
+      let loaded = ref (Exec.create prog) in
+      let shadow = ref (Exec.shadow !loaded) in
+      let state = function 0 -> root | 1 -> !loaded | _ -> !shadow in
+      let model = function 0 -> root_m | 1 -> !loaded_m | _ -> !shadow_m in
+      let read pick zero who a =
+        let layer m below =
+          match Hashtbl.find_opt (pick m) a with Some v -> v | None -> below
+        in
+        let loaded = layer !loaded_m (layer !image_m zero) in
+        match who with
+        | 0 -> layer root_m zero
+        | 1 -> loaded
+        | _ -> layer !shadow_m loaded
+      in
+      let read_int = read fst 0 and read_float = read snd 0. in
+      let step = function
+        | Poke (w, a, v) ->
+          Exec.poke (state w) a v;
+          Hashtbl.replace (fst (model w)) a v
+        | Fpoke (w, a, v) ->
+          Exec.fpoke (state w) a v;
+          Hashtbl.replace (snd (model w)) a v
+        | Fork ->
+          Exec.fork !shadow;
+          shadow_m := fresh ()
+        | Reload w ->
+          let ints, floats = fresh () in
+          List.iter
+            (fun a ->
+              let v = read_int w a and x = read_float w a in
+              if v <> 0 then Hashtbl.replace ints a v;
+              if not (same_float x 0.) then Hashtbl.replace floats a x)
+            store_pool;
+          let st = Exec.create prog in
+          Exec.load st (Exec.freeze (state w));
+          loaded := st;
+          shadow := Exec.shadow st;
+          Exec.fork !shadow;
+          image_m := (ints, floats);
+          loaded_m := fresh ();
+          shadow_m := fresh ()
+      in
+      let agrees who a =
+        Exec.peek (state who) a = read_int who a
+        && same_float (Exec.fpeek (state who) a) (read_float who a)
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          List.for_all
+            (fun a -> agrees 0 a && agrees 1 a && agrees 2 a)
+            store_pool)
+        ops)
+
+(* A fresh state's memory stays small: a random program builds a
+   machine (a state and its wrong-path shadow) per run. 365 words is
+   what a fresh state held, less its program, when the overlay was an
+   open-addressing table of 64 slots. *)
+let test_fresh_state_is_small () =
+  let prog = one_proc_prog () in
+  let st = Exec.create prog in
+  let words =
+    Obj.reachable_words (Obj.repr st) - Obj.reachable_words (Obj.repr prog)
+  in
+  if words > 365 then
+    Alcotest.failf "a fresh Exec state holds %d words (> 365)" words
+
 let test_load_needs_pristine_state () =
   let prog = one_proc_prog () in
   let image =
@@ -445,6 +573,9 @@ let suite =
     Alcotest.test_case "fork copies registers, drops overlay" `Quick
       test_fork_copies_registers_drops_overlay;
     QCheck_alcotest.to_alcotest prop_image_reads_like_its_state;
+    QCheck_alcotest.to_alcotest prop_store_matches_model;
     Alcotest.test_case "load needs a pristine state" `Quick
       test_load_needs_pristine_state;
+    Alcotest.test_case "a fresh state is small" `Quick
+      test_fresh_state_is_small;
   ]

@@ -215,6 +215,27 @@ let test_first_init_on_two_domains () =
   Alcotest.(check bool) "both domains see equal memory" true (m1 = m2);
   Alcotest.(check bool) "the initialiser's memory" true (m1 = expected)
 
+(* Building a benchmark's image (its first [init]) allocates at most
+   three times the image's size in the major heap: the initialiser's
+   stores and the frozen copy, with no table of the whole initial memory
+   growing by doubling in between. mcf has the largest image. *)
+let test_image_build_is_compact () =
+  let bench = find "mcf" in
+  let st = Exec.create bench.Bench.prog in
+  let major_words () =
+    let _, _, w = Gc.counters () in
+    w
+  in
+  Gc.minor ();
+  let w0 = major_words () in
+  bench.Bench.init st;
+  let allocated = major_words () -. w0 in
+  let image = float_of_int (Obj.reachable_words (Obj.repr st.Exec.image)) in
+  if allocated > 3. *. image then
+    Alcotest.failf
+      "building mcf's image allocated %.0f major-heap words (> 3 x %.0f)"
+      allocated image
+
 let suite =
   [
     Alcotest.test_case "suite matches the paper" `Quick test_suite_complete;
@@ -236,6 +257,8 @@ let suite =
       test_every_bench_analyzable;
     Alcotest.test_case "machines share the image, not stores" `Quick
       test_machines_share_image_not_stores;
+    Alcotest.test_case "image build is compact" `Quick
+      test_image_build_is_compact;
     Alcotest.test_case "first init on two domains" `Quick
       test_first_init_on_two_domains;
   ]
