@@ -68,6 +68,29 @@ let rec mkdir_p dir =
     mkdir_p (Filename.dirname dir);
     try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ())
 
+(* Two output flags naming one file would write over each other (and a
+   truncating one would empty a ledger): a usage error, reported before
+   any output is opened. [F], [./F] and [dir/../F] meet, as do paths
+   through a symlink. *)
+let distinct_outputs t flags =
+  let resolve path = try Unix.realpath path with Unix.Unix_error _ -> path in
+  let key path =
+    resolve
+      (Filename.concat (resolve (Filename.dirname path))
+         (Filename.basename path))
+  in
+  let seen = Hashtbl.create 4 in
+  List.iter
+    (function
+      | _, None -> ()
+      | flag, Some path -> (
+        let k = key path in
+        match Hashtbl.find_opt seen k with
+        | Some first ->
+          fail t "--%s and --%s name the same file %s" first flag path
+        | None -> Hashtbl.add seen k flag))
+    flags
+
 (* Open [--flag FILE] now, so an unwritable path fails before the run.
    [~append] (the ledger) appends and creates missing parent
    directories; otherwise the file is truncated. *)

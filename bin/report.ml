@@ -416,6 +416,12 @@ let run budget only domains markdown sample min_insns min_windows policy
       (if List.length unknown = 1 then "" else "s")
       (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
       (String.concat ", " all_ids));
+  Cli.distinct_outputs cli
+    [
+      ("policy-grid", policy_grid);
+      ("ledger", ledger);
+      ("trace-spans", trace_spans);
+    ];
   let policy_grid = Cli.output cli "policy-grid" policy_grid in
   let ledger = Cli.output ~append:true cli "ledger" ledger in
   let write_spans = Cli.trace_spans cli trace_spans in

@@ -68,23 +68,24 @@ let trace_arg =
 
 let metrics_arg =
   let doc =
-    "Write a metrics dump of a dedicated profiled run to $(docv). The \
-     extension picks the format: $(b,.om) or $(b,.prom) renders the \
-     streaming metrics registry plus the host self-profile as an \
-     OpenMetrics text exposition (promtool-checkable); anything else \
-     writes the JSON dump (region-attribution profile, metrics registry, \
-     host self-profile). Detailed runs only: rejected with $(b,--sample)."
+    "Write a metrics dump of the run to $(docv). The extension picks the \
+     format: $(b,.om) or $(b,.prom) renders the region profiler's \
+     streaming metrics registry as an OpenMetrics text exposition \
+     (promtool-checkable); anything else writes the JSON dump \
+     (region-attribution profile). Detailed runs only: rejected with \
+     $(b,--sample)."
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
 let trace_spans_arg =
   let doc =
     "Write the run's host-side span trace to $(docv) as Chrome \
-     trace-event JSON (load it in Perfetto or chrome://tracing): \
-     campaign/pair/pool spans with one track per domain, plus memo and \
-     pool counters. Works for detailed and $(b,--sample) runs; spans \
-     observe only the host, so traced statistics are identical to \
-     untraced ones."
+     trace-event JSON (load it in Perfetto or chrome://tracing): one \
+     span per simulation (the technique's run and, for a non-baseline \
+     technique, the baseline it is compared with), plus the sampler's \
+     phase spans with $(b,--sample). Works for detailed and \
+     $(b,--sample) runs; spans observe only the host, so traced \
+     statistics are identical to untraced ones."
   in
   Arg.(
     value & opt (some string) None & info [ "trace-spans" ] ~docv:"FILE" ~doc)
@@ -154,86 +155,153 @@ let window_arg =
   in
   Arg.(value & opt (some int) None & info [ "window" ] ~docv:"N" ~doc)
 
-(* A dedicated traced run: the runner's build, with the JSONL trace sink
-   on the bus. *)
-let write_trace bench technique ~sched ~budget (file, oc) =
-  let p = Sdiq_harness.Technique.build ~sched technique bench in
-  Sdiq_cpu.Pipeline.subscribe ~name:"jsonl-trace" p
-    (Sdiq_events.Trace.sink oc);
-  let stats = Sdiq_cpu.Pipeline.run ~max_insns:budget p in
-  close_out oc;
-  Fmt.pr "trace: %s (%d cycles, %d committed)@." file
-    stats.Sdiq_cpu.Stats.cycles stats.Sdiq_cpu.Stats.committed
+(* The one way this tool builds a machine: the technique's binary (or
+   [?prog], an already prepared one), with the invariant checker on its
+   bus under --check. *)
+let machine ~sched ~check ?prog bench tech =
+  let p = Sdiq_harness.Technique.build ~sched ?prog tech bench in
+  if check then ignore (Sdiq_check.Checker.attach p : Sdiq_check.Checker.t);
+  p
 
-(* A dedicated profiled run: the region-attribution profiler and the
-   host self-profiler ride the bus of one fresh simulation, which runs
-   the region map's binary. *)
-let write_metrics bench technique ~sched ~budget (file, oc) =
-  let map =
-    Sdiq_obs.Region.build
-      (Sdiq_harness.Technique.recipe technique)
-      bench.Sdiq_workloads.Bench.prog
-  in
-  let p =
-    Sdiq_harness.Technique.build ~sched
-      ~prog:(Sdiq_obs.Region.running_prog map)
-      technique bench
-  in
-  let prof = Sdiq_obs.Profiler.attach map p in
-  let host = Sdiq_obs.Hostprof.attach p in
-  let stats = Sdiq_cpu.Pipeline.run ~max_insns:budget p in
-  if Filename.check_suffix file ".om" || Filename.check_suffix file ".prom"
-  then
-    (* OpenMetrics exposition: the profiler's streaming registry merged
-       with the host self-profile's gauges, one scrape-ready document. *)
-    output_string oc
-      (Sdiq_obs.Metrics.to_openmetrics
-         (Sdiq_obs.Metrics.merge
-            (Sdiq_obs.Profiler.metrics prof)
-            (Sdiq_obs.Hostprof.to_metrics host)))
-  else begin
-    Printf.fprintf oc
-      {|{"bench":"%s","technique":"%s","budget":%d,"profile":%s,"hostprof":%s}|}
-      bench.Sdiq_workloads.Bench.name
-      (Sdiq_harness.Technique.name technique)
-      budget
-      (Sdiq_obs.Profiler.to_json prof)
-      (Sdiq_obs.Hostprof.to_json host);
-    output_char oc '\n'
-  end;
-  close_out oc;
-  Fmt.pr "metrics: %s (%d regions over %d cycles)@." file
-    (Sdiq_obs.Region.count map) stats.Sdiq_cpu.Stats.cycles
-
-(* A dedicated counting run for the verbose event-mix table. *)
-let event_mix bench technique ~sched ~budget =
-  let p = Sdiq_harness.Technique.build ~sched technique bench in
-  let counts = Sdiq_events.Counts.create () in
-  Sdiq_cpu.Pipeline.subscribe ~name:"event-counts" p
-    (Sdiq_events.Counts.sink counts);
-  let (_ : Sdiq_cpu.Stats.t) = Sdiq_cpu.Pipeline.run ~max_insns:budget p in
-  counts
+(* One simulation, in the span and with the attrs the campaign runner
+   gives a pair; a checker violation is reported and exits 2. *)
+let simulate span bench tech f =
+  try
+    Sdiq_util.Spanlog.with_span span
+      ~attrs:
+        [
+          ("bench", bench.Sdiq_workloads.Bench.name);
+          ("technique", Sdiq_harness.Technique.name tech);
+        ]
+      f
+  with Sdiq_check.Checker.Invariant_violation v ->
+    Fmt.epr "%a@." Sdiq_check.Checker.pp_violation v;
+    exit 2
 
 (* A sampled run of one pair: whole program, SMARTS regime, estimates
    with confidence intervals. *)
 let run_sampled bench technique ~sched ~check ~config =
-  let checker = if check then Some Sdiq_check.Checker.fresh_hook else None in
-  let runner =
-    Sdiq_harness.Runner.create ~benches:[ bench ] ~sched ?checker
-      ~sample_config:config ()
-  in
-  let name = bench.Sdiq_workloads.Bench.name in
   let r =
-    try Sdiq_harness.Runner.run_sampled runner name technique
-    with Sdiq_check.Checker.Invariant_violation v ->
-      Fmt.epr "%a@." Sdiq_check.Checker.pp_violation v;
-      exit 2
+    simulate "sim.sampled_pair" bench technique (fun () ->
+        Sdiq_harness.Sampling.sample ~config
+          (machine ~sched ~check bench technique))
   in
   if check then
     Fmt.pr "(invariant checker: every detailed cycle audited)@.";
-  Fmt.pr "%s / %s:@.%a@." name
+  Fmt.pr "%s / %s:@.%a@." bench.Sdiq_workloads.Bench.name
     (Sdiq_harness.Technique.name technique)
     Sdiq_harness.Sampling.pp r
+
+let print_annotations (bench : Sdiq_workloads.Bench.t) =
+  let anns = Sdiq_core.Procedure.analyze_program bench.Sdiq_workloads.Bench.prog in
+  Fmt.pr "annotations (%d):@." (List.length anns);
+  List.iter
+    (fun (a : Sdiq_core.Procedure.annotation) ->
+      Fmt.pr "  addr %4d -> %2d entries%s@." a.Sdiq_core.Procedure.addr
+        a.Sdiq_core.Procedure.value
+        (match a.Sdiq_core.Procedure.loop_span with
+        | Some (lo, hi) -> Fmt.str " (loop %d..%d)" lo hi
+        | None -> ""))
+    anns
+
+(* The metrics dump of a run of [cycles] cycles: the region profile as
+   JSON, or with an .om/.prom extension the profiler's streaming registry
+   as an OpenMetrics text exposition. *)
+let write_metrics bench technique ~budget ~cycles prof (file, oc) =
+  if Filename.check_suffix file ".om" || Filename.check_suffix file ".prom"
+  then
+    output_string oc
+      (Sdiq_obs.Metrics.to_openmetrics (Sdiq_obs.Profiler.metrics prof))
+  else begin
+    Printf.fprintf oc {|{"bench":"%s","technique":"%s","budget":%d,"profile":%s}|}
+      bench.Sdiq_workloads.Bench.name
+      (Sdiq_harness.Technique.name technique)
+      budget
+      (Sdiq_obs.Profiler.to_json prof);
+    output_char oc '\n'
+  end;
+  close_out oc;
+  Fmt.pr "metrics: %s (%d regions over %d cycles)@." file
+    (Sdiq_obs.Region.count (Sdiq_obs.Profiler.map prof))
+    cycles
+
+(* A detailed run of one pair to the budget. Every requested observer
+   rides the technique's own machine: the event counts (-v), the
+   timeline sampler, the JSONL trace and the region profiler, which
+   needs the machine to run its map's binary. A baseline machine runs
+   only for the savings line. *)
+let run_detailed bench technique ~sched ~check ~budget ~verbose ~timeline
+    ~trace ~metrics =
+  let name = bench.Sdiq_workloads.Bench.name in
+  if verbose then print_annotations bench;
+  let counts = Sdiq_events.Counts.create () in
+  let stats, samples, prof =
+    simulate "sim.pair" bench technique (fun () ->
+        (* --metrics: the metrics file with the region map of the
+           technique's binary, which the machine then loads *)
+        let mapped =
+          Option.map
+            (fun out ->
+              ( out,
+                Sdiq_obs.Region.build
+                  (Sdiq_harness.Technique.recipe technique)
+                  bench.Sdiq_workloads.Bench.prog ))
+            metrics
+        in
+        let prog =
+          Option.map (fun (_, map) -> Sdiq_obs.Region.running_prog map) mapped
+        in
+        let p = machine ~sched ~check ?prog bench technique in
+        if verbose then
+          Sdiq_cpu.Pipeline.subscribe ~name:"event-counts" p
+            (Sdiq_events.Counts.sink counts);
+        let samples =
+          if timeline then Some (Sdiq_harness.Timeline.attach p) else None
+        in
+        Option.iter
+          (fun (_, oc) ->
+            Sdiq_cpu.Pipeline.subscribe ~name:"jsonl-trace" p
+              (Sdiq_events.Trace.sink oc))
+          trace;
+        let prof =
+          Option.map
+            (fun (out, map) -> (out, Sdiq_obs.Profiler.attach map p))
+            mapped
+        in
+        (Sdiq_cpu.Pipeline.run ~max_insns:budget p, samples, prof))
+  in
+  if check then Fmt.pr "(invariant checker: every cycle audited)@.";
+  Fmt.pr "%s / %s (policy %s):@.%a@." name
+    (Sdiq_harness.Technique.name technique)
+    (Sdiq_cpu.Sched.name sched) Sdiq_cpu.Stats.pp stats;
+  if technique <> Sdiq_harness.Technique.Baseline then begin
+    let base =
+      simulate "sim.pair" bench Sdiq_harness.Technique.Baseline (fun () ->
+          Sdiq_cpu.Pipeline.run ~max_insns:budget
+            (machine ~sched ~check bench Sdiq_harness.Technique.Baseline))
+    in
+    Fmt.pr "vs baseline: %a@." Sdiq_power.Report.pp
+      (Sdiq_power.Report.compute ~cfg:Sdiq_cpu.Config.default ~base stats)
+  end;
+  if verbose then begin
+    Fmt.pr "@.IQ energy breakdown (technique view):@.%a" Sdiq_power.Breakdown.pp
+      (Sdiq_power.Breakdown.iq stats);
+    Fmt.pr "@.int RF energy breakdown:@.%a" Sdiq_power.Breakdown.pp
+      (Sdiq_power.Breakdown.int_rf stats);
+    Fmt.pr "@.@.event mix:@.%a@." Sdiq_events.Counts.pp counts
+  end;
+  Option.iter (fun t -> print_string (Sdiq_harness.Timeline.to_csv t)) samples;
+  Option.iter
+    (fun (file, oc) ->
+      close_out oc;
+      Fmt.pr "trace: %s (%d cycles, %d committed)@." file
+        stats.Sdiq_cpu.Stats.cycles stats.Sdiq_cpu.Stats.committed)
+    trace;
+  Option.iter
+    (fun (out, prof) ->
+      write_metrics bench technique ~budget ~cycles:stats.Sdiq_cpu.Stats.cycles
+        prof out)
+    prof
 
 (* Flag interactions are validated up front: a combination that would
    silently drop one of the flags is an error, not a guess. *)
@@ -291,6 +359,8 @@ let run bench_name technique budget verbose timeline trace metrics check
          else Sdiq_workloads.Suite.all)
       bench_name
   in
+  Cli.distinct_outputs cli
+    [ ("trace", trace); ("metrics", metrics); ("trace-spans", trace_spans) ];
   let trace = Cli.output cli "trace" trace in
   let metrics = Cli.output cli "metrics" metrics in
   let write_spans = Cli.trace_spans cli trace_spans in
@@ -308,58 +378,9 @@ let run bench_name technique budget verbose timeline trace metrics check
             Option.value window ~default:dflt.Sdiq_harness.Sampling.window_len;
         }
   end
-  else begin
-    let checker =
-      if check then Some Sdiq_check.Checker.fresh_hook else None
-    in
-    let runner =
-      Sdiq_harness.Runner.create ~budget ~benches:[ bench ] ~sched ?checker ()
-    in
-    if verbose then begin
-      let anns =
-        Sdiq_core.Procedure.analyze_program bench.Sdiq_workloads.Bench.prog
-      in
-      Fmt.pr "annotations (%d):@." (List.length anns);
-      List.iter
-        (fun (a : Sdiq_core.Procedure.annotation) ->
-          Fmt.pr "  addr %4d -> %2d entries%s@." a.Sdiq_core.Procedure.addr
-            a.Sdiq_core.Procedure.value
-            (match a.Sdiq_core.Procedure.loop_span with
-            | Some (lo, hi) -> Fmt.str " (loop %d..%d)" lo hi
-            | None -> ""))
-        anns
-    end;
-    let stats =
-      try Sdiq_harness.Runner.run runner bench_name technique
-      with Sdiq_check.Checker.Invariant_violation v ->
-        Fmt.epr "%a@." Sdiq_check.Checker.pp_violation v;
-        exit 2
-    in
-    if check then Fmt.pr "(invariant checker: every cycle audited)@.";
-    Fmt.pr "%s / %s (policy %s):@.%a@." bench_name
-      (Sdiq_harness.Technique.name technique)
-      (Sdiq_cpu.Sched.name sched) Sdiq_cpu.Stats.pp stats;
-    if technique <> Sdiq_harness.Technique.Baseline then begin
-      let savings = Sdiq_harness.Runner.savings runner bench_name technique in
-      Fmt.pr "vs baseline: %a@." Sdiq_power.Report.pp savings
-    end;
-    if verbose then begin
-      Fmt.pr "@.IQ energy breakdown (technique view):@.%a" Sdiq_power.Breakdown.pp
-        (Sdiq_power.Breakdown.iq stats);
-      Fmt.pr "@.int RF energy breakdown:@.%a" Sdiq_power.Breakdown.pp
-        (Sdiq_power.Breakdown.int_rf stats);
-      Fmt.pr "@.@.event mix:@.%a@." Sdiq_events.Counts.pp
-        (event_mix bench technique ~sched ~budget)
-    end;
-    if timeline then begin
-      let t =
-        Sdiq_harness.Timeline.record ~sched ~max_insns:budget bench technique
-      in
-      print_string (Sdiq_harness.Timeline.to_csv t)
-    end;
-    Option.iter (write_trace bench technique ~sched ~budget) trace;
-    Option.iter (write_metrics bench technique ~sched ~budget) metrics
-  end;
+  else
+    run_detailed bench technique ~sched ~check ~budget ~verbose ~timeline
+      ~trace ~metrics;
   write_spans ()
 
 let () =

@@ -55,4 +55,3 @@ val check :
   Sdiq_cpu.Stats.t ->
   Finding.t list
 
-val pp : Format.formatter -> t -> unit

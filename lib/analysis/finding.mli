@@ -34,7 +34,6 @@ val compare : t -> t -> int
 
 val errors : t list -> int
 val warnings : t list -> int
-val infos : t list -> int
 
 (** No error-severity findings. *)
 val is_clean : t list -> bool

@@ -97,6 +97,8 @@ let sat_mul x y =
     let p = x * y in
     if p / y <> x then if (x > 0) = (y > 0) then max_int else min_int else p
 
+(* The threshold set of a procedure: its immediates, [{-1; 0; 1}] and
+   the infinities, sorted and deduplicated. *)
 let thresholds_of_proc (prog : Prog.t) (proc : Prog.proc) =
   let acc = ref [ min_int; -1; 0; 1; max_int ] in
   List.iter

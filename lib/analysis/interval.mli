@@ -47,10 +47,6 @@ val hull : t -> t -> t
     sorted ascending. *)
 val widen : thresholds:int array -> t -> t -> t
 
-(** The threshold set of a procedure: its immediates, [{-1; 0; 1}] and
-    the infinities, sorted and deduplicated. *)
-val thresholds_of_proc : Sdiq_isa.Prog.t -> Sdiq_isa.Prog.proc -> int array
-
 (** Register environment: every register's interval, flat (one int
     array, no per-register boxes), as the fixpoint stores it. *)
 type env

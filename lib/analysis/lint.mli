@@ -25,9 +25,6 @@
       with the annotated values ([Error] on mismatch). *)
 
 (** Lints over one procedure; [cfg] must be [Cfg.build prog proc]. *)
-val unreachable :
-  Sdiq_isa.Prog.proc -> Sdiq_cfg.Cfg.t -> Finding.t list
-
 val use_before_def :
   ?summaries:(int, Summary.t) Hashtbl.t ->
   Sdiq_isa.Prog.t ->

@@ -102,8 +102,3 @@ let predict (cfg : Config.t) (s : Stats.t) =
       occupancy ~lambda ~service ~servers ~capacity:cfg.Config.iq_size;
   }
 
-let pp ppf t =
-  Format.fprintf ppf
-    "lambda %.3f/cyc, service %.1f cyc, m=%d, rho %.2f, P(wait) %.2f -> \
-     occupancy %.1f"
-    t.lambda t.service t.servers t.rho t.queue_prob t.occupancy

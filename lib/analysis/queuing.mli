@@ -36,4 +36,3 @@ val occupancy :
 (** The model evaluated on one run's statistics. *)
 val predict : Sdiq_cpu.Config.t -> Sdiq_cpu.Stats.t -> t
 
-val pp : Format.formatter -> t -> unit

@@ -30,7 +30,5 @@ val int_card : t -> int
 (** Number of floating-point registers in the set. *)
 val fp_card : t -> int
 
-val cardinal : t -> int
 val elements : t -> Sdiq_isa.Reg.t list
 val of_list : Sdiq_isa.Reg.t list -> t
-val pp : Format.formatter -> t -> unit

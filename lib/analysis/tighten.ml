@@ -36,8 +36,11 @@ let spans_of cfg =
     (Loops.find cfg);
   spans
 
-(* Both audit and tightener read trip counts from the [Tripcount] table
-   they are handed, so they cannot disagree on the refinement. *)
+(* The tightened annotation list: one annotation per [Soundness]
+   obligation, at its clamped refined bound, loop spans preserved for
+   back-edge bypass. Both audit and tightener read trip counts from the
+   [Tripcount] table they are handed, so they cannot disagree on the
+   refinement. *)
 let annotations ?(opts = Options.default) ~tripcounts (prog : Prog.t) :
     Procedure.annotation list =
   List.concat_map

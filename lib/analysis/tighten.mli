@@ -19,15 +19,6 @@
     and the audit of one program and the interval analysis runs once
     for both. *)
 
-(** The tightened annotation list: one annotation per {!Soundness}
-    obligation, at its clamped refined bound, loop spans preserved for
-    back-edge bypass. *)
-val annotations :
-  ?opts:Sdiq_core.Options.t ->
-  tripcounts:(Sdiq_isa.Prog.proc -> (int, int) Hashtbl.t) ->
-  Sdiq_isa.Prog.t ->
-  Sdiq_core.Procedure.annotation list
-
 (** Analyse, tighten and deliver; the tightened analogue of
     {!Sdiq_core.Annotate.apply}. *)
 val apply :

@@ -70,26 +70,3 @@ let matches w (f : Finding.t) =
   && (match w.proc with None -> true | Some p -> p = f.Finding.proc)
   && match w.addr with None -> true | Some a -> f.Finding.addr = Some a
 
-let apply waivers findings =
-  let used = Array.make (List.length waivers) false in
-  let kept =
-    List.filter
-      (fun (f : Finding.t) ->
-        match f.Finding.severity with
-        | Finding.Info -> true
-        | Finding.Error | Finding.Warning ->
-          let waived = ref false in
-          List.iteri
-            (fun i w ->
-              if matches w f then begin
-                used.(i) <- true;
-                waived := true
-              end)
-            waivers;
-          not !waived)
-      findings
-  in
-  let unused =
-    List.filteri (fun i _ -> not used.(i)) waivers
-  in
-  (kept, unused)

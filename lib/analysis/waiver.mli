@@ -30,7 +30,3 @@ val load : string -> (t list, string) result
 
 val matches : t -> Finding.t -> bool
 
-(** [apply waivers findings] is [(kept, unused)]: the findings that
-    survive (waived errors and warnings removed) and the waivers that
-    matched nothing. *)
-val apply : t list -> Finding.t list -> Finding.t list * t list

@@ -136,10 +136,3 @@ let reverse_postorder t =
   in
   reached @ unreached
 
-let pp ppf t =
-  Array.iter
-    (fun b ->
-      Fmt.pf ppf "B%d [%d..%d] -> %a@." b.id b.first b.last
-        Fmt.(list ~sep:comma int)
-        (List.sort compare t.succs.(b.id)))
-    t.blocks

@@ -40,4 +40,3 @@ val preds : t -> int -> int list
 (** Reverse post-order from the entry; unreachable blocks appended. *)
 val reverse_postorder : t -> int list
 
-val pp : Format.formatter -> t -> unit

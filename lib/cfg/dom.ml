@@ -36,6 +36,3 @@ let compute (cfg : Cfg.t) : t =
 (* [dominates t d b] is true when block [d] dominates block [b]. *)
 let dominates t d b = t.dom.(b).(d)
 
-let dominators t b =
-  let n = Array.length t.dom in
-  List.filter (fun d -> t.dom.(b).(d)) (List.init n (fun i -> i))

@@ -18,4 +18,3 @@ val decompose : Cfg.t -> t
     blocks only (nested loops are their own regions). *)
 val blocks : t -> region -> int list
 
-val pp : Format.formatter -> t -> unit

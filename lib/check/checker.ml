@@ -1,8 +1,7 @@
 (* Cycle-level invariant checker.
 
-   Attached to a pipeline as a [Cycle_end] sink ([attach], or [hook c]
-   registered with [Pipeline.on_cycle_end]), it audits the machine after
-   every cycle against the structural invariants the paper's results
+   Attached to a pipeline as a [Cycle_end] sink ([attach]), it audits
+   the machine after every cycle against the structural invariants the paper's results
    rest on (see DESIGN.md, "Invariants the pipeline maintains"): the
    software dispatch window is honoured, gated banks are genuinely empty,
    the per-cycle power integrals match a recount of the actual state, the
@@ -655,23 +654,11 @@ let check c p =
   check_scan c p;
   c.cycles_checked <- c.cycles_checked + 1
 
-let hook c = check c
-
-(* As an event sink: the audit runs on [Cycle_end] — the last event of
-   each cycle, delivered after the cycle's statistics are folded in, so
-   the per-cycle power-integral recount sees exactly the machine state
-   the old post-accounting hook did. *)
-let sink c p (ev : Sdiq_events.Event.t) =
-  match ev with Sdiq_events.Event.Cycle_end _ -> check c p | _ -> ()
-
-(* Fresh checker subscribed to an existing pipeline's event bus. *)
+(* A fresh checker subscribed to an existing pipeline's event bus. The
+   audit runs on [Cycle_end] — the last event of each cycle, delivered
+   after the cycle's statistics are folded in — so the per-cycle
+   power-integral recount sees the cycle's final machine state. *)
 let attach p =
   let c = create () in
-  Pipeline.subscribe ~name:"invariant-checker" p (sink c p);
+  Pipeline.on_cycle_end ~name:"invariant-checker" p (check c);
   c
-
-(* Factory for [Runner.create ~checker]: a fresh checker per run, which
-   the runner registers with [Pipeline.on_cycle_end]. *)
-let fresh_hook () =
-  let c = create () in
-  hook c

@@ -1,7 +1,6 @@
 (** Cycle-level invariant checker for {!Sdiq_cpu.Pipeline}.
 
-    Attached as a [Cycle_end] sink ({!attach}, or {!hook} registered
-    with {!Sdiq_cpu.Pipeline.on_cycle_end}), it audits the machine after
+    Attached as a [Cycle_end] sink ({!attach}), it audits the machine after
     every cycle: the software dispatch window ([new_head]..[tail]
     never exceeds [max_new_range]), gated banks hold no entries, the
     per-cycle power integrals ([iq_banks_on_sum], [rf_banks_on_sum],
@@ -35,26 +34,10 @@ val pp_violation : Format.formatter -> violation -> unit
 (** Checker state: one per pipeline run (it tracks per-cycle deltas). *)
 type t
 
-val create : unit -> t
-
-(** The per-cycle audit; raises {!Invariant_violation} on the first
-    broken invariant. Register [hook c] with
-    {!Sdiq_cpu.Pipeline.on_cycle_end}, or use {!attach}. *)
-val check : t -> Sdiq_cpu.Pipeline.t -> unit
-
-val hook : t -> Sdiq_cpu.Pipeline.t -> unit
-
-(** The audit as an event sink: runs {!check} on every [Cycle_end].
-    Register [sink c p] with {!Sdiq_cpu.Pipeline.subscribe}. *)
-val sink : t -> Sdiq_cpu.Pipeline.t -> Sdiq_events.Event.t -> unit
-
-(** Create a fresh checker and subscribe it to the pipeline's bus. *)
+(** Create a fresh checker and subscribe it to the pipeline's bus: it
+    audits every cycle after the cycle's statistics are folded in and
+    raises {!Invariant_violation} on the first broken invariant. *)
 val attach : Sdiq_cpu.Pipeline.t -> t
-
-(** A self-contained hook with its own fresh state — the shape
-    {!Sdiq_harness.Runner.create}'s [?checker] factory expects; the
-    runner registers it with {!Sdiq_cpu.Pipeline.on_cycle_end}. *)
-val fresh_hook : unit -> Sdiq_cpu.Pipeline.t -> unit
 
 (** Cycles audited so far. *)
 val cycles_checked : t -> int

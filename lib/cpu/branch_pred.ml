@@ -28,10 +28,6 @@ type t = {
   ras : int array;
   ras_size : int;
   mutable ras_top : int; (* number of valid entries *)
-  (* statistics *)
-  mutable lookups : int;
-  mutable dir_correct : int;
-  mutable dir_wrong : int;
 }
 
 let pow2_mask n = if n > 0 && n land (n - 1) = 0 then n - 1 else -1
@@ -60,9 +56,6 @@ let create (cfg : Config.t) =
     ras = Array.make cfg.Config.ras_size 0;
     ras_size = cfg.Config.ras_size;
     ras_top = 0;
-    lookups = 0;
-    dir_correct = 0;
-    dir_wrong = 0;
   }
 
 (* pcs are program indices (≥ 0), so masking is exactly [mod] for
@@ -84,7 +77,6 @@ let counter_taken c = c >= 2
 
 (* Predict the direction of the conditional branch at [pc]. *)
 let predict_direction t pc =
-  t.lookups <- t.lookups + 1;
   let b = counter_taken (counter t.bimodal (bimodal_idx t pc)) in
   let g = counter_taken (counter t.gshare (gshare_idx t pc)) in
   if counter_taken (counter t.selector (selector_idx t pc)) then g else b
@@ -100,11 +92,6 @@ let update_direction t pc ~taken =
   let b_ok = counter_taken (counter t.bimodal bi) = taken in
   let g_ok = counter_taken (counter t.gshare gi) = taken in
   let si = selector_idx t pc in
-  let was_correct =
-    if counter_taken (counter t.selector si) then g_ok else b_ok
-  in
-  if was_correct then t.dir_correct <- t.dir_correct + 1
-  else t.dir_wrong <- t.dir_wrong + 1;
   (* Selector trains toward the correct component when they disagree. *)
   if b_ok <> g_ok then bump t.selector si g_ok;
   bump t.bimodal bi taken;
@@ -188,6 +175,3 @@ let ras_restore t buf top =
   Array.blit buf 0 t.ras 0 t.ras_size;
   t.ras_top <- top
 
-let mispredict_rate t =
-  let total = t.dir_correct + t.dir_wrong in
-  if total = 0 then 0. else float_of_int t.dir_wrong /. float_of_int total

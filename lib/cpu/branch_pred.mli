@@ -36,5 +36,3 @@ val ras_save : t -> int array -> int
 
 val ras_restore : t -> int array -> int -> unit
 
-(** Fraction of trained conditional branches that were mispredicted. *)
-val mispredict_rate : t -> float

@@ -430,8 +430,6 @@ let broadcast_into t tags ntags =
 
 let broadcast_many t tags = broadcast_into t (Array.of_list tags) (List.length tags)
 
-let broadcast t tag = broadcast_many t [ tag ]
-
 (* Ring distance from [head] of the youngest valid entry (count > 0):
    every valid entry lies in the circular range [head, tail), so it is
    the first valid slot walking back from [tail - 1]; only the holes

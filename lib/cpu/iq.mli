@@ -137,8 +137,6 @@ val broadcast_many : t -> int list -> int
     retained. *)
 val broadcast_into : t -> int array -> int -> int
 
-val broadcast : t -> int -> int
-
 (** Select candidates: writes to [cands] (length at least [size]) the
     ready slots whose ring distance from [head] is below [bound]
     (clamped to the active ring), oldest first, and returns their
@@ -163,8 +161,6 @@ val op_present : t -> int -> int -> bool
 val op_ready : t -> int -> int -> bool
 val op_pred : t -> int -> int -> bool
 val op_tag : t -> int -> int -> int
-
-val banks : t -> int
 
 (** Banks holding at least one valid entry (the powered ones). *)
 val banks_on : t -> int

@@ -23,7 +23,6 @@ type t = {
   mutable head : int;
   mutable tail : int;
   mutable count : int;
-  mutable allocs : int;     (* lifetime allocations, for the power model *)
 }
 
 let create ~size =
@@ -37,16 +36,11 @@ let create ~size =
     head = 0;
     tail = 0;
     count = 0;
-    allocs = 0;
   }
 
 let is_full t = t.count = t.size
 let count t = t.count
-let size t = t.size
-let allocs t = t.allocs
 
-let rob_idx t slot = Array.unsafe_get t.rob_idxs slot
-let addr t slot = Array.unsafe_get t.addrs slot
 let is_store t slot = Bytes.unsafe_get t.store slot = '\001'
 let is_wp t slot = Bytes.unsafe_get t.wp slot <> '\000'
 
@@ -60,7 +54,6 @@ let push t ~rob_idx ~addr ~is_store ~wp =
   Bytes.unsafe_set t.wp slot (if wp then '\001' else '\000');
   t.tail <- (if t.tail + 1 = t.size then 0 else t.tail + 1);
   t.count <- t.count + 1;
-  t.allocs <- t.allocs + 1;
   slot
 
 (* The youngest store older than the entry at [slot] whose address

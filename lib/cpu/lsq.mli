@@ -7,13 +7,7 @@ type t
 val create : size:int -> t
 val is_full : t -> bool
 val count : t -> int
-val size : t -> int
 
-(** Lifetime allocations, wrong-path included (power accounting). *)
-val allocs : t -> int
-
-val rob_idx : t -> int -> int
-val addr : t -> int -> int
 val is_store : t -> int -> bool
 val is_wp : t -> int -> bool
 

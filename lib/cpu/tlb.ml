@@ -15,8 +15,6 @@ type t = {
   tags : int array;         (* virtual page number, [empty] when free *)
   stamps : int array;       (* last-use clock for LRU *)
   mutable clock : int;
-  mutable lookups : int;
-  mutable misses : int;
 }
 
 (* The tag of a free entry. Pages of at least 2 words shift the address
@@ -38,8 +36,6 @@ let create ~entries ~page_size =
     tags = Array.make entries empty;
     stamps = Array.make entries 0;
     clock = 0;
-    lookups = 0;
-    misses = 0;
   }
 
 (* [asr] floors, so words -page_size..-1 are page -1. *)
@@ -50,7 +46,6 @@ let page_of t addr = addr asr t.page_shift
 let access t addr =
   let page = page_of t addr in
   t.clock <- t.clock + 1;
-  t.lookups <- t.lookups + 1;
   let hit = ref (-1) in
   for i = 0 to t.entries - 1 do
     if Array.unsafe_get t.tags i = page then hit := i
@@ -60,7 +55,6 @@ let access t addr =
     true
   end
   else begin
-    t.misses <- t.misses + 1;
     let victim = ref 0 in
     for i = 1 to t.entries - 1 do
       if Array.unsafe_get t.stamps i < Array.unsafe_get t.stamps !victim then
@@ -76,5 +70,3 @@ let access t addr =
    detailed fetch/issue would but emits no events. *)
 let train t addr = ignore (access t addr : bool)
 
-let lookups t = t.lookups
-let misses t = t.misses

@@ -19,5 +19,3 @@ val access : t -> int -> bool
     fast-forward). *)
 val train : t -> int -> unit
 
-val lookups : t -> int
-val misses : t -> int

@@ -37,8 +37,6 @@ let edges t = t.edges
 
 let preds t n = t.preds.(n)
 
-let succs t n = List.filter (fun e -> e.src = n) t.edges
-
 let make instrs edges =
   let n = Array.length instrs in
   let preds = Array.make n [] in
@@ -126,10 +124,3 @@ let build ?(carried = false) ?(latency = Instr.latency)
    loop region concatenated in program order), with carried edges. *)
 let of_loop_body ?latency instrs = build ~carried:true ?latency instrs
 
-let pp ppf t =
-  Array.iteri (fun i ins -> Fmt.pf ppf "%2d: %a@." i Instr.pp ins) t.instrs;
-  List.iter
-    (fun e ->
-      Fmt.pf ppf "  %d -> %d (lat %d, dist %d)@." e.src e.dst e.latency
-        e.distance)
-    t.edges

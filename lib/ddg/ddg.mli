@@ -25,7 +25,6 @@ type t = {
 val num_nodes : t -> int
 val edges : t -> edge list
 val preds : t -> int -> (int * int * int) list
-val succs : t -> int -> edge list
 
 (** Assemble a graph from explicit edges; raises [Invalid_argument] on
     out-of-range endpoints. *)
@@ -45,4 +44,3 @@ val build :
 val of_loop_body :
   ?latency:(Sdiq_isa.Instr.t -> int) -> Sdiq_isa.Instr.t array -> t
 
-val pp : Format.formatter -> t -> unit

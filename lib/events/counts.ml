@@ -8,7 +8,6 @@ let create () = Array.make Event.num_kinds 0
 let sink (c : t) ev = c.(Event.index ev) <- c.(Event.index ev) + 1
 let get (c : t) i = c.(i)
 let total (c : t) = Array.fold_left ( + ) 0 c
-let equal (a : t) (b : t) = a = b
 
 (* One line, every kind in index order — byte-comparable across runs. *)
 let to_string (c : t) =

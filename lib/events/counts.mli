@@ -11,9 +11,6 @@ val sink : t -> Event.t -> unit
 (** Count for kind index [i] (see {!Event.index}). *)
 val get : t -> int -> int
 
-val total : t -> int
-val equal : t -> t -> bool
-
 (** One line, every kind in index order: ["fetch=12 annotation=0 ..."]. *)
 val to_string : t -> string
 

@@ -142,54 +142,3 @@ let kind_name_of_index = function
 
 let kind_name ev = kind_name_of_index (index ev)
 
-let pp ppf ev =
-  match ev with
-  | Fetch { dyn; _ } ->
-    Fmt.pf ppf "fetch sn=%d pc=%d" dyn.Exec.sn dyn.Exec.pc
-  | Annotation { pc; value; delivery } ->
-    Fmt.pf ppf "annotation pc=%d value=%d via=%s" pc value
-      (match delivery with Noop_slot -> "noop" | Tag -> "tag")
-  | Dispatch { dyn; iq_slot; rob_idx; _ } ->
-    Fmt.pf ppf "dispatch sn=%d slot=%d rob=%d" dyn.Exec.sn iq_slot rob_idx
-  | Dispatch_stall r ->
-    Fmt.pf ppf "dispatch_stall %s"
-      (match r with
-      | Policy_limit -> "policy"
-      | Iq_full -> "iq-full"
-      | Rob_full -> "rob-full"
-      | No_reg -> "no-reg"
-      | Lsq_full -> "lsq-full")
-  | Wakeup { tags; woken; _ } -> Fmt.pf ppf "wakeup tags=%d woken=%d" tags woken
-  | Select { rob_idx; iq_slot } ->
-    Fmt.pf ppf "select rob=%d slot=%d" rob_idx iq_slot
-  | Select_scan { entries } -> Fmt.pf ppf "select_scan entries=%d" entries
-  | Issue { dyn; latency; _ } ->
-    Fmt.pf ppf "issue sn=%d lat=%d" dyn.Exec.sn latency
-  | Writeback { dyn; rob_idx } ->
-    Fmt.pf ppf "writeback sn=%d rob=%d" dyn.Exec.sn rob_idx
-  | Rf_read { ints; fps } -> Fmt.pf ppf "rf_read int=%d fp=%d" ints fps
-  | Rf_write { file; phys } ->
-    Fmt.pf ppf "rf_write %s p%d"
-      (match file with Int_rf -> "int" | Fp_rf -> "fp")
-      phys
-  | Commit { dyn } -> Fmt.pf ppf "commit sn=%d pc=%d" dyn.Exec.sn dyn.Exec.pc
-  | Squash { dyn; squashed } ->
-    Fmt.pf ppf "squash sn=%d squashed=%d" dyn.Exec.sn squashed
-  | Cache_miss { level; addr } ->
-    Fmt.pf ppf "cache_miss %s addr=%d"
-      (match level with Il1 -> "il1" | Dl1 -> "dl1" | L2 -> "l2")
-      addr
-  | Tlb_miss { tlb; addr } ->
-    Fmt.pf ppf "tlb_miss %s addr=%d"
-      (match tlb with Itlb -> "itlb" | Dtlb -> "dtlb")
-      addr
-  | Resize { before; after } -> Fmt.pf ppf "resize %d->%d" before after
-  | Bank_gated { unit_; bank } | Bank_ungated { unit_; bank } ->
-    Fmt.pf ppf "%s %s bank=%d" (kind_name ev)
-      (match unit_ with
-      | Iq_bank -> "iq"
-      | Int_rf_bank -> "int-rf"
-      | Fp_rf_bank -> "fp-rf")
-      bank
-  | Cycle_end { cycle; iq_occupancy; _ } ->
-    Fmt.pf ppf "cycle_end cycle=%d occ=%d" cycle iq_occupancy

@@ -94,4 +94,3 @@ val num_kinds : int
 val index : t -> int
 val kind_name : t -> string
 val kind_name_of_index : int -> string
-val pp : Format.formatter -> t -> unit

@@ -6,7 +6,7 @@
    budget, a SMARTS-sampled run of the whole program, and a profiled run
    with the region-attribution profiler on the bus — and one path drives
    them all: the regime's [step] asks for the machine ([Technique.build],
-   with the runner's checker factory, if any, on its bus) and runs it. Each
+   handed to the runner's checker callback, if any) and runs it. Each
    regime has its own memo table: a sampled run is a different
    execution and must never alias a detailed one, and a profiled pair is
    a dedicated simulation, so conservation tests compare two independent
@@ -55,9 +55,9 @@ type t = {
   sched : Sdiq_cpu.Sched.t; (* default select/wakeup policy for runs *)
   benches : Bench.t list;
   pool : Sdiq_util.Pool.t;
-  checker : (unit -> Sdiq_cpu.Pipeline.t -> unit) option;
-      (* per-run hook factory: called once per simulation so each run
-         (possibly on another domain) gets fresh observer state *)
+  checker : (Sdiq_cpu.Pipeline.t -> unit) option;
+      (* called on every machine the runner builds (possibly on another
+         domain), before it runs *)
   detailed : Sdiq_cpu.Stats.t regime;
   sampled : Sampling.result regime;
   profiled : Sdiq_obs.Profiler.t regime;
@@ -82,9 +82,9 @@ let create ?(config = Sdiq_cpu.Config.default) ?sched ?(budget = 100_000)
     detailed =
       regime "sim.pair" "campaign.run_all" (fun _ _ machine ->
           Sdiq_cpu.Pipeline.run ~max_insns:budget (machine ()));
-    (* The checker hook fires on every detailed cycle, warmup and
-       measured alike, so a checkered sampled campaign audits every
-       detailed window. *)
+    (* A checker attached to the machine sees every detailed cycle,
+       warmup and measured alike, so a checkered sampled campaign audits
+       every detailed window. *)
     sampled =
       regime "sim.sampled_pair" "campaign.run_all_sampled" (fun _ _ machine ->
           Sampling.sample ~config:sample_config (machine ()));
@@ -117,8 +117,8 @@ let find_bench t name =
       (Printf.sprintf "Runner: unknown benchmark %S (known: %s)" name
          (String.concat ", " (bench_names t)))
 
-(* One cold simulation in regime [rg]. The checker factory's product is
-   registered as a per-cycle sink on the run's private event bus. *)
+(* One cold simulation in regime [rg]. The [checker] callback sees each
+   machine before it runs. *)
 let simulate_pair t rg ~sched name technique =
   Sdiq_util.Spanlog.with_span rg.pair_span
     ~attrs:[ ("bench", name); ("technique", Technique.name technique) ]
@@ -126,10 +126,7 @@ let simulate_pair t rg ~sched name technique =
   let bench = find_bench t name in
   let machine ?prog () =
     let p = Technique.build ~config:t.config ~sched ?prog technique bench in
-    Option.iter
-      (fun mk ->
-        Sdiq_cpu.Pipeline.on_cycle_end ~name:"campaign-checker" p (mk ()))
-      t.checker;
+    Option.iter (fun f -> f p) t.checker;
     p
   in
   rg.step bench technique machine

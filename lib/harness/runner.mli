@@ -7,8 +7,8 @@
     Three execution regimes share one path: a detailed run to the
     instruction budget ({!run}), a SMARTS-sampled run of the whole
     program ({!run_sampled}) and a region-profiled run ({!profile}).
-    Every pair is built by {!Technique.build}, carries the [checker]
-    hook if one was given, and is memoised in its regime's own table. *)
+    Every pair is built by {!Technique.build}, handed to the [checker]
+    callback if one was given, and memoised in its regime's own table. *)
 
 type t
 
@@ -32,7 +32,7 @@ val create :
   ?budget:int ->
   ?benches:Sdiq_workloads.Bench.t list ->
   ?domains:int ->
-  ?checker:(unit -> Sdiq_cpu.Pipeline.t -> unit) ->
+  ?checker:(Sdiq_cpu.Pipeline.t -> unit) ->
   ?sample_config:Sampling.config ->
   unit ->
   t
@@ -46,16 +46,12 @@ val create :
     [Domain.recommended_domain_count ()]); [~domains:1] forces a serial
     campaign.
 
-    [checker] is a per-run observer {e factory}: it is invoked once per
-    simulation of every regime (possibly on a worker domain) and the
-    resulting hook is registered with {!Sdiq_cpu.Pipeline.on_cycle_end},
-    so each run gets fresh, domain-local observer state. Pass
-    [Sdiq_check.Checker.fresh_hook] to audit every campaign cycle. *)
+    [checker] is called on every machine the runner builds, in every
+    regime (possibly on a worker domain), before the machine runs. Pass
+    [fun p -> ignore (Sdiq_check.Checker.attach p)] to audit every
+    campaign cycle with a fresh checker per run. *)
 
 val bench_names : t -> string list
-
-val domains : t -> int
-(** Domains a campaign will use. *)
 
 (** Raises [Invalid_argument] on an unknown name; the message lists the
     known benchmark names. *)
@@ -71,8 +67,9 @@ val run_all : t -> unit
 
 (** Run one pair under SMARTS sampling ({!Sampling.sample}): the whole
     program, fast-forwarded between detailed windows — memoised
-    separately from {!run}'s detailed table. The runner's [checker]
-    hook, if any, audits every detailed cycle of every window. *)
+    separately from {!run}'s detailed table. A checker attached by the
+    runner's [checker] callback audits every detailed cycle of every
+    window. *)
 val run_sampled :
   ?sched:Sdiq_cpu.Sched.t -> t -> string -> Technique.t -> Sampling.result
 
@@ -85,7 +82,7 @@ val run_all_sampled : t -> unit
     {!run}'s table: a profiled pair is a {e dedicated} simulation with
     a ["region-profiler"] sink attached, never a warm cache hit — so
     conservation tests compare two independent executions. The runner's
-    [checker] hook, if any, audits every cycle. *)
+    [checker] callback, if any, sees this machine too. *)
 val profile :
   ?sched:Sdiq_cpu.Sched.t -> t -> string -> Technique.t -> Sdiq_obs.Profiler.t
 

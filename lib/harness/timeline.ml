@@ -14,8 +14,8 @@ type sample = {
 }
 
 type t = {
-  samples : sample list; (* oldest first *)
-  stats : Sdiq_cpu.Stats.t;
+  mutable next : int; (* cycle of the next sample *)
+  mutable rev : sample list; (* newest first *)
 }
 
 let sample_of (p : Sdiq_cpu.Pipeline.t) : sample =
@@ -31,22 +31,19 @@ let sample_of (p : Sdiq_cpu.Pipeline.t) : sample =
     rf_live = Sdiq_cpu.Regfile.live_count p.Sdiq_cpu.Pipeline.int_rf;
   }
 
-(* Run [bench] under [technique] (and scheduler [sched]), sampling every
-   [interval] cycles. The sampler is an ordinary per-cycle sink on the
-   pipeline's event bus — it rides alongside any other observer rather
-   than owning the step loop. *)
-let record ?config ?sched ?(interval = 200) ?(max_insns = 50_000)
-    (bench : Sdiq_workloads.Bench.t) (technique : Technique.t) : t =
-  let p = Technique.build ?config ?sched technique bench in
-  let samples = ref [] in
-  let next = ref 0 in
+(* The sampler is an ordinary per-cycle sink on the pipeline's event
+   bus: it rides alongside any other observer rather than owning the
+   step loop. *)
+let attach ?(interval = 200) p =
+  let t = { next = 0; rev = [] } in
   Sdiq_cpu.Pipeline.on_cycle_end ~name:"timeline-sampler" p (fun p ->
-      if p.Sdiq_cpu.Pipeline.cycle >= !next then begin
-        next := p.Sdiq_cpu.Pipeline.cycle + interval;
-        samples := sample_of p :: !samples
+      if p.Sdiq_cpu.Pipeline.cycle >= t.next then begin
+        t.next <- p.Sdiq_cpu.Pipeline.cycle + interval;
+        t.rev <- sample_of p :: t.rev
       end);
-  ignore (Sdiq_cpu.Pipeline.run ~max_insns p : Sdiq_cpu.Stats.t);
-  { samples = List.rev !samples; stats = p.Sdiq_cpu.Pipeline.stats }
+  t
+
+let samples t = List.rev t.rev
 
 (* CSV with a header row, one line per sample. *)
 let to_csv t =
@@ -59,14 +56,5 @@ let to_csv t =
         (Printf.sprintf "%d,%d,%d,%d,%d,%d,%d\n" s.cycle s.committed
            s.iq_occupancy s.iq_banks_on s.iq_active_size
            (min s.policy_limit 9999) s.rf_live))
-    t.samples;
+    (samples t);
   Buffer.contents buf
-
-let pp ppf t =
-  Fmt.pf ppf "%8s %9s %7s %7s %8s %7s@." "cycle" "committed" "occ" "banks"
-    "limit" "rf";
-  List.iter
-    (fun s ->
-      Fmt.pf ppf "%8d %9d %7d %7d %8d %7d@." s.cycle s.committed
-        s.iq_occupancy s.iq_banks_on (min s.policy_limit 9999) s.rf_live)
-    t.samples

@@ -13,25 +13,18 @@ type sample = {
   rf_live : int;
 }
 
-type t = {
-  samples : sample list; (** oldest first *)
-  stats : Sdiq_cpu.Stats.t;
-}
+(** A sampler riding one pipeline's bus. *)
+type t
 
-(** Build the pair with {!Technique.build} ([?config] and [?sched] as
-    there) and run it for [max_insns] committed instructions, sampling
-    every [interval] cycles. [stats] are the run's own statistics —
-    identical to an unsampled run of the same pair. *)
-val record :
-  ?config:Sdiq_cpu.Config.t ->
-  ?sched:Sdiq_cpu.Sched.t ->
-  ?interval:int ->
-  ?max_insns:int ->
-  Sdiq_workloads.Bench.t ->
-  Technique.t ->
-  t
+(** Subscribe a sampler to [p] as ["timeline-sampler"]: it samples the
+    machine on the first [Cycle_end] and then every [interval] cycles
+    (default 200). Run [p] in any regime afterwards; the sampler only
+    reads the machine, so the run's statistics are those of an
+    unobserved run. *)
+val attach : ?interval:int -> Sdiq_cpu.Pipeline.t -> t
+
+(** The samples so far, oldest first. *)
+val samples : t -> sample list
 
 (** Header row plus one line per sample. *)
 val to_csv : t -> string
-
-val pp : Format.formatter -> t -> unit

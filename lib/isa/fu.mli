@@ -21,5 +21,3 @@ val count_classes : int
 (** Unit counts from Table 1 (memory ports are the SimpleScalar default). *)
 val default_count : t -> int
 
-val name : t -> string
-val pp : Format.formatter -> t -> unit

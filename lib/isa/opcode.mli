@@ -49,5 +49,4 @@ val is_mem : t -> bool
 (** Divides occupy their unit for their full latency. *)
 val unpipelined : t -> bool
 
-val name : t -> string
 val pp : Format.formatter -> t -> unit

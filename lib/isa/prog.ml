@@ -37,15 +37,6 @@ let proc_of_addr t addr =
 (* Addresses of instructions belonging to [p], in order. *)
 let proc_addrs p = List.init p.len (fun i -> p.entry + i)
 
-let pp ppf t =
-  List.iter
-    (fun p ->
-      Fmt.pf ppf "%s:%s@." p.name (if p.is_library then " (library)" else "");
-      List.iter
-        (fun a -> Fmt.pf ppf "  %4d: %a@." a Instr.pp t.code.(a))
-        (proc_addrs p))
-    t.procs
-
 (* Static counts used in reports. *)
 let count_matching t f =
   Array.fold_left (fun acc i -> if f i then acc + 1 else acc) 0 t.code

@@ -22,8 +22,6 @@ let zero = Int 0
 
 let is_zero = function Int 0 -> true | Int _ | Fp _ -> false
 
-let index = function Int i | Fp i -> i
-
 (* Dense index over the whole architectural register space: integer registers
    first, then floating point. Used for renaming tables. *)
 let dense = function Int i -> i | Fp i -> num_int + i

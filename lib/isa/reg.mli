@@ -21,9 +21,6 @@ val zero : t
 
 val is_zero : t -> bool
 
-(** Index within the register's own class. *)
-val index : t -> int
-
 (** Dense index over int-then-fp space, in [0, count). *)
 val dense : t -> int
 

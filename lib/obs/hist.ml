@@ -69,7 +69,6 @@ let count t = t.count
 let sum t = t.sum
 let min_value t = if t.count = 0 then 0 else t.min_
 let max_value t = if t.count = 0 then 0 else t.max_
-let mean t = if t.count = 0 then 0. else float_of_int t.sum /. float_of_int t.count
 let buckets t = Array.copy t.buckets
 
 let same_shape a b = a.kind = b.kind
@@ -112,4 +111,3 @@ let to_json t =
        (Array.to_list (Array.map string_of_int t.buckets)))
     t.count t.sum (min_value t) (max_value t)
 
-let pp ppf t = Fmt.string ppf (to_string t)

@@ -36,7 +36,6 @@ val sum : t -> int
 val min_value : t -> int
 
 val max_value : t -> int
-val mean : t -> float
 
 (** Bucket occupancies, in bucket order (a copy). *)
 val buckets : t -> int array
@@ -54,4 +53,3 @@ val equal : t -> t -> bool
 val to_string : t -> string
 
 val to_json : t -> string
-val pp : Format.formatter -> t -> unit

@@ -263,4 +263,3 @@ let to_openmetrics t =
   Buffer.add_string b "# EOF\n";
   Buffer.contents b
 
-let pp ppf t = Fmt.string ppf (to_string t)

@@ -34,11 +34,6 @@ val hist : t -> string -> Hist.kind -> Hist.t
     exists with a different window. *)
 val series : t -> string -> window:int -> Series.t
 
-(** All entries of each kind, name-sorted. *)
-val counters : t -> (string * int) list
-
-val gauges : t -> (string * float) list
-
 (** Pure merge: union of names; counters sum, gauges max, histograms
     and series merge cell-wise. Raises [Invalid_argument] when a
     shared name has mismatched shapes. *)
@@ -65,4 +60,3 @@ val to_json : t -> string
     rendering order is disambiguated with [_2], [_3], … *)
 val to_openmetrics : t -> string
 
-val pp : Format.formatter -> t -> unit

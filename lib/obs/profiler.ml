@@ -25,6 +25,8 @@ type t = {
   mutable cycle : int; (* cycle currently in flight, Trace-sink style *)
 }
 
+(* [cfg] shapes the occupancy histogram, [params] prices the per-region
+   energies, [window] is the time-series bucket width in cycles. *)
 let create ?(params = Params.default) ?(cfg = Config.default) ?(window = 1000)
     map =
   let occ_kind =
@@ -46,6 +48,7 @@ let create ?(params = Params.default) ?(cfg = Config.default) ?(window = 1000)
     cycle = 0;
   }
 
+(* The event sink; feed it the full stream of one run. *)
 let sink t ev =
   (* A commit moves the machine into the committed pc's region; the
      commit itself is charged to the region being entered. *)
@@ -99,17 +102,24 @@ let total_stats t =
   Array.iter (fun per -> Stats.add s per.stats) t.regions;
   s
 
+(* One region's line of the reports. *)
 type row = {
   info : Region.info;
   stats : Stats.t;
   peak_occ : int;
-  iq_energy : float;
+  iq_energy : float; (* technique-priced IQ energy of this bucket *)
   scan_energy : float;
-  rf_energy : float;
-  share_cycles : float;
-  share_wakeups : float;
-  share_energy : float;
+      (* the select-scan slice of [iq_energy]: slots the picker examined
+         while this region was current, priced at [Params.e_scan_entry] —
+         the term bounded-scan policies ([Sched.Nskip]) shrink *)
+  rf_energy : float; (* gated int-RF energy of this bucket *)
+  share_cycles : float; (* fraction of all cycles, 0..1 *)
+  share_wakeups : float; (* fraction of gated wakeups, 0..1 *)
+  share_energy : float; (* fraction of IQ+RF energy, 0..1 *)
   wp_frac : float;
+      (* wrong-path fraction of this region's dispatches, 0..1: how much
+         of the region's queue traffic was speculative work later
+         squashed *)
 }
 
 let energy_of t (s : Stats.t) =
@@ -120,6 +130,7 @@ let energy_of t (s : Stats.t) =
 
 let share part whole = if whole <= 0. then 0. else part /. whole
 
+(* One row per region, id order (including inactive regions). *)
 let rows t =
   let total = total_stats t in
   let tot_iq, tot_rf = energy_of t total in

@@ -22,23 +22,10 @@
 
 type t
 
-(** [create ?params ?cfg ?window map] builds a detached profiler;
-    [cfg] shapes the occupancy histogram (defaults to the Table 1
-    machine), [params] prices the per-region energies, [window] is the
-    time-series bucket width in cycles (default 1000). *)
-val create :
-  ?params:Sdiq_power.Params.t ->
-  ?cfg:Sdiq_cpu.Config.t ->
-  ?window:int ->
-  Region.t ->
-  t
-
-(** The event sink; feed it the full stream of one run. *)
-val sink : t -> Sdiq_events.Event.t -> unit
-
 (** Create a profiler matching [p]'s configuration and subscribe it as
     ["region-profiler"]. The pipeline must be running
-    [Region.running_prog map]. *)
+    [Region.running_prog map]. [params] prices the per-region energies,
+    [window] is the time-series bucket width in cycles (default 1000). *)
 val attach :
   ?params:Sdiq_power.Params.t ->
   ?window:int ->
@@ -55,29 +42,6 @@ val region_peak : t -> int -> int
 (** Fresh sum of every region bucket — equal to the pipeline's own
     statistics for the same run. *)
 val total_stats : t -> Sdiq_cpu.Stats.t
-
-type row = {
-  info : Region.info;
-  stats : Sdiq_cpu.Stats.t;
-  peak_occ : int;
-  iq_energy : float;  (** technique-priced IQ energy of this bucket *)
-  scan_energy : float;
-      (** the select-scan slice of [iq_energy]: slots the picker
-          examined while this region was current, priced at
-          [Params.e_scan_entry] — the term bounded-scan policies
-          ([Sched.Nskip]) shrink *)
-  rf_energy : float;  (** gated int-RF energy of this bucket *)
-  share_cycles : float;  (** fraction of all cycles, 0..1 *)
-  share_wakeups : float;  (** fraction of gated wakeups, 0..1 *)
-  share_energy : float;  (** fraction of IQ+RF energy, 0..1 *)
-  wp_frac : float;
-      (** wrong-path fraction of this region's dispatches, 0..1 —
-          how much of the region's queue traffic was speculative work
-          later squashed *)
-}
-
-(** One row per region, id order (including inactive regions). *)
-val rows : t -> row list
 
 type slack_entry = {
   entry_info : Region.info;

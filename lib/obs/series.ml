@@ -65,4 +65,3 @@ let to_json t =
        (Array.to_list (Array.map string_of_int (values t))))
     (total t)
 
-let pp ppf t = Fmt.string ppf (to_string t)

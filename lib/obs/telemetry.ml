@@ -7,7 +7,6 @@ module Span = Sdiq_util.Spanlog
 module Json = Sdiq_util.Json
 
 let start = Span.start
-let active = Span.active
 let drain = Span.drain
 
 (* Chrome trace format: "ts"/"dur" in microseconds (floats), one

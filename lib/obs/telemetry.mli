@@ -24,8 +24,6 @@ module Span = Sdiq_util.Spanlog
 (** Install a fresh collector ({!Sdiq_util.Spanlog.start}). *)
 val start : unit -> unit
 
-val active : unit -> bool
-
 (** Uninstall and merge ({!Sdiq_util.Spanlog.drain}). *)
 val drain : unit -> Span.result option
 

@@ -35,8 +35,6 @@ let bool t = Int64.logand (next_int64 t) 1L = 1L
 (* True with probability [p]. *)
 let chance t p = float_of_int (int t 1_000_000) /. 1_000_000. < p
 
-let float t bound = float_of_int (int t 1_000_000) /. 1_000_000. *. bound
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in
@@ -45,6 +43,3 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
-let choose t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
-  arr.(int t (Array.length arr))

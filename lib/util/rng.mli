@@ -27,11 +27,6 @@ val bool : t -> bool
 (** [chance t p] is true with probability [p]. *)
 val chance : t -> float -> bool
 
-(** [float t bound] is uniform over [0, bound). *)
-val float : t -> float -> float
-
 (** In-place Fisher-Yates shuffle. *)
 val shuffle : t -> 'a array -> unit
 
-(** Uniformly chosen element. Raises on an empty array. *)
-val choose : t -> 'a array -> 'a

@@ -270,7 +270,9 @@ let test_runner_checker_factory () =
   let runner =
     Sdiq_harness.Runner.create ~budget:2_000
       ~benches:(Sdiq_workloads.Suite.tiny ())
-      ~domains:2 ~checker:Checker.fresh_hook ()
+      ~domains:2
+      ~checker:(fun p -> ignore (Checker.attach p : Checker.t))
+      ()
   in
   Sdiq_harness.Runner.run_all runner;
   (* No Invariant_violation escaped the campaign: every (bench x

@@ -14,6 +14,8 @@ module Stats = Sdiq_cpu.Stats
 module Event = Sdiq_events.Event
 module Bus = Sdiq_events.Bus
 module Counts = Sdiq_events.Counts
+module Region = Sdiq_obs.Region
+module Profiler = Sdiq_obs.Profiler
 
 let kind_index name =
   let rec go i =
@@ -24,10 +26,11 @@ let kind_index name =
   in
   go 0
 
-(* Run [bench] under [tech] with a fresh pipeline; [attach] is given the
-   pipeline before the run for sink registration. *)
-let run_with ?(budget = 2_000) ?sched ~attach bench tech =
-  let p = Technique.build ?sched tech bench in
+(* Run [bench] under [tech] with a fresh pipeline ([?prog]: an already
+   prepared binary); [attach] is given the pipeline before the run for
+   sink registration. *)
+let run_with ?(budget = 2_000) ?sched ?prog ~attach bench tech =
+  let p = Technique.build ?sched ?prog tech bench in
   attach p;
   Pipeline.run ~max_insns:budget p
 
@@ -101,12 +104,37 @@ let test_sink_fold_matches_stats_all_techniques () =
         Technique.all)
     [ gzip (); mcf () ]
 
+(* simulate.exe's whole observer set on one machine: the invariant
+   checker, event counts, a JSONL trace, the timeline sampler and the
+   region profiler, whose machine runs the region map's binary. Returns
+   the run's statistics with the observers. *)
+let run_observed ?sched bench tech =
+  let map = Region.build (Technique.recipe tech) bench.Sdiq_workloads.Bench.prog in
+  let counts = Counts.create () in
+  let observers = ref None in
+  let stats =
+    Out_channel.with_open_bin Filename.null (fun oc ->
+        run_with ?sched ~prog:(Region.running_prog map) bench tech
+          ~attach:(fun p ->
+            ignore (Sdiq_check.Checker.attach p : Sdiq_check.Checker.t);
+            Pipeline.subscribe ~name:"counts" p (Counts.sink counts);
+            Pipeline.subscribe ~name:"jsonl-trace" p
+              (Sdiq_events.Trace.sink oc);
+            let timeline = Sdiq_harness.Timeline.attach p in
+            observers := Some (timeline, Profiler.attach map p)))
+  in
+  let timeline, prof = Option.get !observers in
+  (stats, counts, timeline, prof)
+
 (* The dual-path pin: with no sink the pipeline's per-kind emitters
    call the [Stats] updaters directly (the fast path); with any sink
    attached every event goes through the bus and [Stats.absorb]. The
    two paths must produce identical statistics — integer for integer —
    on every benchmark, technique and scheduler policy: nskip:4 pins the
-   bounded [Select_scan] entries, load_delay the suppressed wakeups. *)
+   bounded [Select_scan] entries, load_delay the suppressed wakeups.
+   A third run carries every observer simulate.exe can put on one
+   machine; it too must run the unobserved machine's run, and each
+   observer must account for all of it. *)
 let test_nosink_stats_equal_sink_stats () =
   List.iter
     (fun sched ->
@@ -125,6 +153,35 @@ let test_nosink_stats_equal_sink_stats () =
                    (Sdiq_cpu.Sched.name sched))
                 true
                 (Stats.equal nosink sunk);
+              let where what =
+                Fmt.str "%s/%s/%s: %s" bench.Sdiq_workloads.Bench.name
+                  (Technique.name tech) (Sdiq_cpu.Sched.name sched) what
+              in
+              let observed, counts, timeline, prof =
+                run_observed ~sched bench tech
+              in
+              Alcotest.(check bool)
+                (where "no-sink stats == fully observed stats")
+                true
+                (Stats.equal nosink observed);
+              Alcotest.(check bool)
+                (where "profiler total == observed stats")
+                true
+                (Stats.equal (Profiler.total_stats prof) observed);
+              Alcotest.(check int)
+                (where "counted commits == committed")
+                observed.Stats.committed
+                (Counts.get counts (kind_index "commit"));
+              let last =
+                List.hd (List.rev (Sdiq_harness.Timeline.samples timeline))
+              in
+              Alcotest.(check bool)
+                (where "last timeline sample within one interval of the end")
+                true
+                (let gap =
+                   observed.Stats.cycles - last.Sdiq_harness.Timeline.cycle
+                 in
+                 gap >= 0 && gap <= 200);
               if sched = Sdiq_cpu.Sched.load_delay then
                 Alcotest.(check bool)
                   (Fmt.str "%s/%s: load_delay suppresses some wakeups"

@@ -48,23 +48,22 @@ let test_runner_memoises () =
   let s2 = H.Runner.run r "gzip" H.Technique.Baseline in
   Alcotest.(check bool) "same stats object" true (s1 == s2)
 
-(* The timeline must plot the run the runner reports: same build, same
-   scheduler. With [~sched] dropped it would run oldest_first instead —
-   the control run below proves the two policies diverge here. *)
+(* A timeline sampler rides the machine without changing its run: the
+   sampled run is the one the runner reports under the same scheduler,
+   and the control run below proves the two policies diverge here. *)
 let test_timeline_honours_sched () =
   let budget = 3_000 in
   let bench = Sdiq_workloads.W_gzip.build ~outer:budget () in
   let sched = Sdiq_cpu.Sched.nskip ~n:1 in
   let r = H.Runner.create ~budget ~benches:[ bench ] ~domains:1 () in
   let stats = H.Runner.run ~sched r "gzip" H.Technique.Noop in
-  let tl =
-    H.Timeline.record ~sched ~max_insns:budget bench H.Technique.Noop
-  in
+  let p = H.Technique.build ~sched H.Technique.Noop bench in
+  let tl = H.Timeline.attach p in
   Alcotest.(check bool) "timeline stats == runner stats under nskip:1" true
-    (Sdiq_cpu.Stats.equal tl.H.Timeline.stats stats);
+    (Sdiq_cpu.Stats.equal (Sdiq_cpu.Pipeline.run ~max_insns:budget p) stats);
   Alcotest.(check bool) "control: nskip:1 differs from oldest_first" false
     (Sdiq_cpu.Stats.equal stats (H.Runner.run r "gzip" H.Technique.Noop));
-  let last = List.hd (List.rev tl.H.Timeline.samples) in
+  let last = List.hd (List.rev (H.Timeline.samples tl)) in
   Alcotest.(check bool) "last sample within one interval of the end" true
     (stats.Sdiq_cpu.Stats.cycles - last.H.Timeline.cycle <= 200)
 

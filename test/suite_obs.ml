@@ -10,7 +10,6 @@ module Series = Sdiq_obs.Series
 module Metrics = Sdiq_obs.Metrics
 module Region = Sdiq_obs.Region
 module Profiler = Sdiq_obs.Profiler
-module Hostprof = Sdiq_obs.Hostprof
 module Technique = Sdiq_harness.Technique
 module Runner = Sdiq_harness.Runner
 module Pipeline = Sdiq_cpu.Pipeline
@@ -254,7 +253,7 @@ let test_region_map_matches_technique () =
 let test_profiled_machine_runs_map_binary () =
   let bench = List.hd (Sdiq_workloads.Suite.tiny ()) in
   let running = ref None in
-  let checker () p = running := Some p.Pipeline.prog in
+  let checker p = running := Some p.Pipeline.prog in
   let runner = Runner.create ~budget:500 ~benches:[ bench ] ~checker () in
   List.iter
     (fun tech ->
@@ -373,26 +372,6 @@ let test_profile_all_deterministic () =
         (Profiler.to_json prof1) (Profiler.to_json prof2))
     pairs_s pairs_p
 
-(* --- host self-profiling ------------------------------------------------ *)
-
-let test_hostprof_smoke () =
-  let bench = List.hd (Sdiq_workloads.Suite.tiny ()) in
-  let p = Technique.build Technique.Noop bench in
-  let host = Hostprof.attach ~sample:100 p in
-  let stats = Pipeline.run ~max_insns:budget p in
-  Alcotest.(check int) "saw every cycle" stats.Stats.cycles
-    (Hostprof.cycles host);
-  Alcotest.(check bool) "saw events" true (Hostprof.events host > 0);
-  let total_s =
-    List.fold_left (fun acc (_, s) -> acc +. s) 0. (Hostprof.stage_seconds host)
-  in
-  Alcotest.(check bool) "accumulated wall clock" true (total_s > 0.);
-  let json = Hostprof.to_json host in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("json has " ^ needle) true (Test_util.contains ~needle json))
-    [ {|"stages"|}; {|"gc"|}; {|"events"|} ]
-
 let suite =
   [
     Alcotest.test_case "hist: linear bucketing" `Quick test_hist_linear;
@@ -417,5 +396,4 @@ let suite =
       test_slack_report_nonempty;
     Alcotest.test_case "sharded profiling campaign is deterministic" `Quick
       test_profile_all_deterministic;
-    Alcotest.test_case "hostprof smoke" `Quick test_hostprof_smoke;
   ]

@@ -202,24 +202,6 @@ let test_openmetrics_collisions () =
   Alcotest.(check bool) "gauge x_total renamed" true
     (List.mem "sdiq_x_total_2" names)
 
-let test_hostprof_metrics () =
-  let bench = List.hd (benches ()) in
-  let p = Sdiq_cpu.Pipeline.create bench.Sdiq_workloads.Bench.prog in
-  let host = Obs.Hostprof.attach p in
-  bench.Sdiq_workloads.Bench.init p.Sdiq_cpu.Pipeline.exec;
-  let (_ : Sdiq_cpu.Stats.t) = Sdiq_cpu.Pipeline.run ~max_insns:budget p in
-  let m = Obs.Hostprof.to_metrics host in
-  Alcotest.(check bool) "host cycles counted" true
-    (Obs.Metrics.counter m "host_cycles" > 0);
-  Alcotest.(check bool) "gc major words gauge present" true
-    (Obs.Metrics.gauge m "host_gc_major_words" <> None);
-  Alcotest.(check bool) "top-heap words gauge present" true
-    (Obs.Metrics.gauge m "host_gc_top_heap_words" <> None);
-  (* The exposition of a host profile must be well-terminated. *)
-  let om = Obs.Metrics.to_openmetrics m in
-  Alcotest.(check bool) "ends with # EOF" true
-    (String.length om >= 6 && String.sub om (String.length om - 6) 6 = "# EOF\n")
-
 (* --- run ledger --------------------------------------------------------- *)
 
 let sample_record ?(kind = "test") ?(digest = "d0")
@@ -491,8 +473,6 @@ let suite =
       test_openmetrics_sanitizes_names;
     Alcotest.test_case "openmetrics collision dedup" `Quick
       test_openmetrics_collisions;
-    Alcotest.test_case "hostprof gc gauges + exposition" `Quick
-      test_hostprof_metrics;
     Alcotest.test_case "ledger record round-trip" `Quick
       test_ledger_round_trip;
     Alcotest.test_case "ledger append/load round-trip" `Quick

@@ -53,49 +53,57 @@ let test_breakdown_wakeup_dominates_on_busy_queue () =
         (wakeup.Breakdown.share_pct >= c.Breakdown.share_pct))
     b.Breakdown.components
 
+(* A fresh run of [bench] under [tech] with a timeline sampler on its
+   bus. *)
+let record ~interval ~max_insns bench tech =
+  let p = Sdiq_harness.Technique.build tech bench in
+  let t = Timeline.attach ~interval p in
+  ignore (Sdiq_cpu.Pipeline.run ~max_insns p : Sdiq_cpu.Stats.t);
+  t
+
 let test_timeline_records_samples () =
   let t =
-    Timeline.record ~interval:100 ~max_insns:6_000 (crafty ())
+    record ~interval:100 ~max_insns:6_000 (crafty ())
       Sdiq_harness.Technique.Baseline
   in
-  Alcotest.(check bool) "several samples" true (List.length t.Timeline.samples > 5);
+  Alcotest.(check bool) "several samples" true (List.length (Timeline.samples t) > 5);
   (* Samples are cycle-monotone. *)
   let rec mono = function
     | (a : Timeline.sample) :: (b : Timeline.sample) :: rest ->
       a.Timeline.cycle < b.Timeline.cycle && mono (b :: rest)
     | _ -> true
   in
-  Alcotest.(check bool) "monotone cycles" true (mono t.Timeline.samples);
+  Alcotest.(check bool) "monotone cycles" true (mono (Timeline.samples t));
   List.iter
     (fun (s : Timeline.sample) ->
       Alcotest.(check bool) "occupancy bounded" true
         (s.Timeline.iq_occupancy >= 0 && s.Timeline.iq_occupancy <= 80);
       Alcotest.(check bool) "banks bounded" true
         (s.Timeline.iq_banks_on >= 0 && s.Timeline.iq_banks_on <= 10))
-    t.Timeline.samples
+    (Timeline.samples t)
 
 let test_timeline_software_limit_tracks_annotations () =
   let t =
-    Timeline.record ~interval:50 ~max_insns:6_000 (crafty ())
+    record ~interval:50 ~max_insns:6_000 (crafty ())
       Sdiq_harness.Technique.Extension
   in
   (* Once inside the hot loop the limit must be a finite annotation value,
      not the wide-open initial window. *)
   let finite =
-    List.filter (fun s -> s.Timeline.policy_limit <= 80) t.Timeline.samples
+    List.filter (fun s -> s.Timeline.policy_limit <= 80) (Timeline.samples t)
   in
   Alcotest.(check bool) "limits settle to annotation values" true
-    (List.length finite > List.length t.Timeline.samples / 2)
+    (List.length finite > List.length (Timeline.samples t) / 2)
 
 let test_timeline_csv_well_formed () =
   let t =
-    Timeline.record ~interval:200 ~max_insns:4_000 (crafty ())
+    record ~interval:200 ~max_insns:4_000 (crafty ())
       Sdiq_harness.Technique.Baseline
   in
   let csv = Timeline.to_csv t in
   let lines = String.split_on_char '\n' (String.trim csv) in
   Alcotest.(check int) "header + one line per sample"
-    (1 + List.length t.Timeline.samples)
+    (1 + List.length (Timeline.samples t))
     (List.length lines);
   let header = List.hd lines in
   Alcotest.(check string) "header"
@@ -111,13 +119,13 @@ let test_timeline_abella_active_size_changes () =
   (* Under the adaptive policy the physical ring size must actually move
      at least once on a phase-y benchmark. *)
   let t =
-    Timeline.record ~interval:100 ~max_insns:15_000
+    record ~interval:100 ~max_insns:15_000
       (Sdiq_workloads.W_parser.build ~outer:15_000 ())
       Sdiq_harness.Technique.Abella
   in
   let sizes =
     List.sort_uniq compare
-      (List.map (fun s -> s.Timeline.iq_active_size) t.Timeline.samples)
+      (List.map (fun s -> s.Timeline.iq_active_size) (Timeline.samples t))
   in
   Alcotest.(check bool) "ring resized at least once" true
     (List.length sizes >= 2)
