@@ -180,7 +180,7 @@ policy-grid:
 	dune exec bin/report.exe -- --budget 20000 \
 	  --policy-grid _build/policy-grid.json
 
-# Differential fuzzing, four lanes over the same FUZZ_N random
+# Differential fuzzing, five lanes over the same FUZZ_N random
 # programs: (1) oracle vs pipeline under every technique with the
 # invariant checker installed (speculative fetch on — the default);
 # (2) the same seeds through SMARTS sampling, checker auditing every
@@ -188,7 +188,10 @@ policy-grid:
 # asserting the committed trace and final architectural state are
 # identical — wrong-path execution must be architecturally invisible;
 # (4) the tightened configuration on each program, asserting it
-# re-audits clean and commits identically to the baseline binary.
+# re-audits clean and commits identically to the baseline binary;
+# (5) each program under every technique with no sink (quiet cycles
+# skipped) and with a null sink (every cycle stepped), asserting equal
+# statistics.
 # Reproducible: a failure prints its seed; replay one program with
 #   FUZZ_SEED=<seed> FUZZ_N=1 dune exec test/fuzz_main.exe
 fuzz:

@@ -245,6 +245,22 @@ let run bench_name mode dot quiet infos trace waivers_file json_file =
   (match trace with
   | None -> ()
   | Some path ->
+    (* A trace audit reads no waivers, writes no findings and prints no
+       infos: those flags would be dropped silently, so they are a usage
+       error. *)
+    let dropped =
+      List.filter_map
+        (fun (flag, given) -> if given then Some flag else None)
+        [
+          ("--json", json_file <> None);
+          ("--dot", dot <> None);
+          ("--waivers", waivers_file <> None);
+          ("--infos", infos);
+        ]
+    in
+    if dropped <> [] then
+      Cli.fail cli "--trace audits the trace alone and takes no %s"
+        (String.concat ", " dropped);
     (* Trace audits pin down one (bench, mode): anything else would
        compare the trace against the wrong binary. *)
     let bench =

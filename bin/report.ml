@@ -422,6 +422,18 @@ let run budget only domains markdown sample min_insns min_windows policy
       ("ledger", ledger);
       ("trace-spans", trace_spans);
     ];
+  (* Only the figures campaign appends a ledger record: refuse a ledger
+     no record would reach before the file is created. *)
+  let campaign = List.exists (fun id -> not (List.mem id extra_ids)) ids in
+  if ledger <> None then begin
+    let refuse flag =
+      Cli.fail cli
+        "--ledger records the figures campaign, which %s does not run" flag
+    in
+    if policy_grid <> None then refuse "--policy-grid"
+    else if sample then refuse "--sample"
+    else if not campaign then refuse ("--only " ^ String.concat "," ids)
+  end;
   let policy_grid = Cli.output cli "policy-grid" policy_grid in
   let ledger = Cli.output ~append:true cli "ledger" ledger in
   let write_spans = Cli.trace_spans cli trace_spans in
@@ -435,8 +447,7 @@ let run budget only domains markdown sample min_insns min_windows policy
   (* Run the whole campaign up front: the figures then read memoised
      pairs, and campaign_stats is populated for every invocation that
      names a campaign experiment, --only included. *)
-  if List.exists (fun id -> not (List.mem id extra_ids)) ids then
-    H.Runner.run_all r;
+  if campaign then H.Runner.run_all r;
   List.iter
     (fun id ->
       if id = "table1" then

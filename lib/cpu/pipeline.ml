@@ -50,7 +50,16 @@
    Hot-loop storage is flat (DESIGN.md §13): the fetch queue is a ring
    over parallel arrays, completions sit in a cycle-indexed timing wheel,
    unpipelined-FU occupancy is a per-class array of release cycles, and
-   writeback/issue reuse preallocated scratch arrays across cycles. *)
+   writeback/issue reuse preallocated scratch arrays across cycles.
+
+   Quiet cycles (DESIGN.md §13.5): with no sink subscribed, [run] and
+   [drain] notice a cycle that changed no machine state and jump
+   [cycle] to the next cycle on which a timed input comes due (a wheel
+   completion, the end of a fetch stall or of a decode, an unpipelined
+   unit's release, the close of an adaptive sensing window, or the
+   caller's cycle limit), folding the skipped cycles' statistics in
+   closed form. A sink turns this off, since it is promised every
+   cycle; [step_cycle] is always exactly one cycle. *)
 
 open Sdiq_isa
 module Ev = Sdiq_events.Event
@@ -1021,10 +1030,13 @@ let dispatch_stage t =
         go := false)
   done;
   (match !stop with Some reason -> emit_dispatch_stall t reason | None -> ());
-  (* "Throttled" feeds the adaptive policy's pressure signal: a stall on a
-     physically shrunken ring counts as pressure just like an explicit
-     policy refusal. *)
-  match !stop with
+  !stop
+
+(* "Throttled" feeds the adaptive policy's pressure signal: a stall on a
+   physically shrunken ring counts as pressure just like an explicit
+   policy refusal. *)
+let throttled t (stop : Ev.stall_reason option) =
+  match stop with
   | Some Ev.Policy_limit -> true
   | Some Ev.Iq_full -> Iq.active_size t.iq < Iq.size t.iq
   | _ -> false
@@ -1350,17 +1362,116 @@ let cycle_end_stage t ~throttled =
 
 let drained t = t.halted && Rob.is_empty t.rob && t.fq_count = 0
 
-let step_cycle t =
+(* One cycle; returns the reason dispatch stopped, if it did. *)
+let step t =
   commit_stage t;
   writeback_stage t;
   issue_stage t;
-  let throttled = dispatch_stage t in
+  let stop = dispatch_stage t in
   fetch_stage t;
-  cycle_end_stage t ~throttled
+  cycle_end_stage t ~throttled:(throttled t stop);
+  stop
+
+let step_cycle t = ignore (step t : Ev.stall_reason option)
+
+(* --- quiet-cycle skipping (DESIGN.md §13.5) ----------------------------- *)
+
+(* [c] if it is a cycle still to come that is due before [h], else [h]. *)
+let earlier ~now h c = if c >= now && c < h then c else h
+
+(* The earliest cycle at or after [t.cycle] on which a timed input can
+   change what a stage does, or [limit] if sooner: a completion wheel
+   cell falls due, fetch's stall ends, the fetch-queue head finishes
+   decode, or an unpipelined unit frees up (a squashed divide keeps its
+   unit with no completion left to mark the release). Every pending
+   completion cycle is at least [t.cycle], and the wheel cell [d] slots
+   ahead can only hold a cycle [>= t.cycle + d], so the walk stops at
+   the bound found so far. *)
+let next_due t ~limit =
+  let now = t.cycle in
+  let h = ref (earlier ~now limit t.fetch_resume_at) in
+  if t.fq_count > 0 then h := earlier ~now !h t.fq_ready.(t.fq_head);
+  if t.unpipe_busy_until >= now then
+    for k = 0 to Fu.count_classes - 1 do
+      let rel = t.fu_release.(k) in
+      for j = 0 to Array.length rel - 1 do
+        h := earlier ~now !h (Array.unsafe_get rel j)
+      done
+    done;
+  let mask = Array.length t.wheel - 1 in
+  let d = ref 0 in
+  while !d <= mask && now + !d < !h do
+    let cell = (now + !d) land mask in
+    if Array.unsafe_get t.wheel_len cell > 0 then
+      h := earlier ~now !h (Array.unsafe_get t.wheel_cycle cell);
+    incr d
+  done;
+  !h
+
+(* The cycle just stepped was quiet, and the next ones repeat it until
+   [next_due]: jump there, folding the repeats' statistics and the
+   policy's sensing in closed form. *)
+let skip_quiet t ~stop ~limit =
+  let k =
+    Policy.idle t.policy t.iq ~cycles:(next_due t ~limit - t.cycle)
+      ~throttled:(throttled t stop)
+  in
+  if k > 0 then begin
+    Stats.quiet_cycles t.stats ~cycles:k ~iq_occupancy:(Iq.occupancy t.iq)
+      ~iq_banks_on:(Iq.banks_on t.iq)
+      ~int_rf_banks_on:(Regfile.banks_on t.int_rf)
+      ~int_rf_live:(Regfile.live_count t.int_rf)
+      ~fp_rf_banks_on:(Regfile.banks_on t.fp_rf)
+      ~scan_entries:t.iq.Iq.scanned ~stall:stop;
+    t.cycle <- t.cycle + k
+  end
+
+(* One cycle of a run with no sink, then the skip if the cycle was
+   quiet: it committed, completed, issued, dispatched and fetched
+   nothing, missed in no frontend cache or TLB, squashed nothing, and
+   left fetch's stall, the ring geometry, the ROB and the fetch queue as
+   they were. The machine state it leaves differs from the one it found
+   only in what changes no later outcome: LRU stamps of the hit a
+   stalled fetch re-probes, the [Cache.hits] and
+   [Regfile.alloc_failures] counters only unit tests read, and a
+   software-policy annotation the next cycle dedupes. So the next cycle
+   repeats it, until [next_due] or a closing sensing window. [limit] is
+   the caller's cycle cap; the skip never passes it. *)
+let step_skipping t ~limit =
+  let s = t.stats and iq = t.iq in
+  let committed = s.Stats.committed and selects = s.Stats.iq_selects
+  and dispatched = s.Stats.dispatched + s.Stats.iqset_dispatch_slots
+  and fetched = s.Stats.fetched and squashes = s.Stats.squashes
+  and misses = s.Stats.il1_misses + s.Stats.itlb_misses in
+  let resume = t.fetch_resume_at and halted = t.halted and wp_pc = t.wp_pc
+  and fq = t.fq_count and rob = Rob.occupancy t.rob in
+  let active = iq.Iq.active_size and new_head = iq.Iq.new_head
+  and new_span = iq.Iq.new_span in
+  let cell = t.cycle land (Array.length t.wheel - 1) in
+  let completes = t.wheel_len.(cell) > 0 && t.wheel_cycle.(cell) = t.cycle in
+  let stop = step t in
+  if
+    (not completes)
+    && s.Stats.committed = committed
+    && s.Stats.iq_selects = selects
+    && s.Stats.dispatched + s.Stats.iqset_dispatch_slots = dispatched
+    && s.Stats.fetched = fetched
+    && s.Stats.squashes = squashes
+    && s.Stats.il1_misses + s.Stats.itlb_misses = misses
+    && t.fetch_resume_at = resume
+    && t.halted = halted
+    && t.wp_pc = wp_pc
+    && t.fq_count = fq
+    && Rob.occupancy t.rob = rob
+    && iq.Iq.active_size = active
+    && iq.Iq.new_head = new_head
+    && iq.Iq.new_span = new_span
+  then skip_quiet t ~stop ~limit
 
 (* Run until the program drains or [max_insns] instructions have
    committed. Raises [Simulation_limit] after [max_cycles] as a deadlock
-   guard. *)
+   guard. With no sink subscribed, quiet cycles are skipped up to the
+   next timed event; with any sink, every cycle is stepped. *)
 let run ?(max_insns = max_int) ?(max_cycles = 200_000_000) t =
   while
     (not (drained t)) && t.stats.Stats.committed < max_insns
@@ -1371,7 +1482,7 @@ let run ?(max_insns = max_int) ?(max_cycles = 200_000_000) t =
            (Printf.sprintf
               "no progress: %d cycles, %d committed (policy %s)"
               t.cycle t.stats.Stats.committed (Policy.name t.policy)));
-    step_cycle t
+    if t.bus_on then step_cycle t else step_skipping t ~limit:max_cycles
   done;
   t.stats
 
@@ -1389,7 +1500,7 @@ let drain ?(max_cycles = 1_000_000) t =
   t.fetch_hold <- true;
   let deadline = t.cycle + max_cycles in
   while (not (in_flight_empty t)) && t.cycle < deadline do
-    step_cycle t
+    if t.bus_on then step_cycle t else step_skipping t ~limit:deadline
   done;
   if not (in_flight_empty t) then
     raise

@@ -145,13 +145,21 @@ val on_cycle_end : ?name:string -> t -> (t -> unit) -> unit
 val on_commit_sink : ?name:string -> t -> (Sdiq_isa.Exec.dyn -> unit) -> unit
 
 (** Advance one cycle (commit, writeback, issue, dispatch, fetch, then
-    the end-of-cycle accounting fold and [Cycle_end] delivery). *)
+    the end-of-cycle accounting fold and [Cycle_end] delivery). Always
+    exactly one cycle: it never skips. *)
 val step_cycle : t -> unit
 
 (** True once the program has halted and every buffer has drained. *)
 val drained : t -> bool
 
-(** Run until the program drains or [max_insns] commit. *)
+(** Run until the program drains or [max_insns] commit; raises
+    {!Simulation_limit} when [cycle] reaches [max_cycles] (default
+    200,000,000). With no sink subscribed, a cycle that changed no
+    machine state is followed by a jump to the next cycle on which
+    something is due, never past [max_cycles], with the skipped cycles'
+    statistics added in closed form (DESIGN.md §13.5): the statistics
+    and every later cycle are those stepping gives. With any sink, every
+    cycle is stepped. *)
 val run : ?max_insns:int -> ?max_cycles:int -> t -> Stats.t
 
 (** Hold ([true]) or release ([false]) fetch; in-flight instructions
@@ -161,7 +169,8 @@ val set_fetch_hold : t -> bool -> unit
 
 (** Hold fetch and run until every in-flight instruction has retired
     (fetch stays held). Raises {!Simulation_limit} after [max_cycles]
-    (default 1,000,000). *)
+    (default 1,000,000). Skips quiet cycles as {!run} does, never past
+    that deadline. *)
 val drain : ?max_cycles:int -> t -> unit
 
 (** Functional fast-forward (SMARTS-style): execute up to [insns]

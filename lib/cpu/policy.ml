@@ -133,6 +133,26 @@ let end_cycle t (iq : Iq.t) ~resize_ok ~throttled =
        retry-until-safe delay is part of the scheme's adjustment lag. *)
     if resize_ok then ignore (Iq.resize iq a.limit)
 
+(* Quiet-cycle skipping (DESIGN.md §13.5): up to [cycles] more
+   [end_cycle]s on an unchanged queue with the same [throttled], in
+   closed form, stopping short of any that would close a sensing window
+   (a close may move [limit], which the next cycle's [allows] reads).
+   Returns how many were folded: 0 right after a window closed. The
+   resize retried by each one fails as it did on the cycle they repeat,
+   whose queue they share. *)
+let idle t (iq : Iq.t) ~cycles ~throttled =
+  match t with
+  | Unlimited | Software _ -> cycles
+  | Abella a ->
+    if a.cycle_in_window = 0 then 0
+    else begin
+      let k = Int.min cycles (a.window - 1 - a.cycle_in_window) in
+      a.cycle_in_window <- a.cycle_in_window + k;
+      a.occupancy_sum <- a.occupancy_sum + (k * Iq.occupancy iq);
+      if throttled then a.throttled_cycles <- a.throttled_cycles + k;
+      k
+    end
+
 let current_limit t (iq : Iq.t) =
   match t with
   | Unlimited -> Iq.size iq

@@ -62,4 +62,11 @@ val on_annotation : t -> Iq.t -> pc:int -> value:int -> unit
     recorded under the current modulus. *)
 val end_cycle : t -> Iq.t -> resize_ok:bool -> throttled:bool -> unit
 
+(** [cycles] or fewer repeats of the last {!end_cycle}, on a queue that
+    has not changed since, folded in closed form (the adaptive scheme's
+    sensing sums); stops short of a repeat that would close a sensing
+    window. Returns how many were folded, [0] right after a window
+    closed. The pipeline's quiet-cycle skip (DESIGN.md §13.5). *)
+val idle : t -> Iq.t -> cycles:int -> throttled:bool -> int
+
 val current_limit : t -> Iq.t -> int

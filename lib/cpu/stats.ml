@@ -162,13 +162,16 @@ let dispatch t ~(kind : Ev.dispatch_kind) ~cam_writes ~wp =
   | Load -> t.loads <- t.loads + 1
   | Store -> t.stores <- t.stores + 1
 
-let dispatch_stall t (reason : Ev.stall_reason) =
+(* [n] cycles of dispatch stopped by [reason]. *)
+let dispatch_stalls t (reason : Ev.stall_reason) n =
   match reason with
-  | Policy_limit -> t.dispatch_stall_policy <- t.dispatch_stall_policy + 1
-  | Iq_full -> t.dispatch_stall_iq_full <- t.dispatch_stall_iq_full + 1
-  | Rob_full -> t.dispatch_stall_rob_full <- t.dispatch_stall_rob_full + 1
-  | No_reg -> t.dispatch_stall_no_reg <- t.dispatch_stall_no_reg + 1
-  | Lsq_full -> t.dispatch_stall_lsq_full <- t.dispatch_stall_lsq_full + 1
+  | Policy_limit -> t.dispatch_stall_policy <- t.dispatch_stall_policy + n
+  | Iq_full -> t.dispatch_stall_iq_full <- t.dispatch_stall_iq_full + n
+  | Rob_full -> t.dispatch_stall_rob_full <- t.dispatch_stall_rob_full + n
+  | No_reg -> t.dispatch_stall_no_reg <- t.dispatch_stall_no_reg + n
+  | Lsq_full -> t.dispatch_stall_lsq_full <- t.dispatch_stall_lsq_full + n
+
+let dispatch_stall t reason = dispatch_stalls t reason 1
 
 let squash t ~squashed =
   t.squashes <- t.squashes + 1;
@@ -211,6 +214,22 @@ let cycle_end t ~cycle ~iq_occupancy ~iq_banks_on ~int_rf_banks_on
   t.int_rf_banks_on_sum <- t.int_rf_banks_on_sum + int_rf_banks_on;
   t.int_rf_live_sum <- t.int_rf_live_sum + int_rf_live;
   t.fp_rf_banks_on_sum <- t.fp_rf_banks_on_sum + fp_rf_banks_on
+
+(* [cycles] quiet cycles in closed form: each a repeat of the cycle
+   [cycle_end] just folded, which issued, dispatched, fetched and
+   committed nothing. Each adds the same integrand, the same
+   [scan_entries] select-scan slots and, when [stall] is set, one more
+   stall of that reason — what stepping them one by one would add. *)
+let quiet_cycles t ~cycles ~iq_occupancy ~iq_banks_on ~int_rf_banks_on
+    ~int_rf_live ~fp_rf_banks_on ~scan_entries ~stall =
+  t.cycles <- t.cycles + cycles;
+  t.iq_occupancy_sum <- t.iq_occupancy_sum + (cycles * iq_occupancy);
+  t.iq_banks_on_sum <- t.iq_banks_on_sum + (cycles * iq_banks_on);
+  t.int_rf_banks_on_sum <- t.int_rf_banks_on_sum + (cycles * int_rf_banks_on);
+  t.int_rf_live_sum <- t.int_rf_live_sum + (cycles * int_rf_live);
+  t.fp_rf_banks_on_sum <- t.fp_rf_banks_on_sum + (cycles * fp_rf_banks_on);
+  t.iq_scan_entries <- t.iq_scan_entries + (cycles * scan_entries);
+  match stall with Some reason -> dispatch_stalls t reason cycles | None -> ()
 
 (* The fold: one event onto its updater. Events with no counter meaning
    (writeback, tag annotations, resize, bank transitions) absorb to

@@ -110,6 +110,24 @@ val cycle_end :
   fp_rf_banks_on:int ->
   unit
 
+(** [cycles] quiet cycles folded at once, each a repeat of the cycle
+    {!cycle_end} just folded (nothing issued, dispatched, fetched or
+    committed): [cycles] more cycles, [cycles] times the integrand and
+    the [scan_entries] select-scan slots, and [cycles] stalls of reason
+    [stall] if set. The pipeline's quiet-cycle skip (DESIGN.md §13.5);
+    no event carries it, so only a run with no sink calls it. *)
+val quiet_cycles :
+  t ->
+  cycles:int ->
+  iq_occupancy:int ->
+  iq_banks_on:int ->
+  int_rf_banks_on:int ->
+  int_rf_live:int ->
+  fp_rf_banks_on:int ->
+  scan_entries:int ->
+  stall:Sdiq_events.Event.stall_reason option ->
+  unit
+
 (** The fold: apply one pipeline event's counter deltas through the
     matching updater above. Any sink can reconstruct the pipeline's
     statistics from the event stream alone (see DESIGN.md §11). *)

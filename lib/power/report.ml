@@ -59,10 +59,12 @@ let non_empty_dynamic_saving ?(params = Params.default)
   let gated = Iq_power.gated params cfg base in
   pct ~base:naive.Iq_power.dynamic gated.Iq_power.dynamic
 
+(* Each reduction prints as the signed change it is: a 16% saving reads
+   -16.0%, a 16% growth +16.0%. *)
 let pp ppf t =
   Fmt.pf ppf
-    "IPC loss %.2f%%, IQ occ -%.1f%%, IQ dyn -%.1f%%, IQ static -%.1f%% \
-     (banks off %.1f%%), RF dyn -%.1f%%, RF static -%.1f%%"
-    t.ipc_loss_pct t.iq_occupancy_reduction_pct t.iq_dynamic_saving_pct
-    t.iq_static_saving_pct t.iq_banks_off_pct t.rf_dynamic_saving_pct
-    t.rf_static_saving_pct
+    "IPC loss %.2f%%, IQ occ %+.1f%%, IQ dyn %+.1f%%, IQ static %+.1f%% \
+     (banks off %.1f%%), RF dyn %+.1f%%, RF static %+.1f%%"
+    t.ipc_loss_pct (-.t.iq_occupancy_reduction_pct)
+    (-.t.iq_dynamic_saving_pct) (-.t.iq_static_saving_pct) t.iq_banks_off_pct
+    (-.t.rf_dynamic_saving_pct) (-.t.rf_static_saving_pct)

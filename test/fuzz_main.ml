@@ -1,6 +1,8 @@
 (* Standalone differential fuzzer: generate N random programs and run
    each through Sdiq_check.Differential (oracle vs pipeline, every
-   technique, invariant checker installed). Used by `make fuzz`.
+   technique, invariant checker installed), then through four more
+   lanes (sampling, speculation on/off, tightening, and the no-sink
+   quiet-cycle skip). Used by `make fuzz`.
 
    Reproducibility: the base seed comes from FUZZ_SEED (default 1), the
    program count from FUZZ_N (default 500). Program i uses the derived
@@ -270,5 +272,66 @@ let () =
   end;
   Printf.printf
     "fuzz: all %d programs tighten audit-clean with baseline-identical \
-     commits\n"
+     commits\n%!"
+    n;
+  (* Quiet-skip lane: every lane above attaches the checker, so each
+     steps every cycle. Here each program runs under every technique
+     twice with nothing attached but, on one of the two runs, a null
+     sink: the bare run skips its quiet cycles (DESIGN.md §13.5), the
+     sunk one steps them all, and the two must end with equal
+     statistics, or stop at the same cycle limit with the same
+     message. *)
+  let outcome tech prepared ~sink =
+    let p =
+      Sdiq_cpu.Pipeline.create
+        ~policy:(Sdiq_harness.Technique.policy tech)
+        prepared
+    in
+    if sink then Sdiq_cpu.Pipeline.subscribe ~name:"null" p (fun _ -> ());
+    match Sdiq_cpu.Pipeline.run ~max_cycles:2_000_000 p with
+    | stats -> Ok (Sdiq_cpu.Stats.to_fields stats)
+    | exception Sdiq_cpu.Pipeline.Simulation_limit msg -> Error msg
+  in
+  let skip_failures = ref 0 in
+  for i = 0 to n - 1 do
+    let seed = base_seed + i in
+    let rng = Sdiq_util.Rng.create seed in
+    let desc = Sdiq_workloads.Gen.random_desc rng in
+    let prog = Sdiq_workloads.Gen.program_of_desc desc in
+    List.iter
+      (fun tech ->
+        let prepared = Sdiq_harness.Technique.prepare tech prog in
+        let bare = outcome tech prepared ~sink:false in
+        let sunk = outcome tech prepared ~sink:true in
+        if bare <> sunk then begin
+          incr skip_failures;
+          Printf.printf
+            "\nQUIET-SKIP FAILURE at program %d (seed %d, %s): the run with \
+             no sink differs from the null-sink run\n"
+            i seed
+            (Sdiq_harness.Technique.name tech);
+          Printf.printf
+            "replay: FUZZ_SEED=%d FUZZ_N=1 dune exec test/fuzz_main.exe\n"
+            seed;
+          match (bare, sunk) with
+          | Ok a, Ok b ->
+            List.iter2
+              (fun (name, x) (_, y) ->
+                if x <> y then
+                  Printf.printf "  %s: no sink %d, null sink %d\n" name x y)
+              a b
+          | _ ->
+            let show = function Ok _ -> "finished" | Error m -> m in
+            Printf.printf "  no sink: %s\n  null sink: %s\n" (show bare)
+              (show sunk)
+        end)
+      Sdiq_harness.Technique.extended
+  done;
+  if !skip_failures > 0 then begin
+    Printf.printf "\nfuzz: %d quiet-skip runs FAILED\n" !skip_failures;
+    exit 1
+  end;
+  Printf.printf
+    "fuzz: all %d programs give equal statistics with and without a sink \
+     under every technique\n"
     n

@@ -192,6 +192,183 @@ let test_nosink_stats_equal_sink_stats () =
         [ gzip (); mcf () ])
     Sdiq_cpu.Sched.[ oldest_first; nskip ~n:4; load_delay ]
 
+(* --- quiet-cycle skipping ----------------------------------------------- *)
+
+(* A run with no sink skips its quiet cycles in closed form (DESIGN.md
+   §13.5); a null sink turns the skip off and steps every cycle. The
+   stepped run is the reference: the two must agree integer for integer.
+   The budget lets every abella run close at least three sensing windows,
+   so the skip's stop before each window close is exercised. *)
+let null_sink p = Pipeline.subscribe ~name:"null" p (fun _ -> ())
+
+let test_quiet_skip_all_benchmarks () =
+  List.iter
+    (fun bench ->
+      List.iter
+        (fun tech ->
+          let where =
+            Fmt.str "%s/%s" bench.Sdiq_workloads.Bench.name
+              (Technique.name tech)
+          in
+          let bare = run_with ~budget:16_000 bench tech ~attach:(fun _ -> ()) in
+          let stepped = run_with ~budget:16_000 bench tech ~attach:null_sink in
+          Alcotest.(check (list (pair string int)))
+            (where ^ ": no-sink stats == null-sink stats")
+            (Stats.to_fields stepped) (Stats.to_fields bare);
+          match Technique.policy tech with
+          | Sdiq_cpu.Policy.Abella a ->
+            Alcotest.(check bool)
+              (where ^ ": crosses three sensing windows")
+              true
+              (bare.Stats.cycles >= 3 * a.Sdiq_cpu.Policy.window)
+          | _ -> ())
+        Technique.[ Baseline; Noop; Abella ])
+    (Sdiq_workloads.Suite.all ())
+
+(* Sampled simulation drains the machine before every fast-forward, and
+   [drain] skips too, capped at its deadline: the sampled result must
+   not depend on whether a sink is attached. *)
+let test_quiet_skip_sampling () =
+  let config =
+    { Sdiq_harness.Sampling.ff_len = 4_000; warmup_len = 500; window_len = 500 }
+  in
+  List.iter
+    (fun bench ->
+      let sample ~attach =
+        let p = Technique.build Technique.Noop bench in
+        attach p;
+        Sdiq_harness.Sampling.sample ~config p
+      in
+      let bare = sample ~attach:(fun _ -> ()) in
+      let stepped = sample ~attach:null_sink in
+      let where what = bench.Sdiq_workloads.Bench.name ^ ": " ^ what in
+      let module S = Sdiq_harness.Sampling in
+      Alcotest.(check int) (where "instructions") stepped.S.total_insns
+        bare.S.total_insns;
+      Alcotest.(check int) (where "windows") stepped.S.windows bare.S.windows;
+      Alcotest.(check bool) (where "several windows") true
+        (bare.S.windows >= 3);
+      Alcotest.(check bool) (where "window stats") true
+        (Stats.equal stepped.S.window_stats bare.S.window_stats);
+      List.iter
+        (fun (what, (a : S.estimate), (b : S.estimate)) ->
+          Alcotest.(check (float 0.)) (where what ^ " mean") a.S.mean b.S.mean;
+          Alcotest.(check (float 0.)) (where what ^ " ci") a.S.ci_half
+            b.S.ci_half;
+          Alcotest.(check int) (where what ^ " n") a.S.n b.S.n)
+        [
+          ("ipc", stepped.S.ipc, bare.S.ipc);
+          ("wakeups", stepped.S.wakeups_per_insn, bare.S.wakeups_per_insn);
+          ("energy", stepped.S.energy_per_insn, bare.S.energy_per_insn);
+        ])
+    [ Sdiq_workloads.W_mcf.build ~outer:4_000 ();
+      Sdiq_workloads.W_gzip.build ~outer:2_000 () ]
+
+(* The skip never jumps past [max_cycles]: a run cut short raises
+   [Simulation_limit] at the same cycle, with the same message, either
+   way. Nor past [drain]'s deadline: a drain cut short stops at the same
+   cycle with the same statistics. The limits fall inside mcf's long
+   load waits. *)
+let test_quiet_skip_cycle_limit () =
+  let bench = mcf () in
+  List.iter
+    (fun max_cycles ->
+      let drain ~attach =
+        let p = Technique.build Technique.Noop bench in
+        attach p;
+        ignore (Pipeline.run ~max_insns:1_500 p : Stats.t);
+        let outcome =
+          match Pipeline.drain ~max_cycles p with
+          | () -> "drained"
+          | exception Pipeline.Simulation_limit msg -> msg
+        in
+        (outcome, Pipeline.Debug.cycle p, Stats.to_fields p.Pipeline.stats)
+      in
+      let ((outcome, _, _) as stepped) = drain ~attach:null_sink in
+      Alcotest.(check bool)
+        (Fmt.str "drain ~max_cycles:%d cuts mcf's drain short" max_cycles)
+        true
+        (String.starts_with ~prefix:"drain" outcome);
+      Alcotest.(check (triple string int (list (pair string int))))
+        (Fmt.str "drain ~max_cycles:%d: same outcome, cycle and stats"
+           max_cycles)
+        stepped
+        (drain ~attach:(fun _ -> ())))
+    [ 7; 40; 97 ];
+  List.iter
+    (fun max_cycles ->
+      let limit ~attach =
+        let p = Technique.build Technique.Noop bench in
+        attach p;
+        match Pipeline.run ~max_cycles p with
+        | _ -> "finished"
+        | exception Pipeline.Simulation_limit msg -> msg
+      in
+      let stepped = limit ~attach:null_sink in
+      Alcotest.(check bool)
+        (Fmt.str "max_cycles %d cuts mcf short" max_cycles)
+        true
+        (String.starts_with ~prefix:"no progress" stepped);
+      Alcotest.(check string)
+        (Fmt.str "max_cycles %d: same limit message" max_cycles)
+        stepped
+        (limit ~attach:(fun _ -> ())))
+    [ 1_000; 2_345; 4_321; 7_777 ]
+
+(* Back-to-back divides on the unpipelined divide units, behind a
+   branch on a pseudo-random bit. When the branch mispredicts, the
+   wrong-path divides issue, then squash with their units still busy (a
+   unit is not released at a squash), so the correct path's ready
+   divides wait for a unit release no completion marks. A narrow
+   software window keeps dispatch throttled and fetch stalled meanwhile,
+   so those waits are quiet: the skip must stop at each unit's release
+   cycle. *)
+let test_quiet_skip_divides () =
+  let r = Sdiq_isa.Reg.int in
+  let module Asm = Sdiq_isa.Asm in
+  let b = Asm.create () in
+  let p = Asm.proc b "main" in
+  Asm.li p (r 1) 200;
+  Asm.li p (r 7) 3;
+  Asm.li p (r 10) 1000;
+  Asm.li p (r 20) 12345;
+  Asm.li p (r 21) 1103515245;
+  Asm.label p "loop";
+  Asm.mul p (r 20) (r 20) (r 21);
+  Asm.addi p (r 20) (r 20) 12345;
+  Asm.shri p (r 22) (r 20) 3;
+  Asm.andi p (r 22) (r 22) 1;
+  Asm.beq p (r 22) Sdiq_isa.Reg.zero "skip";
+  Asm.div p (r 3) (r 10) (r 7);
+  Asm.div p (r 4) (r 10) (r 7);
+  Asm.label p "skip";
+  Asm.div p (r 11) (r 10) (r 7);
+  Asm.div p (r 12) (r 10) (r 7);
+  Asm.addi p (r 1) (r 1) (-1);
+  Asm.bne p (r 1) Sdiq_isa.Reg.zero "loop";
+  Asm.halt p;
+  let prog = Asm.assemble b ~entry:"main" in
+  List.iter
+    (fun (name, policy) ->
+      let run ~attach =
+        let t = Pipeline.create ~policy:(policy ()) prog in
+        attach t;
+        Pipeline.run t
+      in
+      let stepped = run ~attach:null_sink in
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": no-sink stats == null-sink stats")
+        (Stats.to_fields stepped)
+        (Stats.to_fields (run ~attach:(fun _ -> ())));
+      Alcotest.(check bool) (name ^ ": some divides squashed") true
+        (stepped.Stats.squashed > 0))
+    Sdiq_cpu.Policy.
+      [
+        ("unlimited", fun () -> unlimited);
+        ("software window 2", fun () -> software ~initial:2 ());
+        ("software window 4", fun () -> software ~initial:4 ());
+      ]
+
 let prop_sink_fold_matches_stats =
   QCheck.Test.make ~count:12
     ~name:"event fold reproduces pipeline stats on random programs"
@@ -279,10 +456,19 @@ let test_counts_deterministic_across_domains () =
    timer jitter. *)
 let test_nosink_overhead () =
   let bench = gzip () in
+  (* Both runs go through [step_cycle], one cycle at a time: [run] with
+     no sink skips quiet cycles (DESIGN.md §13.5), which would hide the
+     emitters' cost behind fewer cycles. *)
   let time_run ~attach =
+    let p = Technique.build Technique.Baseline bench in
+    attach p;
     Gc.minor ();
     let t0 = Unix.gettimeofday () in
-    ignore (run_with bench Technique.Baseline ~attach : Stats.t);
+    while
+      (not (Pipeline.drained p)) && p.Pipeline.stats.Stats.committed < 2_000
+    do
+      Pipeline.step_cycle p
+    done;
     Unix.gettimeofday () -. t0
   in
   (* Back-to-back pairs share thermal/cache state, so the per-pair
@@ -462,6 +648,14 @@ let suite =
       test_sink_fold_matches_stats_all_techniques;
     Alcotest.test_case "no-sink stats == sink-attached stats" `Quick
       test_nosink_stats_equal_sink_stats;
+    Alcotest.test_case "quiet skip: every benchmark, three policies" `Quick
+      test_quiet_skip_all_benchmarks;
+    Alcotest.test_case "quiet skip: sampled results" `Quick
+      test_quiet_skip_sampling;
+    Alcotest.test_case "quiet skip: same cycle limit" `Quick
+      test_quiet_skip_cycle_limit;
+    Alcotest.test_case "quiet skip: unpipelined divides" `Quick
+      test_quiet_skip_divides;
     QCheck_alcotest.to_alcotest prop_sink_fold_matches_stats;
     Alcotest.test_case "golden event-count snapshot" `Quick test_golden_counts;
     Alcotest.test_case "event counts deterministic across domains" `Quick

@@ -217,9 +217,33 @@ let test_iq_views_priced_by_hand () =
       check "technique" (Iq_power.technique p s) dt st)
     counters
 
+(* A hand-built report with growths and savings: each change prints with
+   one sign of its own, so a growth reads "+" and a saving "-", never
+   "--". *)
+let test_report_pp_signs () =
+  let r =
+    {
+      Report.ipc_loss_pct = -1.5;
+      iq_occupancy_reduction_pct = -16.;
+      iq_dynamic_saving_pct = 71.7;
+      iq_static_saving_pct = -0.4;
+      iq_banks_off_pct = 52.8;
+      rf_dynamic_saving_pct = -5.;
+      rf_static_saving_pct = 9.7;
+      dispatch_reduction_pct = 0.;
+    }
+  in
+  Alcotest.(check string)
+    "signed changes"
+    "IPC loss -1.50%, IQ occ +16.0%, IQ dyn -71.7%, IQ static +0.4% (banks \
+     off 52.8%), RF dyn +5.0%, RF static -9.7%"
+    (Fmt.str "%a" Report.pp r)
+
 let suite =
   [
     Alcotest.test_case "energy ordering" `Quick test_energy_ordering;
+    Alcotest.test_case "report prints each change with one sign" `Quick
+      test_report_pp_signs;
     Alcotest.test_case "IQ views priced by hand, one counter at a time"
       `Quick test_iq_views_priced_by_hand;
     Alcotest.test_case "static proportional to banks" `Quick
